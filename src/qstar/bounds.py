@@ -54,15 +54,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateDivisor,
-    MissingCaseFlag,
-    OutOfRange,
-    PreconditionViolated,
-    UnknownId,
-)
+from .errors import MissingCaseFlag, OutOfRange, PreconditionViolated, UnknownId
 from .functionals import FunctionalId, as_functional_id
-from .series import ClassParams, q_number
+from .series import ClassParams, check_divisors, q_numbers
+from .starlike import extremal_factors
 
 
 class CaseFlag(str, Enum):
@@ -164,13 +159,9 @@ def bound_value(query: BoundQuery) -> float:
     if query.id == AN_PRODUCT:
         if query.n is None or query.n < 2:
             raise OutOfRange("an_product needs n >= 2")
-        one_m2a = 1.0 - 2.0 * params.alpha
         acc = 1.0
-        for k in range(2, query.n + 1):
-            den = q_number(k, params.zeta) - 1.0
-            if abs(den) <= 1e-12:
-                raise DegenerateDivisor(k)
-            acc *= abs(one_m2a + q_number(k - 1, params.zeta)) / abs(den)
+        for num, den in extremal_factors(params, query.n):
+            acc *= abs(num) / abs(den)
         return acc
     if not params.is_real_q or params.alpha != 0.0:
         raise OutOfRange(
@@ -193,15 +184,12 @@ def parseval_rhs(params: ClassParams, abs_a, n: int) -> float:
         raise OutOfRange(f"abs_a must hold n-1 = {n - 1} moduli, got {len(abs_a)}")
     if abs(abs_a[0] - 1.0) > 1e-12:
         raise OutOfRange(f"abs_a[0] = {abs_a[0]} must be 1 (a1 = 1)")
-    den = q_number(n, params.zeta) - 1.0
-    if abs(den) <= 1e-12:
-        raise DegenerateDivisor(n)
+    qn = check_divisors(q_numbers(params.zeta, n), first=n)
     one_m2a = 1.0 - 2.0 * params.alpha
     acc = 0.0
-    for k in range(1, n):
-        wk = q_number(k, params.zeta)
-        acc += (abs(one_m2a + wk) ** 2 - abs(wk - 1.0) ** 2) * float(abs_a[k - 1]) ** 2
-    return math.sqrt(max(acc, 0.0)) / abs(den)
+    for wk, ak in zip(qn, abs_a):
+        acc += (abs(one_m2a + wk) ** 2 - abs(wk - 1.0) ** 2) * float(ak) ** 2
+    return math.sqrt(max(acc, 0.0)) / abs(qn[n - 1] - 1.0)
 
 
 def cubic_bound_region(mu: float, nu: float) -> bool:
@@ -221,6 +209,13 @@ def schwarz_cubic_functional(b1, b2, b3, mu, nu):
     return abs(b3 + mu * b1 * b2 + nu * b1**3)
 
 
+def _finite(*values):
+    """The last value, once no value is NaN or infinite (input or overflow)."""
+    if not np.all(np.isfinite(values)):
+        raise OutOfRange(f"non-finite value (NaN, infinity or overflow) in {values}")
+    return values[-1]
+
+
 def disk_quadratic_max_closed(a: float, b: float, c: float) -> float:
     """max over the closed disk of |a + b z + c z^2| + 1 - |z|^2, closed form.
 
@@ -229,11 +224,12 @@ def disk_quadratic_max_closed(a: float, b: float, c: float) -> float:
         1 + |a| + b^2 / (4 (1 - |c|))     otherwise.
     """
     a, b, c = float(a), float(b), float(c)
+    _finite(a, b, c)
     if a * c < 0.0:
         raise PreconditionViolated(f"a*c = {a * c} < 0 outside the covered case")
     if abs(b) >= 2.0 * (1.0 - abs(c)):
-        return abs(a) + abs(b) + abs(c)
-    return 1.0 + abs(a) + b * b / (4.0 * (1.0 - abs(c)))
+        return _finite(abs(a) + abs(b) + abs(c))
+    return _finite(1.0 + abs(a) + b * b / (4.0 * (1.0 - abs(c))))
 
 
 def disk_quadratic_max_grid(
@@ -246,11 +242,12 @@ def disk_quadratic_max_grid(
     """
     if radial < 64 or angular < 64:
         raise OutOfRange("grid resolutions must be >= 64")
+    _finite(a, b, c)
     radii = np.linspace(0.0, 1.0, radial)
     angles = 2.0 * np.pi * np.arange(angular) / angular
     z = radii[:, None] * np.exp(1j * angles)[None, :]
     vals = np.abs(a + b * z + c * z * z) + 1.0 - np.abs(z) ** 2
-    return float(vals.max())
+    return _finite(float(vals.max()))
 
 
 #: the (a, b, c) triple behind the interior case of the h2_2 bound, plus the
@@ -293,9 +290,7 @@ def product_bound_applies(params: ClassParams, n_max: int) -> bool:
     """True iff Re [k] > alpha strictly for every 1 <= k <= n_max."""
     if n_max < 2:
         raise OutOfRange(f"n_max = {n_max} must be >= 2")
-    return all(
-        q_number(k, params.zeta).real > params.alpha for k in range(1, n_max + 1)
-    )
+    return all(w.real > params.alpha for w in q_numbers(params.zeta, n_max))
 
 
 __all__ = [

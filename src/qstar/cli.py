@@ -159,7 +159,7 @@ def _extremal_series(params: ClassParams, order: int, method: str) -> StarlikeFu
 
 def _cmd_extremal(args) -> int:
     params = _parse_zeta(args)
-    n = args.n or args.order
+    n = args.n if args.n is not None else args.order
     if args.self_check:
         funcs = [_extremal_series(params, n, m) for m in ("recursion", "product", "formula")]
         for k in range(1, n + 1):

@@ -61,8 +61,8 @@ class SchurParams:
         if not gammas:
             raise InvalidParams("at least one Schur parameter is required")
         for k, g in enumerate(gammas):
-            if abs(g) > 1.0 + DISK_TOL:
-                raise InvalidParams(f"|gamma_{k}| = {abs(g)} exceeds 1")
+            if not abs(g) <= 1.0 + DISK_TOL:  # also false for NaN
+                raise InvalidParams(f"|gamma_{k}| = {abs(g)} is not at most 1")
         object.__setattr__(self, "gammas", gammas)
 
     def effective(self) -> tuple:

@@ -12,8 +12,9 @@ negative gap) falsifies either the bound or this implementation.
 
 ``random_schwarz_suite`` attacks the complex-parameter inequalities instead:
 it draws seeded Schur-parameter tuples, builds members through the
-coefficient recursion, and checks the Parseval chain inequality, the derived
-|a_n| bound, and the product bound sample by sample.
+coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, its one
+kernel), and checks the Parseval chain inequality, the derived |a_n| bound,
+and the product bound sample by sample.
 
 Determinism contract: grid cells and random samples are independent work
 items.  Grid reductions break ties lexicographically on
@@ -38,7 +39,7 @@ from .bounds import (
     bound_value,
     product_bound_applies,
 )
-from .errors import OutOfRange, UnknownFunctional
+from .errors import DegenerateDivisor, OutOfRange, UnknownFunctional
 from .functionals import (
     A3_DEPENDENT,
     A4_DEPENDENT,
@@ -48,8 +49,8 @@ from .functionals import (
     named_functional,
 )
 from .schwarz import SchurParams, schur_expand
-from .series import ClassParams, q_number
-from .starlike import initial_coeffs_closed
+from .series import ClassParams, check_divisors, q_numbers
+from .starlike import initial_coeffs_closed, recursion_coeffs
 
 #: a completed search/report item must never undershoot the bound by more
 VIOLATION_TOL = -1e-9
@@ -177,10 +178,10 @@ class VerificationReport:
         }
 
 
-def _verdict(gap: float, attain_tol: float = ATTAIN_TOL) -> str:
-    if gap < VIOLATION_TOL:
+def _verdict(gap: float, violation_tol: float = VIOLATION_TOL) -> str:
+    if not math.isfinite(gap) or gap < violation_tol:  # no sound run gives NaN
         return "VIOLATION"
-    if gap <= attain_tol:
+    if gap <= ATTAIN_TOL:
         return "attained"
     return "consistent"
 
@@ -358,22 +359,18 @@ def _sample_gammas(seed: int, index: int, depth: int) -> tuple:
     return tuple(_disk_point(rng) for _ in range(depth))
 
 
-def _suite_margins(bvals, qn, alpha, order, dtype):
+def _suite_margins(bvals, qn, alpha, dtype):
     """Inequality data for one sample at the requested scalar precision.
 
     Returns (rows, abs_a): rows[n] = (chain_margin, chain_lhs, parseval_rhs)
-    for n = 2..order, abs_a the coefficient moduli |a_1..a_order| (floats).
+    for n = 2..order, abs_a the coefficient moduli |a_1..a_order| (floats),
+    where order = len(qn).
     """
+    order = len(qn)
     one = dtype(1)
     one_m2a = dtype(1.0 - 2.0 * alpha)
     qnn = [dtype(w) for w in qn]
-    b = [dtype(v) for v in bvals]
-    a = [dtype(0), one]
-    for n in range(2, order + 1):
-        acc = dtype(0)
-        for k in range(1, n):
-            acc = acc + b[n - k] * (one_m2a + qnn[k - 1]) * a[k]
-        a.append(acc / (qnn[n - 1] - one))
+    a = recursion_coeffs(bvals, qn, alpha, dtype)
     c = [abs(w - one) ** 2 for w in qnn]  # |[k]-1|^2 at index k-1
     d = [abs(one_m2a + w) ** 2 for w in qnn]  # |(1-2a)+[k]|^2
     t = [abs(v) ** 2 for v in a[1:]]  # |a_k|^2 at index k-1
@@ -418,21 +415,26 @@ def random_schwarz_suite(
     the ~1e9 scales reached here is coarser than the slack in plain doubles.
 
     A degenerate [n] - 1 divisor marks the sample (here: every sample, since
-    degeneracy depends only on zeta) as skipped.
+    degeneracy depends only on zeta) as skipped.  A non-finite gap is a
+    VIOLATION.
     """
+    if count < 0:
+        raise OutOfRange(f"count = {count} must be >= 0")
     zeta, alpha = params.zeta, params.alpha
-    qn = [q_number(k, zeta) for k in range(1, order + 1)]
-    degenerate = any(abs(w - 1.0) <= 1e-12 for w in qn[1:])
-    hyp = (not degenerate) and product_bound_applies(params, order)
+    try:
+        qn = check_divisors(q_numbers(zeta, order))
+    except DegenerateDivisor:
+        qn = None
+    hyp = qn is not None and product_bound_applies(params, order)
     prod_bounds = {}
-    if not degenerate:
+    if qn is not None:
         for n in range(2, order + 1):
             prod_bounds[n] = bound_value(BoundQuery(AN_PRODUCT, params, n=n))
 
     names = ["forced_zero", "forced_z"] + [f"sample{i}" for i in range(count)]
     worst = {}  # (check, n) -> (gap, witness, bound, achieved)
 
-    if not degenerate:
+    if qn is not None:
         for label_index, label in enumerate(names):
             if label == "forced_zero":
                 gammas = (0j,) * depth
@@ -442,9 +444,9 @@ def random_schwarz_suite(
                 gammas = _sample_gammas(seed, label_index - 2, depth)
             omega = schur_expand(SchurParams(gammas), order)
             b = omega.series.coeffs
-            rows, abs_a = _suite_margins(b, qn, alpha, order, complex)
+            rows, abs_a = _suite_margins(b, qn, alpha, complex)
             if _needs_refinement(rows, abs_a, prod_bounds, hyp, order):
-                rows, abs_a = _suite_margins(b, qn, alpha, order, np.clongdouble)
+                rows, abs_a = _suite_margins(b, qn, alpha, np.clongdouble)
             for n in range(2, order + 1):
                 margin, lhs, prhs = rows[n]
                 an = abs_a[n]
@@ -457,20 +459,15 @@ def random_schwarz_suite(
     for n in range(2, order + 1):
         for check in ("chain", "parseval", "product"):
             name = f"{check}[n={n}]"
-            if degenerate or (check == "product" and not hyp):
+            if qn is None or (check == "product" and not hyp):
                 items.append(
                     ReportItem(name, zeta, alpha, None, None, None, None, "skipped")
                 )
                 continue
             gap, witness, bnd, ach = worst[(check, n)]
-            if gap < -slack:
-                verdict = "VIOLATION"
-            elif gap <= ATTAIN_TOL:
-                verdict = "attained"
-            else:
-                verdict = "consistent"
             items.append(
-                ReportItem(name, zeta, alpha, None, bnd, ach, gap, verdict, witness)
+                ReportItem(name, zeta, alpha, None, bnd, ach, gap,
+                           _verdict(gap, -slack), witness)
             )
     return VerificationReport(tuple(items), seed)
 
@@ -489,7 +486,8 @@ def _needs_refinement(rows, abs_a, prod_bounds, hyp, order) -> bool:
 
 def _update(worst, key, gap, label, bound, achieved):
     cur = worst.get(key)
-    if cur is None or gap < cur[0]:
+    # the first NaN gap (gap != gap) counts as the worst, so the verdict sees it
+    if cur is None or gap < cur[0] or (gap != gap and cur[0] == cur[0]):
         worst[key] = (gap, label, bound, achieved)
 
 

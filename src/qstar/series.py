@@ -10,8 +10,10 @@ therefore identical to multiplying them at order ``N``.
 On top of the series engine the module provides the q-calculus pieces used
 everywhere else:
 
-* ``q_number(n, zeta)`` -- the generalized integer ``1 + zeta + ... +
-  zeta**(n-1)``, summed directly so that ``zeta = 1`` gives exactly ``n``;
+* ``q_numbers(zeta, order)`` -- the generalized integers ``[1] .. [order]``,
+  ``[n] = 1 + zeta + ... + zeta**(n-1)``, summed directly so that ``zeta = 1``
+  gives exactly ``n``; ``check_divisors`` is the one test that the divisors
+  ``[n] - 1`` of the coefficient recursion and product are away from 0;
 * ``q_difference(f, zeta)`` -- the difference operator that scales the n-th
   coefficient by ``q_number(n, zeta)``, reducing to the Jackson q-derivative
   for real ``zeta`` in (0, 1) and to ``f'`` as ``zeta -> 1``;
@@ -27,10 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivisorNearZero, InnerNotVanishing, OutOfRange
+from .errors import DegenerateDivisor, DivisorNearZero, InnerNotVanishing, OutOfRange
 
 #: Divisors need a constant term of at least this modulus.
 DIVISOR_TOL = 1e-12
+
+#: |[n] - 1| at or below this counts as a degenerate divisor [n] - 1.
+DEGENERATE_TOL = 1e-12
 
 #: compose() demands |inner(0)| below this.
 INNER_TOL = 1e-14
@@ -254,8 +259,8 @@ class ClassParams:
         zeta = complex(self.zeta)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "alpha", float(self.alpha))
-        if abs(zeta) > 1.0 + 1e-12:
-            raise OutOfRange(f"|zeta| = {abs(zeta)} exceeds 1")
+        if not abs(zeta) <= 1.0 + 1e-12:  # also false for NaN
+            raise OutOfRange(f"|zeta| = {abs(zeta)} is not at most 1")
         if not 0.0 <= self.alpha < 1.0:
             raise OutOfRange(f"alpha = {self.alpha} outside [0, 1)")
 
@@ -272,21 +277,35 @@ class ClassParams:
         return self.zeta.real
 
 
-def q_number(n: int, zeta) -> complex:
-    """``1 + zeta + ... + zeta**(n-1)`` by direct summation.
+def q_numbers(zeta, order: int) -> list:
+    """``[1], ..., [order]`` with ``[n] = 1 + zeta + ... + zeta**(n-1)``.
 
-    Summation (rather than the geometric closed form) keeps the value exact
-    at ``zeta = 1``, where ``q_number(n, 1) == n`` for any n.
+    One running sum (rather than the geometric closed form) keeps the values
+    exact at ``zeta = 1``, where ``[n] == n`` for any n.
     """
-    if n < 1:
-        raise OutOfRange(f"n = {n} must be >= 1")
+    if order < 1:
+        raise OutOfRange(f"order = {order} must be >= 1")
     zeta = complex(zeta)
-    acc = 0j
+    out = [1.0 + 0j]
     term = 1.0 + 0j
-    for _ in range(n):
-        acc += term
+    for _ in range(order - 1):
         term *= zeta
-    return acc
+        out.append(out[-1] + term)
+    return out
+
+
+def q_number(n: int, zeta) -> complex:
+    """The single q-number ``[n]``; the last entry of :func:`q_numbers`."""
+    return q_numbers(zeta, n)[-1]
+
+
+def check_divisors(qn: list, first: int = 2) -> list:
+    """``qn = [1..N]`` back, or ``DegenerateDivisor(n)`` at the first n in
+    first..N with ``|[n] - 1| <= DEGENERATE_TOL``."""
+    for n in range(first, len(qn) + 1):
+        if abs(qn[n - 1] - 1.0) <= DEGENERATE_TOL:
+            raise DegenerateDivisor(n)
+    return qn
 
 
 def q_difference(f: PowerSeries, zeta) -> PowerSeries:
@@ -298,8 +317,8 @@ def q_difference(f: PowerSeries, zeta) -> PowerSeries:
     """
     if f.order == 0:
         return PowerSeries((0j,))
-    out = tuple(q_number(n, zeta) * f.coeffs[n] for n in range(1, f.order + 1))
-    return PowerSeries(out)
+    qn = q_numbers(zeta, f.order)
+    return PowerSeries(tuple(w * c for w, c in zip(qn, f.coeffs[1:])))
 
 
 def q_kernel(zeta, order: int) -> PowerSeries:
@@ -341,10 +360,13 @@ __all__ = [
     "PowerSeries",
     "ClassParams",
     "q_number",
+    "q_numbers",
+    "check_divisors",
     "q_difference",
     "q_kernel",
     "one_minus_power",
     "exp_series",
     "DIVISOR_TOL",
+    "DEGENERATE_TOL",
     "INNER_TOL",
 ]

@@ -13,7 +13,8 @@ and comparing coefficients yields the linear recursion
 
 with a1 = 1 and [n] = q_number(n, zeta).  The recursion is the ground truth
 here; the infinite-product solution for w(z) = z and the closed coefficient
-formula are independent cross-checks of it.
+formula are independent cross-checks of it.  :func:`recursion_coeffs` is the
+one recursion kernel; the randomized suite in :mod:`qstar.search` runs it too.
 
 For w(z) = z the function satisfies f(zeta z) = f(z) (zeta - s z)/(1 - z)
 with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product
@@ -36,12 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDivisor, DenominatorVanished, InvalidSchwarz, OutOfRange
+from .errors import DenominatorVanished, InvalidSchwarz, OutOfRange
 from .schwarz import MARGIN_TOL, SchwarzSeries, schur_test
-from .series import ClassParams, PowerSeries, exp_series, one_minus_power, q_number
-
-#: |[n] - 1| below this counts as a degenerate recursion denominator.
-DEGENERATE_TOL = 1e-12
+from .series import DEGENERATE_TOL, ClassParams, PowerSeries, check_divisors
+from .series import exp_series, one_minus_power, q_numbers
 
 #: Factor cap for the direct extremal product; the remaining factors are
 #: aggregated exactly in log space (their geometric sums are closed forms).
@@ -62,6 +61,8 @@ class StarlikeFunction:
             raise OutOfRange(f"f(0) = {c[0]} must be 0")
         if self.series.order < 1 or c[1] != 1:
             raise OutOfRange("f must be normalized with a1 = 1")
+        if not all(cmath.isfinite(v) for v in c):
+            raise OutOfRange("a coefficient is not finite (overflow or NaN input)")
         if self.source not in ("recursion", "product", "formula", "raw"):
             raise ValueError(f"unknown source {self.source!r}")
 
@@ -82,13 +83,20 @@ class StarlikeFunction:
         return self.series.coeffs[n]
 
 
-def _check_degenerate(zeta, order: int):
-    """q-numbers [1..order]; raises on the first n >= 2 with [n] = 1."""
-    qn = [q_number(n, zeta) for n in range(1, order + 1)]
-    for n in range(2, order + 1):
-        if abs(qn[n - 1] - 1.0) <= DEGENERATE_TOL:
-            raise DegenerateDivisor(n)
-    return qn
+def recursion_coeffs(b, qn, alpha: float, dtype) -> list:
+    """a_0 .. a_N of the recursion in scalar ``dtype`` (complex or clongdouble),
+    N = len(qn), from b_0 .. b_(N-1) and checked q-numbers [1] .. [N]."""
+    one = dtype(1)
+    one_m2a = dtype(1.0 - 2.0 * alpha)
+    qnn = [dtype(w) for w in qn]
+    bb = [dtype(v) for v in b]
+    a = [dtype(0), one]
+    for n in range(2, len(qn) + 1):
+        acc = dtype(0)
+        for k in range(1, n):
+            acc = acc + bb[n - k] * (one_m2a + qnn[k - 1]) * a[k]
+        a.append(acc / (qnn[n - 1] - one))
+    return a
 
 
 def coeffs_from_schwarz(
@@ -108,16 +116,8 @@ def coeffs_from_schwarz(
     _, margin = schur_test(omega)
     if margin < -MARGIN_TOL:
         raise InvalidSchwarz(f"schur_test margin {margin:.3e} below {-MARGIN_TOL}")
-    qn = _check_degenerate(params.zeta, order)
-    one_m2a = 1.0 - 2.0 * params.alpha
-    b = omega.series.coeffs
-    a = [0j, 1.0 + 0j]
-    for n in range(2, order + 1):
-        acc = 0j
-        for k in range(1, n):
-            bk = b[n - k] if n - k <= omega.order else 0j
-            acc += bk * (one_m2a + qn[k - 1]) * a[k]
-        a.append(acc / (qn[n - 1] - 1.0))
+    qn = check_divisors(q_numbers(params.zeta, order))
+    a = recursion_coeffs(omega.series.coeffs, qn, params.alpha, complex)
     return StarlikeFunction(PowerSeries(tuple(a)), params, source="recursion")
 
 
@@ -202,6 +202,14 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
     return StarlikeFunction(PowerSeries(coeffs), params, source="product")
 
 
+def extremal_factors(params: ClassParams, n: int):
+    """Yield ((1 - 2 alpha) + [k-1], [k] - 1) for k = 2 .. n, divisors checked."""
+    qn = check_divisors(q_numbers(params.zeta, n))
+    one_m2a = 1.0 - 2.0 * params.alpha
+    for k in range(2, n + 1):
+        yield one_m2a + qn[k - 2], qn[k - 1] - 1.0
+
+
 def extremal_coeff_formula(params: ClassParams, n: int) -> complex:
     """a_n of the extremal function as a literal product of complex factors.
 
@@ -209,23 +217,17 @@ def extremal_coeff_formula(params: ClassParams, n: int) -> complex:
     """
     if n < 2:
         raise OutOfRange(f"n = {n} must be >= 2")
-    one_m2a = 1.0 - 2.0 * params.alpha
-    acc = 1.0 + 0j
-    for k in range(2, n + 1):
-        den = q_number(k, params.zeta) - 1.0
-        if abs(den) <= DEGENERATE_TOL:
-            raise DegenerateDivisor(k)
-        acc *= (one_m2a + q_number(k - 1, params.zeta)) / den
-    return acc
+    return extremal_by_formula(params, n).coeff(n)
 
 
 def extremal_by_formula(params: ClassParams, order: int) -> StarlikeFunction:
-    """The extremal function assembled coefficient by coefficient."""
+    """The extremal function as running products of :func:`extremal_factors`,
+    independent of the recursion and of :func:`extremal_product`."""
     if order < 1:
         raise OutOfRange(f"order = {order} must be >= 1")
     coeffs = [0j, 1.0 + 0j]
-    for n in range(2, order + 1):
-        coeffs.append(extremal_coeff_formula(params, n))
+    for num, den in extremal_factors(params, order):
+        coeffs.append(coeffs[-1] * (num / den))
     return StarlikeFunction(PowerSeries(tuple(coeffs)), params, source="formula")
 
 
@@ -264,11 +266,8 @@ def membership_margin(
         raise OutOfRange(f"r_max = {r_max} outside (0, 1)")
     if radial_steps < 1 or angular_steps < 1:
         raise OutOfRange("grid steps must be positive")
-    order = f.order
     a = np.asarray(f.series.coeffs[1:], dtype=complex)  # a1..aN
-    qn = np.asarray(
-        [q_number(n, f.params.zeta) for n in range(1, order + 1)], dtype=complex
-    )
+    qn = np.asarray(q_numbers(f.params.zeta, f.order), dtype=complex)
     num = qn * a  # coefficients of (z D_zeta f)/z
     radii = np.linspace(r_max / radial_steps, r_max, radial_steps)
     angles = 2.0 * np.pi * np.arange(angular_steps) / angular_steps
@@ -286,9 +285,11 @@ def membership_margin(
 
 __all__ = [
     "StarlikeFunction",
+    "recursion_coeffs",
     "coeffs_from_schwarz",
     "initial_coeffs_closed",
     "extremal_product",
+    "extremal_factors",
     "extremal_coeff_formula",
     "extremal_by_formula",
     "rotate",

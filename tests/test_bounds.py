@@ -18,6 +18,7 @@ from qstar import (
     cubic_bound_region,
     disk_quadratic_max_closed,
     disk_quadratic_max_grid,
+    extremal_coeff_formula,
     h2_quadratic_triple,
     parseval_rhs,
     product_bound_applies,
@@ -134,6 +135,15 @@ def test_an_product_examples():
         bound_value(BoundQuery(AN_PRODUCT, Q_HALF))
 
 
+@pytest.mark.parametrize("zeta", [0.5, 0.999, -0.5, 0.9j, 0.3 + 0.6j])
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+def test_an_product_is_modulus_of_formula(zeta, alpha):
+    params = ClassParams(zeta, alpha)
+    for n in range(2, 33):
+        bound = bound_value(BoundQuery(AN_PRODUCT, params, n=n))
+        assert bound == pytest.approx(abs(extremal_coeff_formula(params, n)), rel=1e-13)
+
+
 # ----------------------------------------------------------------- parseval
 
 
@@ -224,6 +234,18 @@ def test_disk_quadratic_closed_examples():
     assert got == pytest.approx(7.035880, abs=1e-6)
     with pytest.raises(PreconditionViolated):
         disk_quadratic_max_closed(1.0, 0.5, -0.5)
+
+
+@pytest.mark.parametrize(
+    "abc", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf),
+            (1e308, 1e308, 0.0)]
+)
+def test_disk_quadratic_rejects_nonfinite(abc):
+    # non-finite input, or a maximum beyond double range
+    with pytest.raises(OutOfRange):
+        disk_quadratic_max_closed(*abc)
+    with np.errstate(over="ignore"), pytest.raises(OutOfRange):
+        disk_quadratic_max_grid(*abc)
 
 
 def test_disk_quadratic_grid_examples():

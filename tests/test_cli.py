@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstar.cli import run
 
@@ -195,6 +199,73 @@ def test_y_verb_skips_closed_form_when_ac_negative(capsys):
     payload = json.loads(out)
     assert payload["y_closed"] is None
     assert payload["y_grid"] > 0
+
+
+# ----------------------------------------------------------------- bad input
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extremal", "--zeta=nan,0", "--n", "4"),
+        ("verify", "--suite", "parseval", "--zeta=inf,0", "--count", "3"),
+        ("verify", "--suite", "parseval", "--zeta=nan,0", "--count", "3"),
+        ("y", "--a", "nan", "--b", "0", "--c", "0"),
+        ("extremal", "--q", "0.5", "--n", "0"),
+        ("verify", "--suite", "parseval", "--q", "0.5", "--count", "-1"),
+    ],
+)
+def test_bad_input_exits_2_with_no_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qstar: ")
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, 0.5, -1.0, 1.0, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def _class_args(draw):
+    if draw(st.booleans()):
+        return [f"--q={draw(_FLOATS)!r}"]
+    return [
+        f"--zeta={draw(_FLOATS)!r},{draw(_FLOATS)!r}",
+        f"--alpha={draw(_FLOATS)!r}",
+    ]
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(["y", "extremal", "verify"]))
+    fmt = f"--format={draw(st.sampled_from(['csv', 'json']))}"
+    if verb == "y":
+        return ["y", fmt] + [f"--{k}={draw(_FLOATS)!r}" for k in "abc"]
+    if verb == "extremal":
+        method = draw(st.sampled_from(["recursion", "product", "formula"]))
+        extra = ["--self-check"] if draw(st.booleans()) else []
+        return ["extremal", fmt, f"--n={draw(st.integers(-1, 8))}",
+                f"--method={method}", *extra, *draw(_class_args())]
+    return ["verify", fmt, "--suite=parseval", f"--count={draw(st.integers(-1, 3))}",
+            *draw(_class_args())]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_fuzz_cli_exit_codes_and_finite_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    text = out.getvalue().lower()
+    if code == 0:
+        assert "nan" not in text and "inf" not in text
+    if code == 2:
+        assert text == ""
 
 
 # ----------------------------------------------------------------- plumbing

@@ -59,6 +59,8 @@ def test_schur_expand_rejects_bad_parameters():
         SchurParams((1.5,))
     with pytest.raises(InvalidParams):
         SchurParams(())
+    with pytest.raises(InvalidParams):
+        SchurParams((0.5, complex(float("nan"), 0.0)))
 
 
 def test_parameterization_equivalence_random():

@@ -18,6 +18,8 @@ from qstar import (
     rotated_extremal_values,
     sharpness_report,
 )
+from qstar.errors import OutOfRange
+from qstar.search import _update, _verdict
 
 COARSE = GridSpec.coarse()
 
@@ -195,6 +197,32 @@ def test_random_suite_skips_on_failed_hypothesis():
 def test_random_suite_degenerate_zeta_skips_everything():
     rep = random_schwarz_suite(ClassParams(-1.0), seed=0, count=5, order=6)
     assert {it.verdict for it in rep.items} == {"skipped"}
+
+
+def test_random_suite_rejects_negative_count():
+    with pytest.raises(OutOfRange):
+        random_schwarz_suite(ClassParams(0.5), count=-1, order=4)
+
+
+@pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
+def test_nonfinite_gap_is_a_violation(gap):
+    assert _verdict(gap) == "VIOLATION"
+    assert _verdict(gap, -1e-9) == "VIOLATION"
+
+
+def test_suite_worst_keeps_a_nan_gap():
+    worst = {}
+    for gap, label in [(1.0, "a"), (math.nan, "b"), (-3.0, "c"), (math.nan, "d")]:
+        _update(worst, "k", gap, label, 0.0, 0.0)
+    gap, label, _, _ = worst["k"]
+    assert math.isnan(gap) and label == "b"
+    assert _verdict(gap, -1e-9) == "VIOLATION"
+
+
+def test_verdict_thresholds():
+    assert _verdict(-1e-10) == "attained"
+    assert _verdict(-1e-10, -1e-11) == "VIOLATION"
+    assert _verdict(0.5) == "consistent"
 
 
 def test_random_suite_deterministic():

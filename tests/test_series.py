@@ -1,12 +1,20 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstar import ClassParams, DivisorNearZero, InnerNotVanishing, OutOfRange, PowerSeries
-from qstar.series import q_difference, q_kernel, q_number
+from qstar import (
+    ClassParams,
+    DegenerateDivisor,
+    DivisorNearZero,
+    InnerNotVanishing,
+    OutOfRange,
+    PowerSeries,
+)
+from qstar.series import check_divisors, q_difference, q_kernel, q_number, q_numbers
 
 from _oracles import frac_compose, frac_div, frac_series, kernel_coefficient
 
@@ -137,6 +145,33 @@ def test_q_number_requires_positive_index():
         q_number(0, 0.5)
 
 
+@pytest.mark.parametrize("zeta", [0.5, 0.999, 1.0, -1.0, 0.6 * cmath.exp(1j * cmath.pi / 4)])
+def test_q_numbers_bitwise_equal_to_q_number(zeta):
+    qn = q_numbers(zeta, 64)
+    assert len(qn) == 64
+    for n in range(1, 65):
+        # reference: the direct summation of 1 + zeta + ... + zeta**(n-1)
+        acc, term = 0j, 1.0 + 0j
+        for _ in range(n):
+            acc += term
+            term *= complex(zeta)
+        assert qn[n - 1] == q_number(n, zeta) == acc
+
+
+def test_check_divisors_first_degenerate_index():
+    # zeta = -1: [2] - 1 = -1, [3] - 1 = 0 exactly
+    qn = q_numbers(-1.0, 6)
+    with pytest.raises(DegenerateDivisor) as exc:
+        check_divisors(qn)
+    assert exc.value.n == 3
+    assert check_divisors(qn[:2]) == qn[:2]
+    assert check_divisors(qn[:4], first=4) == qn[:4]
+    # zeta = i: [2] - 1 = i, [3] - 1 = -1 + i, [4] - 1 = -1, [5] - 1 = 0
+    with pytest.raises(DegenerateDivisor) as exc:
+        check_divisors(q_numbers(1j, 8))
+    assert exc.value.n == 5
+
+
 def test_kernel_coefficients_equal_q_numbers():
     # includes boundary |zeta| = 1 and zeta = 1 itself
     zetas = [0.5, -0.5, 0.9j, 0.6 * cmath.exp(1j), cmath.exp(0.3j), 1.0]
@@ -230,6 +265,9 @@ def test_class_params_validation():
         ClassParams(0.5, 1.0)
     with pytest.raises(OutOfRange):
         ClassParams(0.5, -0.1)
+    for zeta in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(OutOfRange):
+            ClassParams(zeta)
 
 
 def test_class_params_q_accessor():

@@ -24,6 +24,9 @@ from qstar import (
     rotate,
     schur_expand,
 )
+from qstar import starlike
+from qstar.series import q_numbers
+from qstar.starlike import recursion_coeffs
 
 Q_HALF = ClassParams(0.5)
 
@@ -154,6 +157,57 @@ def test_extremal_formula_examples():
     assert abs(val - 5.0) <= 1e-5
     with pytest.raises(DegenerateDivisor):
         extremal_coeff_formula(ClassParams(-1.0), 5)
+
+
+@pytest.mark.parametrize(
+    "zeta", [0.5, 0.999, -0.5, 0.9j, 0.6 * cmath.exp(1j * math.pi / 4)]
+)
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+def test_formula_running_product_bitwise(zeta, alpha):
+    params = ClassParams(zeta, alpha)
+    form = extremal_by_formula(params, 64)
+    # reference: the literal product, each a_n multiplied out from k = 2
+    qn = [0j] + q_numbers(zeta, 64)
+    for n in range(2, 65):
+        acc = 1.0 + 0j
+        for k in range(2, n + 1):
+            acc *= ((1.0 - 2.0 * alpha) + qn[k - 1]) / (qn[k] - 1.0)
+        assert form.coeff(n) == extremal_coeff_formula(params, n) == acc
+
+
+def test_formula_route_is_independent(monkeypatch):
+    # extremal --self-check compares three routes; the formula must not
+    # borrow either of the other two
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the formula route called another route")
+
+    monkeypatch.setattr(starlike, "recursion_coeffs", forbidden)
+    monkeypatch.setattr(starlike, "coeffs_from_schwarz", forbidden)
+    monkeypatch.setattr(starlike, "extremal_product", forbidden)
+    params = ClassParams(0.3 + 0.6j, 0.25)
+    extremal_by_formula(params, 16)
+    extremal_coeff_formula(params, 16)
+
+
+def test_recursion_kernel_complex_and_clongdouble_agree():
+    rng = np.random.default_rng(2024)
+    params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
+    qn = q_numbers(params.zeta, 8)
+    for _ in range(20):
+        u = rng.uniform(0.0, 1.0, 5) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=5))
+        b = schur_expand(SchurParams(tuple(complex(v) for v in u)), 8).series.coeffs
+        lo = recursion_coeffs(b, qn, params.alpha, complex)
+        hi = recursion_coeffs(b, qn, params.alpha, np.clongdouble)
+        for x, y in zip(lo, hi):
+            assert abs(complex(x) - complex(y)) <= 1e-12 * max(1.0, abs(complex(y)))
+
+
+def test_nonfinite_coefficients_rejected():
+    with pytest.raises(OutOfRange):
+        StarlikeFunction.from_coeffs([1.0, complex(math.nan, 0.0)], Q_HALF)
+    # a_64 of the extremal at q = 1e-11 is ~ (2/q)^63, beyond double range
+    with pytest.raises(OutOfRange):
+        extremal_by_formula(ClassParams(1e-11), 64)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
