@@ -184,12 +184,13 @@ def parseval_rhs(params: ClassParams, abs_a, n: int) -> float:
         raise OutOfRange(f"abs_a must hold n-1 = {n - 1} moduli, got {len(abs_a)}")
     if abs(abs_a[0] - 1.0) > 1e-12:
         raise OutOfRange(f"abs_a[0] = {abs_a[0]} must be 1 (a1 = 1)")
-    qn = check_divisors(q_numbers(params.zeta, n), first=n)
+    qn = q_numbers(params.zeta, n)
+    dv = check_divisors(params.zeta, qn, first=n)
     one_m2a = 1.0 - 2.0 * params.alpha
     acc = 0.0
-    for wk, ak in zip(qn, abs_a):
-        acc += (abs(one_m2a + wk) ** 2 - abs(wk - 1.0) ** 2) * float(ak) ** 2
-    return math.sqrt(max(acc, 0.0)) / abs(qn[n - 1] - 1.0)
+    for wk, dk, ak in zip(qn, dv, abs_a):
+        acc += (abs(one_m2a + wk) ** 2 - abs(dk) ** 2) * float(ak) ** 2
+    return math.sqrt(max(acc, 0.0)) / abs(dv[n - 1])
 
 
 def cubic_bound_region(mu: float, nu: float) -> bool:

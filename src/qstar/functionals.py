@@ -59,13 +59,21 @@ RAW_FORMULAS = {
     * (a2 * a2 - 2.0 * a3 * a3 + a2 * a4),
 }
 
-#: ids whose formula actually reads a4 (the search skips the y grid otherwise)
+#: ids whose formula actually reads a4 (the search ignores y otherwise)
 A4_DEPENDENT = {
     FunctionalId.ABS_A4,
     FunctionalId.FEKETE_A2A3_A4,
     FunctionalId.H2_2,
     FunctionalId.T3_2,
     FunctionalId.T2_3,
+}
+
+#: the A4_DEPENDENT ids whose formula is affine in a4; the other two are
+#: quadratic in a4
+A4_AFFINE = {
+    FunctionalId.ABS_A4,
+    FunctionalId.FEKETE_A2A3_A4,
+    FunctionalId.H2_2,
 }
 
 #: ids whose formula reads a3
@@ -171,6 +179,7 @@ __all__ = [
     "RAW_FORMULAS",
     "A3_DEPENDENT",
     "A4_DEPENDENT",
+    "A4_AFFINE",
     "named_functional",
     "as_functional_id",
     "hankel_matrix",

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParams, InvalidSchwarz, OutOfRange
 from .series import PowerSeries
 
@@ -179,7 +181,9 @@ def schwarz_b2b3(b1: float, x, y) -> tuple:
     """(b2, b3) of a Schwarz function from the triple (b1, x, y).
 
     b2 = x (1 - b1^2),  b3 = (1 - b1^2) ((1 - |x|^2) y - b1 x^2),
-    valid for real b1 in [0, 1] and |x| <= 1, |y| <= 1.
+    valid for real b1 in [0, 1] and |x| <= 1, |y| <= 1.  Scalar arguments
+    give Python complex values; numpy array arguments broadcast against each
+    other, are range-checked element by element, and give arrays.
     """
     b1 = _real_in(b1, 0.0, 1.0, "b1")
     x = _disk(x, "x")
@@ -256,20 +260,31 @@ def canonical_schwarz(kind: str, order: int, *, x=None, b1=None) -> SchwarzSerie
     raise OutOfRange(f"unknown canonical kind {kind!r}")
 
 
-def _real_in(value, lo, hi, name) -> float:
-    value = complex(value)
-    if abs(value.imag) > DISK_TOL:
-        raise OutOfRange(f"{name} = {value} must be real")
+def _as_complex(value):
+    return np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
+
+
+def _check(ok, value, message) -> None:
+    """Raise OutOfRange naming the first element of ``value`` where ``ok`` fails."""
+    if not np.all(ok):  # also fails for NaN
+        raise OutOfRange(message.format(np.ravel(value)[np.argmin(np.ravel(ok))]))
+
+
+def _real_in(value, lo, hi, name):
+    """A real scalar or array in [lo, hi] (to within DISK_TOL), clamped there."""
+    value = _as_complex(value)
+    _check(np.abs(value.imag) <= DISK_TOL, value, name + " = {} must be real")
     v = value.real
-    if not lo - DISK_TOL <= v <= hi + DISK_TOL:
-        raise OutOfRange(f"{name} = {v} outside [{lo}, {hi}]")
-    return min(max(v, lo), hi)
+    _check((lo - DISK_TOL <= v) & (v <= hi + DISK_TOL), v,
+           name + f" = {{}} outside [{lo}, {hi}]")
+    return np.clip(v, lo, hi) if np.ndim(v) else min(max(v, lo), hi)
 
 
-def _disk(value, name) -> complex:
-    value = complex(value)
-    if abs(value) > 1.0 + DISK_TOL:
-        raise OutOfRange(f"|{name}| = {abs(value)} exceeds 1")
+def _disk(value, name):
+    """A complex scalar or array in the closed unit disk (to within DISK_TOL)."""
+    value = _as_complex(value)
+    r = np.abs(value)
+    _check(r <= 1.0 + DISK_TOL, r, f"|{name}| = {{}} exceeds 1")
     return value
 
 

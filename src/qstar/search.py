@@ -2,13 +2,25 @@
 
 Two engines live here.
 
-``maximize_functional`` sweeps the full parameter family of the first three
-Schwarz coefficients -- real b1 in [0, 1] and disk parameters x, y -- maps
-each triple through (b2, b3) and the closed initial coefficients to
-(a2, a3, a4), optionally rotates the coefficient phases, evaluates the chosen
-functional, and refines the grid around the incumbent.  Every sampled triple
-is a genuine class witness, so a search value above the catalog bound (a
-negative gap) falsifies either the bound or this implementation.
+``maximize_functional`` searches the parameter family of the first three
+Schwarz coefficients -- real b1 in [0, 1] and disk parameters x, y -- by
+mapping each triple through :func:`qstar.schwarz.schwarz_b2b3` and
+:func:`qstar.starlike.initial_coeffs_closed` to (a2, a3, a4), optionally
+rotating the coefficient phases, and evaluating the chosen functional.  It
+grids (b1, x) and refines that grid around the incumbent; y is not gridded:
+
+* b3, hence a4, is affine in y.  A functional affine in a4 is A + B y on each
+  (b1, x) point, so its maximum over |y| <= 1 is |A| + |B| exactly (the
+  triangle-inequality step of the paper's proofs); the search reads A and B
+  off y = 0 and y = 1.
+* A functional quadratic in a4 is a polynomial in y, so by the maximum-modulus
+  principle its maximum over the disk lies on |y| = 1; the search sweeps
+  arg y on that circle only.
+* The other functionals do not read y at all.
+
+Every evaluated point, and every reported witness, is a genuine class
+member, so a search value above the catalog bound (a negative gap) falsifies
+either the bound or this implementation.
 
 ``random_schwarz_suite`` attacks the complex-parameter inequalities instead:
 it draws seeded Schur-parameter tuples, builds members through the
@@ -19,13 +31,17 @@ and the product bound sample by sample.
 Determinism contract: grid cells and random samples are independent work
 items.  Grid reductions break ties lexicographically on
 (b1, |x|, arg x, |y|, arg y) (the first flat C-order maximum on ascending
-axes), and every sample draws from its own counter-based Philox stream keyed
-by (seed, sample index), so any parallel schedule -- or a rerun -- reproduces
-the serial report bit for bit.
+axes).  On the |y| = 1 sweep the eliminated radius is 1; for a functional
+affine in a4, (|y|, arg y) is the witness of |A| + |B| -- radius 1 and
+arg y = arg A - arg B, or y = 0 when B == 0 -- a function of (b1, x); a
+functional that ignores y reports y = 0.  Every sample draws from its own
+counter-based Philox stream keyed by (seed, sample index), so any parallel
+schedule -- or a rerun -- reproduces the serial report bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -42,13 +58,14 @@ from .bounds import (
 from .errors import DegenerateDivisor, OutOfRange, UnknownFunctional
 from .functionals import (
     A3_DEPENDENT,
+    A4_AFFINE,
     A4_DEPENDENT,
     RAW_FORMULAS,
     FunctionalId,
     as_functional_id,
     named_functional,
 )
-from .schwarz import SchurParams, schur_expand
+from .schwarz import SchurParams, schur_expand, schwarz_b2b3
 from .series import ClassParams, check_divisors, q_numbers
 from .starlike import initial_coeffs_closed, recursion_coeffs
 
@@ -79,25 +96,26 @@ GRID_IDS = (
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid sizes for the (b1, x, y) search lattice.
+    """Grid sizes for the (b1, x) search lattice and the arg y sweep.
 
     The level-0 b1 grid spans its range with both endpoints on the lattice,
-    and the x/y lattices contain |.| = 0 and |.| = 1 exactly.
+    and the x lattice contains |x| = 0 and |x| = 1 exactly.  ``y_angles``
+    points of the circle |y| = 1 are swept for the functionals quadratic in
+    a4; no other functional grids y.
     """
 
     b1_points: int = 51
     x_radii: int = 21
     x_angles: int = 36
-    y_radii: int = 21
     y_angles: int = 36
 
     @classmethod
     def coarse(cls):
-        return cls(26, 11, 18, 11, 18)
+        return cls(26, 11, 18, 18)
 
     @classmethod
     def fine(cls):
-        return cls(101, 31, 72, 31, 72)
+        return cls(101, 31, 72, 72)
 
 
 @dataclass(frozen=True)
@@ -129,7 +147,7 @@ class SearchResult:
     argmax: tuple  # (b1, x, y) with complex x, y
     bound: float
     gap: float  # bound - max_value; >= -1e-9 on a sound run
-    evaluations: int
+    evaluations: int  # (b1, x) points, or (b1, x, arg y) on the |y| = 1 sweep
 
 
 @dataclass(frozen=True)
@@ -196,33 +214,58 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _chunk_values(fid, q, theta, b1, x, y):
-    """|functional| over one b1 slice; x has shape (rx, ax, 1, 1), y (ry, ay)."""
-    one_m = 1.0 - b1 * b1
-    b2 = x * one_m
-    a2 = 2.0 * b1 / q
-    a3 = (2.0 * q * b2 + (4.0 + 2.0 * q) * b1 * b1) / (q * q * (1.0 + q))
-    if fid in A4_DEPENDENT:
-        b3 = one_m * ((1.0 - np.abs(x) ** 2) * y[None, None, :, :] - b1 * x * x)
-        a4 = (
-            2.0 * q * q * (1.0 + q) * b3
-            + 4.0 * q * (2.0 + 2.0 * q + q * q) * b1 * b2
-            + 2.0 * (4.0 + 4.0 * q + 3.0 * q * q + q**3) * b1**3
-        ) / (q**3 * (1.0 + q) * (1.0 + q + q * q))
-    else:
-        a4 = np.zeros_like(b2)
+def _functional_values(fid, q, theta, b1, x, y):
+    """The raw functional at every (b1, x, y) of the broadcast arrays."""
+    b2, b3 = schwarz_b2b3(b1, x, y)
+    a2, a3, a4 = initial_coeffs_closed(b1, b2, b3, q)
     if theta != 0.0:
         ph = complex(math.cos(theta), math.sin(theta))
         a2 = a2 * ph
         a3 = a3 * ph * ph
         a4 = a4 * ph**3
-    return np.abs(RAW_FORMULAS[fid](a2, a3, a4))
+    return RAW_FORMULAS[fid](a2, a3, a4)
+
+
+def _affine_witness(a, b) -> tuple:
+    """(|y|, arg y) of a y attaining max |a + b y| = |a| + |b| on |y| <= 1."""
+    if b == 0:
+        return 0.0, 0.0
+    return 1.0, cmath.phase(a) - cmath.phase(b)
+
+
+#: y = 0 and y = 1, where a functional affine in a4 shows A and A + B
+_Y_ENDS = np.array([0.0, 1.0])
+
+#: lattice points per numpy evaluation; bounds the size of its temporaries
+_CHUNK_POINTS = 1 << 16
+
+
+def _y_max(fid, q, theta, b1, x, ays):
+    """|functional| maximized over |y| <= 1 at each (b1, x) pair.
+
+    ``b1`` has shape (nb, 1, 1, 1) and ``x`` (1, rx, ax, 1).  Returns
+    ``(vals, witness)``: vals broadcasts to (nb, rx, ax, len(ays)) for a
+    functional quadratic in a4, swept at y = exp(i ays), and to
+    (nb, rx, ax, 1) otherwise; ``witness(index)`` is the (|y|, arg y) behind
+    vals[index].
+    """
+    if fid in A4_AFFINE:
+        p = _functional_values(fid, q, theta, b1, x, _Y_ENDS)
+        a, b = p[..., :1], p[..., 1:] - p[..., :1]
+        return np.abs(a) + np.abs(b), lambda i: _affine_witness(a[i], b[i])
+    if fid in A4_DEPENDENT:
+        vals = np.abs(_functional_values(fid, q, theta, b1, x, np.exp(1j * ays)))
+        return vals, lambda i: (1.0, float(ays[i[3]]))
+    return np.abs(_functional_values(fid, q, theta, b1, x, 0.0)), lambda i: (0.0, 0.0)
 
 
 def maximize_functional(spec: SearchSpec) -> SearchResult:
-    """Grid-maximize |functional| over the (b1, x, y) family, with refinement.
+    """Maximize |functional| over the (b1, x, y) family, with refinement.
 
-    Each refinement level shrinks every coordinate range by a factor of 5
+    The search grids (b1, x) and handles y as the module docstring states:
+    exactly (|A| + |B|) for a functional affine in a4, by an arg y sweep on
+    |y| = 1 for one quadratic in a4.  Each refinement level shrinks every
+    gridded range (b1, |x|, arg x, and arg y on the sweep) by a factor of 5
     around the incumbent and re-grids at the same resolution.  Ties break
     toward the lexicographically smallest (b1, |x|, arg x, |y|, arg y); axes
     the functional provably ignores collapse to their smallest grid point,
@@ -235,12 +278,11 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
     q = spec.q
     theta = spec.rotation_theta
     needs_x = fid in A3_DEPENDENT
-    needs_y = fid in A4_DEPENDENT
+    ring = fid in A4_DEPENDENT and fid not in A4_AFFINE
 
     b1_lo, b1_hi = spec.b1_range
     rx_lo, rx_hi = 0.0, 1.0
     ax_lo, ax_hi = 0.0, 2.0 * math.pi * (g.x_angles - 1) / max(g.x_angles, 1)
-    ry_lo, ry_hi = 0.0, 1.0
     ay_lo, ay_hi = 0.0, 2.0 * math.pi * (g.y_angles - 1) / max(g.y_angles, 1)
 
     best_val = -1.0
@@ -251,33 +293,30 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
         b1s = _axis(b1_lo, b1_hi, g.b1_points)
         rxs = _axis(rx_lo, rx_hi, g.x_radii if needs_x else 1)
         axs = _axis(ax_lo, ax_hi, g.x_angles if needs_x else 1)
-        rys = _axis(ry_lo, ry_hi, g.y_radii if needs_y else 1)
-        ays = _axis(ay_lo, ay_hi, g.y_angles if needs_y else 1)
-        x = (rxs[:, None] * np.exp(1j * axs)[None, :])[:, :, None, None]
-        y = rys[:, None] * np.exp(1j * ays)[None, :]
-        shape = (len(rxs), len(axs), len(rys), len(ays))
-        for b1 in b1s:
-            vals = np.broadcast_to(_chunk_values(fid, q, theta, float(b1), x, y), shape)
+        ays = _axis(ay_lo, ay_hi, g.y_angles if ring else 1)
+        x = (rxs[:, None] * np.exp(1j * axs)[None, :])[None, :, :, None]
+        per_b1 = len(rxs) * len(axs) * len(ays)
+        step = max(1, _CHUNK_POINTS // per_b1)
+        for start in range(0, len(b1s), step):
+            b1 = b1s[start:start + step, None, None, None]
+            vals, witness = _y_max(fid, q, theta, b1, x, ays)
+            vals = np.broadcast_to(vals, (len(b1), len(rxs), len(axs), len(ays)))
             evaluations += vals.size
             flat = int(np.argmax(vals))
             v = float(vals.flat[flat])
-            irx, iax, iry, iay = np.unravel_index(flat, shape)
+            idx = np.unravel_index(flat, vals.shape)
             key = (
-                float(b1),
-                float(rxs[irx]),
-                float(axs[iax]),
-                float(rys[iry]),
-                float(ays[iay]),
-            )
+                float(b1.flat[idx[0]]), float(rxs[idx[1]]), float(axs[idx[2]])
+            ) + witness(idx)
             if v > best_val or (v == best_val and (best_key is None or key < best_key)):
                 best_val = v
                 best_key = key
-        b1c, rxc, axc, ryc, ayc = best_key
+        b1c, rxc, axc, _, ayc = best_key
         b1_lo, b1_hi = _shrink(b1c, b1_lo, b1_hi, clamp=spec.b1_range)
         rx_lo, rx_hi = _shrink(rxc, rx_lo, rx_hi, clamp=(0.0, 1.0))
         ax_lo, ax_hi = _shrink(axc, ax_lo, ax_hi, clamp=None)
-        ry_lo, ry_hi = _shrink(ryc, ry_lo, ry_hi, clamp=(0.0, 1.0))
-        ay_lo, ay_hi = _shrink(ayc, ay_lo, ay_hi, clamp=None)
+        if ring:
+            ay_lo, ay_hi = _shrink(ayc, ay_lo, ay_hi, clamp=None)
 
     bound = bound_value(BoundQuery(fid, ClassParams(q), case_flag=_case_for(spec)))
     b1c, rxc, axc, ryc, ayc = best_key
@@ -359,19 +398,18 @@ def _sample_gammas(seed: int, index: int, depth: int) -> tuple:
     return tuple(_disk_point(rng) for _ in range(depth))
 
 
-def _suite_margins(bvals, qn, alpha, dtype):
+def _suite_margins(bvals, qn, dv, alpha, dtype):
     """Inequality data for one sample at the requested scalar precision.
 
     Returns (rows, abs_a): rows[n] = (chain_margin, chain_lhs, parseval_rhs)
     for n = 2..order, abs_a the coefficient moduli |a_1..a_order| (floats),
-    where order = len(qn).
+    where order = len(qn) and dv holds the divisors [k] - 1.
     """
     order = len(qn)
-    one = dtype(1)
     one_m2a = dtype(1.0 - 2.0 * alpha)
     qnn = [dtype(w) for w in qn]
-    a = recursion_coeffs(bvals, qn, alpha, dtype)
-    c = [abs(w - one) ** 2 for w in qnn]  # |[k]-1|^2 at index k-1
+    a = recursion_coeffs(bvals, qn, dv, alpha, dtype)
+    c = [abs(dtype(w)) ** 2 for w in dv]  # |[k]-1|^2 at index k-1
     d = [abs(one_m2a + w) ** 2 for w in qnn]  # |(1-2a)+[k]|^2
     t = [abs(v) ** 2 for v in a[1:]]  # |a_k|^2 at index k-1
     rows = {}
@@ -403,16 +441,20 @@ def random_schwarz_suite(
     and tests for every 2 <= n <= order:
 
       chain[n]     sum_{k<=n} |[k]-1|^2 |a_k|^2
-                     <= sum_{k<=n-1} |(1-2a)+[k]|^2 |a_k|^2 + slack
-      parseval[n]  |a_n| <= parseval_rhs + slack
-      product[n]   |a_n| <= an_product bound + slack  (skipped unless
+                     <= sum_{k<=n-1} |(1-2a)+[k]|^2 |a_k|^2
+      parseval[n]  |a_n| <= parseval_rhs
+      product[n]   |a_n| <= an_product bound  (skipped unless
                    Re [k] > alpha holds up to order)
 
-    The slack is absolute.  Margins come out of double precision first and
-    are re-derived in 80-bit extended precision whenever they land below
-    1e-6 of their own scale: near equality (the forced w = z sample attains
-    all three families) the two sides agree to O(eps) times |a_n|^2, which at
-    the ~1e9 scales reached here is coarser than the slack in plain doubles.
+    The slack is relative to the scale of the bound side (the right-hand
+    side above): a gap (bound side minus the other side) is a VIOLATION below
+    -slack * max(1, |bound side|), and each check reports the sample whose gap
+    is lowest on that scale, with its gap unscaled.  At small |zeta| the sides
+    reach 1e13 and more, where rounding alone exceeds any absolute slack.
+    Margins come out of double precision first and are re-derived in 80-bit
+    extended precision whenever they land below 1e-6 of their own scale: near
+    equality (the forced w = z sample attains all three families) the two
+    sides agree to O(eps) times |a_n|^2.
 
     A degenerate [n] - 1 divisor marks the sample (here: every sample, since
     degeneracy depends only on zeta) as skipped.  A non-finite gap is a
@@ -421,20 +463,21 @@ def random_schwarz_suite(
     if count < 0:
         raise OutOfRange(f"count = {count} must be >= 0")
     zeta, alpha = params.zeta, params.alpha
+    qn = q_numbers(zeta, order)
     try:
-        qn = check_divisors(q_numbers(zeta, order))
+        dv = check_divisors(zeta, qn)
     except DegenerateDivisor:
-        qn = None
-    hyp = qn is not None and product_bound_applies(params, order)
+        dv = None
+    hyp = dv is not None and product_bound_applies(params, order)
     prod_bounds = {}
-    if qn is not None:
+    if dv is not None:
         for n in range(2, order + 1):
             prod_bounds[n] = bound_value(BoundQuery(AN_PRODUCT, params, n=n))
 
     names = ["forced_zero", "forced_z"] + [f"sample{i}" for i in range(count)]
     worst = {}  # (check, n) -> (gap, witness, bound, achieved)
 
-    if qn is not None:
+    if dv is not None:
         for label_index, label in enumerate(names):
             if label == "forced_zero":
                 gammas = (0j,) * depth
@@ -444,9 +487,9 @@ def random_schwarz_suite(
                 gammas = _sample_gammas(seed, label_index - 2, depth)
             omega = schur_expand(SchurParams(gammas), order)
             b = omega.series.coeffs
-            rows, abs_a = _suite_margins(b, qn, alpha, complex)
+            rows, abs_a = _suite_margins(b, qn, dv, alpha, complex)
             if _needs_refinement(rows, abs_a, prod_bounds, hyp, order):
-                rows, abs_a = _suite_margins(b, qn, alpha, np.clongdouble)
+                rows, abs_a = _suite_margins(b, qn, dv, alpha, np.clongdouble)
             for n in range(2, order + 1):
                 margin, lhs, prhs = rows[n]
                 an = abs_a[n]
@@ -459,7 +502,7 @@ def random_schwarz_suite(
     for n in range(2, order + 1):
         for check in ("chain", "parseval", "product"):
             name = f"{check}[n={n}]"
-            if qn is None or (check == "product" and not hyp):
+            if dv is None or (check == "product" and not hyp):
                 items.append(
                     ReportItem(name, zeta, alpha, None, None, None, None, "skipped")
                 )
@@ -467,7 +510,7 @@ def random_schwarz_suite(
             gap, witness, bnd, ach = worst[(check, n)]
             items.append(
                 ReportItem(name, zeta, alpha, None, bnd, ach, gap,
-                           _verdict(gap, -slack), witness)
+                           _verdict(gap, -slack * _scale(bnd)), witness)
             )
     return VerificationReport(tuple(items), seed)
 
@@ -484,10 +527,18 @@ def _needs_refinement(rows, abs_a, prod_bounds, hyp, order) -> bool:
     return False
 
 
+def _scale(bound) -> float:
+    """The unit of a suite gap: the bound side's modulus, at least 1."""
+    b = abs(bound)
+    return b if b > 1.0 else 1.0  # not max(): this runs for every sample
+
+
 def _update(worst, key, gap, label, bound, achieved):
     cur = worst.get(key)
-    # the first NaN gap (gap != gap) counts as the worst, so the verdict sees it
-    if cur is None or gap < cur[0] or (gap != gap and cur[0] == cur[0]):
+    # gaps compare on the verdict's scale; the first NaN gap (gap != gap)
+    # counts as the worst, so the verdict sees it
+    if (cur is None or gap / _scale(bound) < cur[0] / _scale(cur[2])
+            or (gap != gap and cur[0] == cur[0])):
         worst[key] = (gap, label, bound, achieved)
 
 

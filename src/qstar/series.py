@@ -12,8 +12,9 @@ everywhere else:
 
 * ``q_numbers(zeta, order)`` -- the generalized integers ``[1] .. [order]``,
   ``[n] = 1 + zeta + ... + zeta**(n-1)``, summed directly so that ``zeta = 1``
-  gives exactly ``n``; ``check_divisors`` is the one test that the divisors
-  ``[n] - 1`` of the coefficient recursion and product are away from 0;
+  gives exactly ``n``; ``check_divisors`` forms the divisors ``[n] - 1`` of
+  the coefficient recursion and product as ``zeta * [n-1]`` (the subtraction
+  cancels for small |zeta|) and is the one test that they are away from 0;
 * ``q_difference(f, zeta)`` -- the difference operator that scales the n-th
   coefficient by ``q_number(n, zeta)``, reducing to the Jackson q-derivative
   for real ``zeta`` in (0, 1) and to ``f'`` as ``zeta -> 1``;
@@ -299,13 +300,16 @@ def q_number(n: int, zeta) -> complex:
     return q_numbers(zeta, n)[-1]
 
 
-def check_divisors(qn: list, first: int = 2) -> list:
-    """``qn = [1..N]`` back, or ``DegenerateDivisor(n)`` at the first n in
-    first..N with ``|[n] - 1| <= DEGENERATE_TOL``."""
+def check_divisors(zeta, qn: list, first: int = 2) -> list:
+    """The divisors ``[1] - 1 .. [N] - 1`` for ``qn = [1..N]``, formed as
+    ``zeta * [n-1]``, or ``DegenerateDivisor(n)`` at the first n in first..N
+    with ``|[n] - 1| <= DEGENERATE_TOL``."""
+    zeta = complex(zeta)
+    dv = [0j] + [zeta * w for w in qn[:-1]]
     for n in range(first, len(qn) + 1):
-        if abs(qn[n - 1] - 1.0) <= DEGENERATE_TOL:
+        if abs(dv[n - 1]) <= DEGENERATE_TOL:
             raise DegenerateDivisor(n)
-    return qn
+    return dv
 
 
 def q_difference(f: PowerSeries, zeta) -> PowerSeries:

@@ -83,19 +83,19 @@ class StarlikeFunction:
         return self.series.coeffs[n]
 
 
-def recursion_coeffs(b, qn, alpha: float, dtype) -> list:
+def recursion_coeffs(b, qn, dv, alpha: float, dtype) -> list:
     """a_0 .. a_N of the recursion in scalar ``dtype`` (complex or clongdouble),
-    N = len(qn), from b_0 .. b_(N-1) and checked q-numbers [1] .. [N]."""
-    one = dtype(1)
+    N = len(qn), from b_0 .. b_(N-1), the q-numbers [1] .. [N] and the checked
+    divisors [1] - 1 .. [N] - 1 of :func:`qstar.series.check_divisors`."""
     one_m2a = dtype(1.0 - 2.0 * alpha)
     qnn = [dtype(w) for w in qn]
     bb = [dtype(v) for v in b]
-    a = [dtype(0), one]
+    a = [dtype(0), dtype(1)]
     for n in range(2, len(qn) + 1):
         acc = dtype(0)
         for k in range(1, n):
             acc = acc + bb[n - k] * (one_m2a + qnn[k - 1]) * a[k]
-        a.append(acc / (qnn[n - 1] - one))
+        a.append(acc / dtype(dv[n - 1]))
     return a
 
 
@@ -116,8 +116,9 @@ def coeffs_from_schwarz(
     _, margin = schur_test(omega)
     if margin < -MARGIN_TOL:
         raise InvalidSchwarz(f"schur_test margin {margin:.3e} below {-MARGIN_TOL}")
-    qn = check_divisors(q_numbers(params.zeta, order))
-    a = recursion_coeffs(omega.series.coeffs, qn, params.alpha, complex)
+    qn = q_numbers(params.zeta, order)
+    dv = check_divisors(params.zeta, qn)
+    a = recursion_coeffs(omega.series.coeffs, qn, dv, params.alpha, complex)
     return StarlikeFunction(PowerSeries(tuple(a)), params, source="recursion")
 
 
@@ -130,10 +131,12 @@ def initial_coeffs_closed(b1, b2, b3, q: float) -> tuple:
           + 2 (4 + 4q + 3q^2 + q^3) b1^3) / (q^3 (1+q)(1 + q + q^2))
 
     Any complex triple is accepted; validity is the caller's concern.
+    Scalar arguments give Python complex values; numpy array arguments
+    broadcast against each other and give arrays.
     """
     if not 0.0 < q < 1.0:
         raise OutOfRange(f"q = {q} outside (0, 1)")
-    b1, b2, b3 = complex(b1), complex(b2), complex(b3)
+    b1, b2, b3 = (complex(v) if np.ndim(v) == 0 else v for v in (b1, b2, b3))
     a2 = 2.0 * b1 / q
     a3 = (2.0 * b2 * q + 4.0 * b1 * b1 + 2.0 * b1 * b1 * q) / (q * q * (1.0 + q))
     a4 = (
@@ -204,10 +207,11 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
 
 def extremal_factors(params: ClassParams, n: int):
     """Yield ((1 - 2 alpha) + [k-1], [k] - 1) for k = 2 .. n, divisors checked."""
-    qn = check_divisors(q_numbers(params.zeta, n))
+    qn = q_numbers(params.zeta, n)
+    dv = check_divisors(params.zeta, qn)
     one_m2a = 1.0 - 2.0 * params.alpha
     for k in range(2, n + 1):
-        yield one_m2a + qn[k - 2], qn[k - 1] - 1.0
+        yield one_m2a + qn[k - 2], dv[k - 1]
 
 
 def extremal_coeff_formula(params: ClassParams, n: int) -> complex:

@@ -76,6 +76,15 @@ def test_extremal_self_check_passes(capsys):
     assert err == ""
 
 
+def test_extremal_self_check_at_tiny_q(capsys):
+    # the divisors [k] - 1 = zeta [k-1] keep their digits at q = 1e-9
+    code, out, err = run_cli(capsys, "extremal", "--q", "1e-9", "--n", "3", "--self-check")
+    assert code == 0
+    assert err == ""
+    a2 = float(out.strip().splitlines()[2].split(",")[1])
+    assert a2 == pytest.approx(2e9, rel=1e-12)
+
+
 def test_extremal_complex_zeta_json(capsys):
     code, out, _ = run_cli(
         capsys, "extremal", "--zeta", "0.0,0.9", "--alpha", "0.25",
@@ -135,6 +144,16 @@ def test_verify_parseval_exit_zero(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(it["verdict"] != "VIOLATION" for it in payload["items"])
+
+
+def test_verify_parseval_small_zeta_no_rounding_violation(capsys):
+    # coefficients reach 1e13 here; the slack scales with each bound side
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "parseval", "--zeta=0.01,0.01", "--alpha", "0.01",
+        "--count", "0", "--format", "json",
+    )
+    assert code == 0
+    assert all(it["verdict"] != "VIOLATION" for it in json.loads(out)["items"])
 
 
 # ----------------------------------------------------------------- membership

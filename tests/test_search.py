@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qstar import (
@@ -16,10 +17,13 @@ from qstar import (
     named_functional,
     random_schwarz_suite,
     rotated_extremal_values,
+    schwarz_b2b3,
     sharpness_report,
 )
+from qstar import search
 from qstar.errors import OutOfRange
-from qstar.search import _update, _verdict
+from qstar.functionals import RAW_FORMULAS
+from qstar.search import _update, _verdict, _y_max
 
 COARSE = GridSpec.coarse()
 
@@ -81,6 +85,62 @@ def test_search_never_violates_bound():
         for q in (0.4, 0.8):
             res = maximize_functional(coarse_spec(fid, q))
             assert res.gap >= -1e-9
+
+
+# ----------------------------------------------------------------- y elimination
+
+A4_IDS = (
+    FunctionalId.ABS_A4,
+    FunctionalId.FEKETE_A2A3_A4,
+    FunctionalId.H2_2,
+    FunctionalId.T3_2,
+    FunctionalId.T2_3,
+)
+
+
+@pytest.mark.parametrize("b1_range", [(0.0, 1.0), (0.0, 0.0), (0.2, 0.7)])
+@pytest.mark.parametrize("fid", A4_IDS)
+def test_search_witness_replays_max_value(fid, b1_range):
+    # the reported (b1, x, y) is a class member whose functional is max_value
+    for q in (0.4, 0.5, 0.8):
+        res = maximize_functional(SearchSpec(fid, q, b1_range=b1_range))
+        b1, x, y = res.argmax
+        assert b1_range[0] <= b1 <= b1_range[1]
+        b2, b3 = schwarz_b2b3(b1, x, y)
+        value = named_functional(fid, *initial_coeffs_closed(b1, b2, b3, q))
+        assert value == pytest.approx(res.max_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("fid", A4_IDS)
+def test_y_elimination_dominates_a_y_lattice(fid):
+    # brute force over an 11 x 18 polar y-lattice at fixed (b1, x): the
+    # eliminated value (|A| + |B|, or the 36-point sweep of |y| = 1) is no lower
+    ry = np.linspace(0.0, 1.0, 11)
+    ay = 2.0 * np.pi * np.arange(18) / 18
+    lattice = (ry[:, None] * np.exp(1j * ay)[None, :]).ravel()
+    sweep = 2.0 * np.pi * np.arange(36) / 36
+    points = [(b1, x) for b1 in (0.0, 0.3, 0.75, 1.0)
+              for x in (0.0, 0.5, -0.8 + 0.3j, 0.6j, cmath.exp(2j))]
+    for q in (0.4, 0.5, 0.8):
+        for b1, x in points:
+            vals, _ = _y_max(fid, q, 0.0, np.full((1, 1, 1, 1), b1),
+                             np.full((1, 1, 1, 1), x), sweep)
+            b2, b3 = schwarz_b2b3(b1, x, lattice)
+            brute = np.max(np.abs(RAW_FORMULAS[fid](*initial_coeffs_closed(b1, b2, b3, q))))
+            assert np.max(vals) >= brute - 1e-12 * max(1.0, brute)
+
+
+def test_search_evaluation_counts():
+    # (b1, x) points for a functional affine in a4; (b1, x, arg y) on the ring
+    assert maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5)).evaluations == 154224
+    res = maximize_functional(SearchSpec(FunctionalId.T2_3, 0.5, b1_range=(0.0, 0.0)))
+    assert res.evaluations == 108864
+
+
+@pytest.mark.parametrize("fid", [FunctionalId.H2_2, FunctionalId.T2_3])
+def test_search_determinism_default_grid(fid):
+    spec = SearchSpec(fid, 0.5)
+    assert maximize_functional(spec) == maximize_functional(spec)
 
 
 def test_search_spec_validation():
@@ -223,6 +283,25 @@ def test_verdict_thresholds():
     assert _verdict(-1e-10) == "attained"
     assert _verdict(-1e-10, -1e-11) == "VIOLATION"
     assert _verdict(0.5) == "consistent"
+
+
+def test_suite_slack_is_relative_to_the_bound_side(monkeypatch):
+    # at small |zeta| the product bounds reach 1e15; the forced w = z sample
+    # attains them, so shrinking every bound by a relative 1e-8 must give
+    # VIOLATIONs however large the scale, and by 1e-11 must not
+    params = ClassParams(0.01 + 0.01j, 0.01)
+    exact = search.bound_value
+    for shrink, violated in ((1e-8, True), (1e-11, False)):
+        monkeypatch.setattr(search, "bound_value", lambda q: exact(q) * (1.0 - shrink))
+        rep = random_schwarz_suite(params, seed=0, count=0, order=8)
+        product = [it for it in rep.items if it.name.startswith("product")]
+        assert {it.verdict == "VIOLATION" for it in product} == {violated}
+    # the worst sample is the lowest gap on that scale, reported unscaled
+    worst = {}
+    _update(worst, "k", -1e-7, "big", 1e3, 0.0)
+    _update(worst, "k", -5e-8, "small", 1.0, 0.0)
+    assert worst["k"][:2] == (-5e-8, "small")
+    assert _verdict(worst["k"][0], -1e-9 * search._scale(worst["k"][2])) == "VIOLATION"
 
 
 def test_random_suite_deterministic():

@@ -162,14 +162,16 @@ def test_check_divisors_first_degenerate_index():
     # zeta = -1: [2] - 1 = -1, [3] - 1 = 0 exactly
     qn = q_numbers(-1.0, 6)
     with pytest.raises(DegenerateDivisor) as exc:
-        check_divisors(qn)
+        check_divisors(-1.0, qn)
     assert exc.value.n == 3
-    assert check_divisors(qn[:2]) == qn[:2]
-    assert check_divisors(qn[:4], first=4) == qn[:4]
+    assert check_divisors(-1.0, qn[:2]) == [0j, -1.0]
+    assert check_divisors(-1.0, qn[:4], first=4) == [0j, -1.0, 0j, -1.0]
     # zeta = i: [2] - 1 = i, [3] - 1 = -1 + i, [4] - 1 = -1, [5] - 1 = 0
     with pytest.raises(DegenerateDivisor) as exc:
-        check_divisors(q_numbers(1j, 8))
+        check_divisors(1j, q_numbers(1j, 8))
     assert exc.value.n == 5
+    # the divisors are zeta [n-1], exact where [n] - 1 would cancel
+    assert check_divisors(1e-9, q_numbers(1e-9, 3))[1:] == [1e-9, 1e-9 * (1.0 + 1e-9)]
 
 
 def test_kernel_coefficients_equal_q_numbers():

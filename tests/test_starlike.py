@@ -25,7 +25,7 @@ from qstar import (
     schur_expand,
 )
 from qstar import starlike
-from qstar.series import q_numbers
+from qstar.series import check_divisors, q_numbers
 from qstar.starlike import recursion_coeffs
 
 Q_HALF = ClassParams(0.5)
@@ -166,12 +166,13 @@ def test_extremal_formula_examples():
 def test_formula_running_product_bitwise(zeta, alpha):
     params = ClassParams(zeta, alpha)
     form = extremal_by_formula(params, 64)
-    # reference: the literal product, each a_n multiplied out from k = 2
+    # reference: the literal product, each a_n multiplied out from k = 2,
+    # with the divisor [k] - 1 written as zeta [k-1] (no cancellation)
     qn = [0j] + q_numbers(zeta, 64)
     for n in range(2, 65):
         acc = 1.0 + 0j
         for k in range(2, n + 1):
-            acc *= ((1.0 - 2.0 * alpha) + qn[k - 1]) / (qn[k] - 1.0)
+            acc *= ((1.0 - 2.0 * alpha) + qn[k - 1]) / (complex(zeta) * qn[k - 1])
         assert form.coeff(n) == extremal_coeff_formula(params, n) == acc
 
 
@@ -193,11 +194,12 @@ def test_recursion_kernel_complex_and_clongdouble_agree():
     rng = np.random.default_rng(2024)
     params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
     qn = q_numbers(params.zeta, 8)
+    dv = check_divisors(params.zeta, qn)
     for _ in range(20):
         u = rng.uniform(0.0, 1.0, 5) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=5))
         b = schur_expand(SchurParams(tuple(complex(v) for v in u)), 8).series.coeffs
-        lo = recursion_coeffs(b, qn, params.alpha, complex)
-        hi = recursion_coeffs(b, qn, params.alpha, np.clongdouble)
+        lo = recursion_coeffs(b, qn, dv, params.alpha, complex)
+        hi = recursion_coeffs(b, qn, dv, params.alpha, np.clongdouble)
         for x, y in zip(lo, hi):
             assert abs(complex(x) - complex(y)) <= 1e-12 * max(1.0, abs(complex(y)))
 
