@@ -27,6 +27,7 @@ import sys
 
 from ._version import __version__
 from .bounds import (
+    CASE_SPLIT_IDS,
     BoundQuery,
     CaseFlag,
     bound_value,
@@ -121,9 +122,7 @@ def _cmd_bounds(args) -> int:
         params = ClassParams(complex(q, 0.0))
         for fid in FunctionalId:
             cases = (
-                (CaseFlag.A2_ZERO, CaseFlag.A2_NONZERO)
-                if fid in (FunctionalId.H2_2, FunctionalId.T2_3)
-                else (None,)
+                (CaseFlag.A2_ZERO, CaseFlag.A2_NONZERO) if fid in CASE_SPLIT_IDS else (None,)
             )
             for case in cases:
                 value = bound_value(BoundQuery(fid, params, case_flag=case))
@@ -191,7 +190,8 @@ def _cmd_extremal(args) -> int:
 _SUITES = {
     "initial": [FunctionalId.ABS_A2, FunctionalId.ABS_A3, FunctionalId.ABS_A4],
     "hankel": [FunctionalId.FEKETE_A2A3_A4, FunctionalId.H1_2, FunctionalId.H2_2],
-    "toeplitz": list(ROTATED_IDS) + [FunctionalId.T2_3],
+    "toeplitz": ROTATED_IDS,
+    "all": GRID_IDS + ROTATED_IDS,
 }
 
 
@@ -199,22 +199,18 @@ def _cmd_verify(args) -> int:
     grid, levels = _GRIDS[args.grid]
     qs = args.q or [0.5]
     reports = []
-    if args.suite in ("initial", "hankel", "toeplitz"):
-        reports.append(
-            sharpness_report(qs, _SUITES[args.suite], grid=grid,
-                             refinement_levels=levels, seed=args.seed)
-        )
-    elif args.suite == "parseval":
+    if args.suite == "parseval":
         params = _parse_zeta(args)
         reports.append(
             random_schwarz_suite(params, seed=args.seed, count=args.count,
                                  depth=5, order=min(args.order, 8))
         )
-    else:  # all
+    else:
         reports.append(
-            sharpness_report(qs, list(GRID_IDS) + list(ROTATED_IDS) + [FunctionalId.T2_3],
-                             grid=grid, refinement_levels=levels, seed=args.seed)
+            sharpness_report(qs, _SUITES[args.suite], grid=grid,
+                             refinement_levels=levels, seed=args.seed)
         )
+    if args.suite == "all":
         for q in qs:
             reports.append(
                 random_schwarz_suite(ClassParams(complex(q, 0.0)), seed=args.seed,

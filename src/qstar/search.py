@@ -5,9 +5,9 @@ Two engines live here.
 ``maximize_functional`` searches the parameter family of the first three
 Schwarz coefficients -- real b1 in [0, 1] and disk parameters x, y -- by
 mapping each triple through :func:`qstar.schwarz.schwarz_b2b3` and
-:func:`qstar.starlike.initial_coeffs_closed` to (a2, a3, a4), optionally
-rotating the coefficient phases, and evaluating the chosen functional.  It
-grids (b1, x) and refines that grid around the incumbent; y is not gridded:
+:func:`qstar.starlike.initial_coeffs_closed` to (a2, a3, a4) and evaluating
+the chosen functional.  It grids (b1, x) and refines that grid around the
+incumbent; y is not gridded:
 
 * b3, hence a4, is affine in y.  A functional affine in a4 is A + B y on each
   (b1, x) point, so its maximum over |y| <= 1 is |A| + |B| exactly (the
@@ -27,6 +27,11 @@ it draws seeded Schur-parameter tuples, builds members through the
 coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, its one
 kernel), and checks the Parseval chain inequality, the derived |a_n| bound,
 and the product bound sample by sample.
+
+Both engines, and the rotated-extremal items of ``sharpness_report``, judge
+a gap (bound minus value reached) by one rule, :func:`_verdict`: both of its
+tolerances are relative to max(1, |bound|), since the catalog bounds grow
+like q^-7 and the suite's sides reach 1e13 and more at small |zeta|.
 
 Determinism contract: grid cells and random samples are independent work
 items.  Grid reductions break ties lexicographically on
@@ -50,6 +55,7 @@ import numpy as np
 from ._version import __version__ as _pkg_version
 from .bounds import (
     AN_PRODUCT,
+    CASE_SPLIT_IDS,
     BoundQuery,
     CaseFlag,
     bound_value,
@@ -69,18 +75,26 @@ from .schwarz import SchurParams, schur_expand, schwarz_b2b3
 from .series import ClassParams, check_divisors, q_numbers
 from .starlike import initial_coeffs_closed, recursion_coeffs
 
-#: a completed search/report item must never undershoot the bound by more
+#: a gap below this times max(1, |bound|) is a VIOLATION
 VIOLATION_TOL = -1e-9
 
-#: gap at or below this counts as attained
+#: a gap at or below this times max(1, |bound|) counts as attained
 ATTAIN_TOL = 1e-2
 
+#: smallest q the sharpness search accepts: H2(2) = a2 a4 - a3^2 cancels
+#: terms of size 16/q^4 to a bound near 8/q^2, so its double-precision value
+#: carries a relative error of about 2 eps / q^2 (4e-12 here, 4e-8 at
+#: q = 1e-4, where the search reported rounding noise as a VIOLATION)
+Q_MIN = 0.01
+
 #: toeplitz-family ids verified through the rotated extremal, not the grid
+#: (the a2 = 0 slice of the case-split t2_3 is grid searched)
 ROTATED_IDS = (
     FunctionalId.T1_2,
     FunctionalId.T2_2,
     FunctionalId.T3_2,
     FunctionalId.T1_3,
+    FunctionalId.T2_3,
 )
 
 #: hankel-family ids verified by grid search
@@ -120,20 +134,22 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """One maximization task: functional, class parameter, grid, rotation."""
+    """One maximization task: functional, class parameter, grid, b1 range.
+
+    The range (0, 0) is the a2 = 0 slice, which selects the a2_zero case of a
+    case-split bound; any other range selects a2_nonzero.
+    """
 
     functional: FunctionalId
     q: float
     grid: GridSpec = field(default_factory=GridSpec)
     refinement_levels: int = 3
-    rotation_theta: float = 0.0
     b1_range: tuple = (0.0, 1.0)
-    case_flag: CaseFlag | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "functional", as_functional_id(self.functional))
-        if not 0.0 < self.q < 1.0:
-            raise OutOfRange(f"q = {self.q} outside (0, 1)")
+        if not Q_MIN <= self.q < 1.0:
+            raise OutOfRange(f"q = {self.q} outside [{Q_MIN}, 1)")
         lo, hi = self.b1_range
         if not 0.0 <= lo <= hi <= 1.0:
             raise OutOfRange(f"b1_range {self.b1_range} outside [0, 1]")
@@ -146,7 +162,7 @@ class SearchResult:
     max_value: float
     argmax: tuple  # (b1, x, y) with complex x, y
     bound: float
-    gap: float  # bound - max_value; >= -1e-9 on a sound run
+    gap: float  # bound - max_value; >= VIOLATION_TOL * max(1, |bound|) on a sound run
     evaluations: int  # (b1, x) points, or (b1, x, arg y) on the |y| = 1 sweep
 
 
@@ -196,12 +212,22 @@ class VerificationReport:
         }
 
 
-def _verdict(gap: float, violation_tol: float = VIOLATION_TOL) -> str:
-    if not math.isfinite(gap) or gap < violation_tol:  # no sound run gives NaN
+def _verdict(gap: float, bound: float) -> str:
+    """The one verdict rule: both tolerances scale with max(1, |bound|)."""
+    if not (math.isfinite(gap) and math.isfinite(bound)):  # no sound run gives these
         return "VIOLATION"
-    if gap <= ATTAIN_TOL:
+    scale = _scale(bound)
+    if gap < VIOLATION_TOL * scale:
+        return "VIOLATION"
+    if gap <= ATTAIN_TOL * scale:
         return "attained"
     return "consistent"
+
+
+def _checked_item(name, zeta, alpha, case, bound, achieved, gap, witness) -> ReportItem:
+    """A report item judged by :func:`_verdict` on its gap and bound."""
+    return ReportItem(name, zeta, alpha, case, bound, achieved, gap,
+                      _verdict(gap, bound), witness)
 
 
 # ----------------------------------------------------------------------
@@ -214,16 +240,10 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _functional_values(fid, q, theta, b1, x, y):
+def _functional_values(fid, q, b1, x, y):
     """The raw functional at every (b1, x, y) of the broadcast arrays."""
     b2, b3 = schwarz_b2b3(b1, x, y)
-    a2, a3, a4 = initial_coeffs_closed(b1, b2, b3, q)
-    if theta != 0.0:
-        ph = complex(math.cos(theta), math.sin(theta))
-        a2 = a2 * ph
-        a3 = a3 * ph * ph
-        a4 = a4 * ph**3
-    return RAW_FORMULAS[fid](a2, a3, a4)
+    return RAW_FORMULAS[fid](*initial_coeffs_closed(b1, b2, b3, q))
 
 
 def _affine_witness(a, b) -> tuple:
@@ -240,7 +260,7 @@ _Y_ENDS = np.array([0.0, 1.0])
 _CHUNK_POINTS = 1 << 16
 
 
-def _y_max(fid, q, theta, b1, x, ays):
+def _y_max(fid, q, b1, x, ays):
     """|functional| maximized over |y| <= 1 at each (b1, x) pair.
 
     ``b1`` has shape (nb, 1, 1, 1) and ``x`` (1, rx, ax, 1).  Returns
@@ -250,13 +270,13 @@ def _y_max(fid, q, theta, b1, x, ays):
     vals[index].
     """
     if fid in A4_AFFINE:
-        p = _functional_values(fid, q, theta, b1, x, _Y_ENDS)
+        p = _functional_values(fid, q, b1, x, _Y_ENDS)
         a, b = p[..., :1], p[..., 1:] - p[..., :1]
         return np.abs(a) + np.abs(b), lambda i: _affine_witness(a[i], b[i])
     if fid in A4_DEPENDENT:
-        vals = np.abs(_functional_values(fid, q, theta, b1, x, np.exp(1j * ays)))
+        vals = np.abs(_functional_values(fid, q, b1, x, np.exp(1j * ays)))
         return vals, lambda i: (1.0, float(ays[i[3]]))
-    return np.abs(_functional_values(fid, q, theta, b1, x, 0.0)), lambda i: (0.0, 0.0)
+    return np.abs(_functional_values(fid, q, b1, x, 0.0)), lambda i: (0.0, 0.0)
 
 
 def maximize_functional(spec: SearchSpec) -> SearchResult:
@@ -276,7 +296,6 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
         raise UnknownFunctional(f"no formula for {fid!r}")
     g = spec.grid
     q = spec.q
-    theta = spec.rotation_theta
     needs_x = fid in A3_DEPENDENT
     ring = fid in A4_DEPENDENT and fid not in A4_AFFINE
 
@@ -299,7 +318,7 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
         step = max(1, _CHUNK_POINTS // per_b1)
         for start in range(0, len(b1s), step):
             b1 = b1s[start:start + step, None, None, None]
-            vals, witness = _y_max(fid, q, theta, b1, x, ays)
+            vals, witness = _y_max(fid, q, b1, x, ays)
             vals = np.broadcast_to(vals, (len(b1), len(rxs), len(axs), len(ays)))
             evaluations += vals.size
             flat = int(np.argmax(vals))
@@ -344,10 +363,8 @@ def _shrink(center, lo, hi, clamp):
 
 
 def _case_for(spec: SearchSpec) -> CaseFlag | None:
-    if spec.functional not in (FunctionalId.H2_2, FunctionalId.T2_3):
+    if spec.functional not in CASE_SPLIT_IDS:
         return None
-    if spec.case_flag is not None:
-        return spec.case_flag
     if spec.b1_range == (0.0, 0.0):
         return CaseFlag.A2_ZERO
     return CaseFlag.A2_NONZERO
@@ -432,7 +449,6 @@ def random_schwarz_suite(
     count: int = 10000,
     depth: int = 5,
     order: int = 8,
-    slack: float = 1e-9,
 ) -> VerificationReport:
     """Check the complex-parameter coefficient inequalities on random members.
 
@@ -446,10 +462,9 @@ def random_schwarz_suite(
       product[n]   |a_n| <= an_product bound  (skipped unless
                    Re [k] > alpha holds up to order)
 
-    The slack is relative to the scale of the bound side (the right-hand
-    side above): a gap (bound side minus the other side) is a VIOLATION below
-    -slack * max(1, |bound side|), and each check reports the sample whose gap
-    is lowest on that scale, with its gap unscaled.  At small |zeta| the sides
+    Each check reports the sample whose gap (bound side, the right-hand side
+    above, minus the other side) is lowest on the scale max(1, |bound side|)
+    of :func:`_verdict`, with its gap unscaled.  At small |zeta| the sides
     reach 1e13 and more, where rounding alone exceeds any absolute slack.
     Margins come out of double precision first and are re-derived in 80-bit
     extended precision whenever they land below 1e-6 of their own scale: near
@@ -508,10 +523,7 @@ def random_schwarz_suite(
                 )
                 continue
             gap, witness, bnd, ach = worst[(check, n)]
-            items.append(
-                ReportItem(name, zeta, alpha, None, bnd, ach, gap,
-                           _verdict(gap, -slack * _scale(bnd)), witness)
-            )
+            items.append(_checked_item(name, zeta, alpha, None, bnd, ach, gap, witness))
     return VerificationReport(tuple(items), seed)
 
 
@@ -528,7 +540,7 @@ def _needs_refinement(rows, abs_a, prod_bounds, hyp, order) -> bool:
 
 
 def _scale(bound) -> float:
-    """The unit of a suite gap: the bound side's modulus, at least 1."""
+    """The unit of a gap: the bound's modulus, at least 1."""
     b = abs(bound)
     return b if b > 1.0 else 1.0  # not max(): this runs for every sample
 
@@ -560,81 +572,36 @@ def sharpness_report(
     coefficient phases are the attainment witness the triangle-inequality
     bounds require (a real-b1 grid cannot reach them).  For h2_2 and t2_3 a
     second item reports the a2 = 0 slice, searched on the b1 = 0 grid.
+    Every q must lie in [Q_MIN, 1).
     """
     grid = grid or GridSpec()
     if functionals is None:
-        functionals = list(GRID_IDS) + list(ROTATED_IDS) + [FunctionalId.T2_3]
+        functionals = GRID_IDS + ROTATED_IDS
     functionals = [as_functional_id(f) for f in functionals]
     items = []
     for q in q_list:
-        if not 0.0 < q < 1.0:
-            raise OutOfRange(f"q = {q} outside (0, 1)")
-        params = ClassParams(q)
         for fid in functionals:
-            if fid in ROTATED_IDS or fid is FunctionalId.T2_3:
-                case = CaseFlag.A2_NONZERO if fid is FunctionalId.T2_3 else None
-                a2, a3, a4 = rotated_extremal_values(q)
-                achieved = named_functional(fid, a2, a3, a4)
-                bound = bound_value(BoundQuery(fid, params, case_flag=case))
-                gap = bound - achieved
-                items.append(
-                    ReportItem(
-                        fid.value,
-                        complex(q),
-                        0.0,
-                        case.value if case else None,
-                        bound,
-                        achieved,
-                        gap,
-                        _verdict(gap),
-                        witness="rotated extremal (theta=pi/2)",
-                    )
-                )
-                if fid is FunctionalId.T2_3:
-                    items.append(_slice_item(fid, q, grid, refinement_levels))
-                continue
-            spec = SearchSpec(fid, q, grid=grid, refinement_levels=refinement_levels)
-            res = maximize_functional(spec)
-            case = _case_for(spec)
-            items.append(
-                ReportItem(
-                    fid.value,
-                    complex(q),
-                    0.0,
-                    case.value if case else None,
-                    res.bound,
-                    res.max_value,
-                    res.gap,
-                    _verdict(res.gap),
-                    witness=_argmax_str(res),
-                )
-            )
-            if fid is FunctionalId.H2_2:
-                items.append(_slice_item(fid, q, grid, refinement_levels))
+            items.append(_sharpness_item(SearchSpec(fid, q, grid, refinement_levels)))
+            if fid in CASE_SPLIT_IDS:
+                items.append(_sharpness_item(
+                    SearchSpec(fid, q, grid, refinement_levels, b1_range=(0.0, 0.0))))
     return VerificationReport(tuple(items), seed)
 
 
-def _slice_item(fid, q, grid, refinement_levels) -> ReportItem:
-    spec = SearchSpec(
-        fid,
-        q,
-        grid=grid,
-        refinement_levels=refinement_levels,
-        b1_range=(0.0, 0.0),
-        case_flag=CaseFlag.A2_ZERO,
-    )
-    res = maximize_functional(spec)
-    return ReportItem(
-        f"{fid.value}[b1=0]",
-        complex(q),
-        0.0,
-        CaseFlag.A2_ZERO.value,
-        res.bound,
-        res.max_value,
-        res.gap,
-        _verdict(res.gap),
-        witness=_argmax_str(res),
-    )
+def _sharpness_item(spec: SearchSpec) -> ReportItem:
+    """The spec's item: the rotated extremal for a Toeplitz id, else the grid."""
+    fid, case = spec.functional, _case_for(spec)
+    a2_zero = spec.b1_range == (0.0, 0.0)
+    if fid in ROTATED_IDS and not a2_zero:
+        achieved = named_functional(fid, *rotated_extremal_values(spec.q))
+        bound = bound_value(BoundQuery(fid, ClassParams(spec.q), case_flag=case))
+        witness = "rotated extremal (theta=pi/2)"
+    else:
+        res = maximize_functional(spec)
+        bound, achieved, witness = res.bound, res.max_value, _argmax_str(res)
+    return _checked_item(fid.value + ("[b1=0]" if a2_zero else ""), complex(spec.q), 0.0,
+                         case.value if case else None, bound, achieved, bound - achieved,
+                         witness)
 
 
 def _argmax_str(res: SearchResult) -> str:
@@ -654,6 +621,7 @@ __all__ = [
     "sharpness_report",
     "VIOLATION_TOL",
     "ATTAIN_TOL",
+    "Q_MIN",
     "ROTATED_IDS",
     "GRID_IDS",
 ]

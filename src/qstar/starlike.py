@@ -44,7 +44,7 @@ from .series import exp_series, one_minus_power, q_numbers
 
 #: Factor cap for the direct extremal product; the remaining factors are
 #: aggregated exactly in log space (their geometric sums are closed forms).
-_PRODUCT_FACTOR_CAP = 4096
+_PRODUCT_FACTOR_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
     zeta^(-1), which is where the leading 2/zeta in a2 comes from.  Direct
     multiplication runs through K factors, K chosen so |zeta|^K (2 + |zeta|)
     < 1e-16.  For |zeta| near 1 that K explodes, so direct multiplication
-    stops at 4096 factors and the remaining tail is folded in exactly through
+    stops at 64 factors and the remaining tail is folded in exactly through
     its logarithm, whose coefficients are geometric sums in closed form.
     Requires 0 < |zeta| < 1.
     """

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstar.cli import run
+from qstar.search import Q_MIN
 
 
 def run_cli(capsys, *argv):
@@ -147,13 +148,16 @@ def test_verify_parseval_exit_zero(capsys):
 
 
 def test_verify_parseval_small_zeta_no_rounding_violation(capsys):
-    # coefficients reach 1e13 here; the slack scales with each bound side
+    # coefficients reach 1e13 here; both tolerances scale with each bound side
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "parseval", "--zeta=0.01,0.01", "--alpha", "0.01",
         "--count", "0", "--format", "json",
     )
     assert code == 0
-    assert all(it["verdict"] != "VIOLATION" for it in json.loads(out)["items"])
+    items = {it["name"]: it for it in json.loads(out)["items"]}
+    assert all(it["verdict"] != "VIOLATION" for it in items.values())
+    # the forced w = z sample attains the chain: gap 1024 on a side of 1.1e22
+    assert items["chain[n=7]"]["verdict"] == "attained"
 
 
 # ----------------------------------------------------------------- membership
@@ -260,7 +264,7 @@ def _class_args(draw):
 
 @st.composite
 def _argv(draw):
-    verb = draw(st.sampled_from(["y", "extremal", "verify"]))
+    verb = draw(st.sampled_from(["verify-grid", "y", "extremal", "verify"]))
     fmt = f"--format={draw(st.sampled_from(['csv', 'json']))}"
     if verb == "y":
         return ["y", fmt] + [f"--{k}={draw(_FLOATS)!r}" for k in "abc"]
@@ -269,11 +273,15 @@ def _argv(draw):
         extra = ["--self-check"] if draw(st.booleans()) else []
         return ["extremal", fmt, f"--n={draw(st.integers(-1, 8))}",
                 f"--method={method}", *extra, *draw(_class_args())]
+    if verb == "verify-grid":
+        suite = draw(st.sampled_from(["initial", "hankel", "toeplitz"]))
+        q = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        return ["verify", fmt, f"--suite={suite}", "--grid=coarse", f"--q={q!r}"]
     return ["verify", fmt, "--suite=parseval", f"--count={draw(st.integers(-1, 3))}",
             *draw(_class_args())]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_argv())
 def test_fuzz_cli_exit_codes_and_finite_output(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -285,6 +293,11 @@ def test_fuzz_cli_exit_codes_and_finite_output(argv):
         assert "nan" not in text and "inf" not in text
     if code == 2:
         assert text == ""
+    if "--grid=coarse" in argv:
+        # every catalog bound is a theorem; below Q_MIN the search refuses q
+        q = float(argv[-1].removeprefix("--q="))
+        assert code == (0 if q >= Q_MIN else 2), argv
+        assert "violation" not in text
 
 
 # ----------------------------------------------------------------- plumbing

@@ -123,7 +123,7 @@ def test_y_elimination_dominates_a_y_lattice(fid):
               for x in (0.0, 0.5, -0.8 + 0.3j, 0.6j, cmath.exp(2j))]
     for q in (0.4, 0.5, 0.8):
         for b1, x in points:
-            vals, _ = _y_max(fid, q, 0.0, np.full((1, 1, 1, 1), b1),
+            vals, _ = _y_max(fid, q, np.full((1, 1, 1, 1), b1),
                              np.full((1, 1, 1, 1), x), sweep)
             b2, b3 = schwarz_b2b3(b1, x, lattice)
             brute = np.max(np.abs(RAW_FORMULAS[fid](*initial_coeffs_closed(b1, b2, b3, q))))
@@ -148,6 +148,8 @@ def test_search_spec_validation():
 
     with pytest.raises(qstar.OutOfRange):
         SearchSpec(FunctionalId.ABS_A2, 1.5)
+    with pytest.raises(qstar.OutOfRange):
+        SearchSpec(FunctionalId.H2_2, 0.005)  # below Q_MIN, rounding swamps H2(2)
     with pytest.raises(qstar.UnknownFunctional):
         SearchSpec("nope", 0.5)
 
@@ -216,6 +218,18 @@ def test_sharpness_report_structure_and_verdicts():
     assert rep.seed == 7
 
 
+def test_sharpness_report_q_scan_has_no_rounding_violation():
+    # the Toeplitz bounds reach 1e14 at small q, where rounding alone moves
+    # the rotated extremal's gap by 1e-4; every bound is a theorem, and all
+    # but the unreached a2 = 0 case of t2_3 are attained
+    qs = [0.02 + 0.04 * i for i in range(25)]
+    rep = sharpness_report(qs, grid=COARSE, refinement_levels=2)
+    assert len(rep.items) == 25 * 13
+    for it in rep.items:
+        expected = "consistent" if it.name == "t2_3[b1=0]" else "attained"
+        assert it.verdict == expected, (it.name, it.zeta, it.gap, it.bound)
+
+
 def test_sharpness_report_deterministic():
     args = ([0.6], [FunctionalId.ABS_A3, FunctionalId.T2_2])
     r1 = sharpness_report(*args, grid=COARSE, refinement_levels=1)
@@ -266,8 +280,9 @@ def test_random_suite_rejects_negative_count():
 
 @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
 def test_nonfinite_gap_is_a_violation(gap):
-    assert _verdict(gap) == "VIOLATION"
-    assert _verdict(gap, -1e-9) == "VIOLATION"
+    assert _verdict(gap, 1.0) == "VIOLATION"
+    assert _verdict(gap, 1e22) == "VIOLATION"
+    assert _verdict(0.0, gap) == "VIOLATION"  # nor does a non-finite bound pass
 
 
 def test_suite_worst_keeps_a_nan_gap():
@@ -276,13 +291,18 @@ def test_suite_worst_keeps_a_nan_gap():
         _update(worst, "k", gap, label, 0.0, 0.0)
     gap, label, _, _ = worst["k"]
     assert math.isnan(gap) and label == "b"
-    assert _verdict(gap, -1e-9) == "VIOLATION"
+    assert _verdict(gap, 0.0) == "VIOLATION"
 
 
 def test_verdict_thresholds():
-    assert _verdict(-1e-10) == "attained"
-    assert _verdict(-1e-10, -1e-11) == "VIOLATION"
-    assert _verdict(0.5) == "consistent"
+    # both tolerances are relative to max(1, |bound|)
+    assert _verdict(-1e-10, 1.0) == "attained"
+    assert _verdict(-1e-8, 1.0) == "VIOLATION"
+    assert _verdict(-1e-8, 100.0) == "attained"  # the same gap on a larger scale
+    assert _verdict(-2e-9, 0.1) == "VIOLATION"  # the scale is at least 1
+    assert _verdict(0.5, 1.0) == "consistent"
+    assert _verdict(0.5, 100.0) == "attained"
+    assert _verdict(1024.0, 1.1e22) == "attained"
 
 
 def test_suite_slack_is_relative_to_the_bound_side(monkeypatch):
@@ -301,7 +321,7 @@ def test_suite_slack_is_relative_to_the_bound_side(monkeypatch):
     _update(worst, "k", -1e-7, "big", 1e3, 0.0)
     _update(worst, "k", -5e-8, "small", 1.0, 0.0)
     assert worst["k"][:2] == (-5e-8, "small")
-    assert _verdict(worst["k"][0], -1e-9 * search._scale(worst["k"][2])) == "VIOLATION"
+    assert _verdict(worst["k"][0], worst["k"][2]) == "VIOLATION"
 
 
 def test_random_suite_deterministic():
