@@ -168,29 +168,53 @@ def bound_value(query: BoundQuery) -> float:
             f"{query.id} requires real zeta in (0, 1) and alpha = 0, "
             f"got zeta={params.zeta}, alpha={params.alpha}"
         )
-    return _real_bound(query.id, params.q, query.case_flag)
+    try:
+        value = _real_bound(query.id, params.q, query.case_flag)
+    except ZeroDivisionError:  # a power of q underflowed to 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise OutOfRange(f"the {query.id} bound at q = {params.q} is not finite in double precision")
+    return value
 
 
-def parseval_rhs(params: ClassParams, abs_a, n: int) -> float:
+def parseval_weights(params: ClassParams, n: int, dtype=complex) -> tuple:
+    """The weights (d, c) of the Parseval chain, for k = 1..n,
+
+        sum_{k<=n} c_k |a_k|^2  <=  sum_{k<=n-1} d_k |a_k|^2,
+        d_k = |(1-2a)+[k]|^2,  c_k = |[k]-1|^2,
+
+    as real arrays in the precision of the complex ``dtype`` (complex or
+    np.clongdouble).  Raises DegenerateDivisor when [n] - 1 vanishes.
+    """
+    qn = q_numbers(params.zeta, n)
+    dv = check_divisors(params.zeta, qn, first=n)
+    d = np.abs(dtype(1.0 - 2.0 * params.alpha) + np.asarray(qn, dtype=dtype)) ** 2
+    c = np.abs(np.asarray(dv, dtype=dtype)) ** 2
+    return d, c
+
+
+def parseval_rhs(params: ClassParams, abs_a, n: int):
     """Upper bound on |a_n| from the Parseval inequality chain.
 
-    sqrt( sum_{k=1}^{n-1} (|(1-2a)+[k]|^2 - |[k]-1|^2) |a_k|^2 ) / |[n]-1|,
-    given the moduli abs_a = (|a_1|, ..., |a_{n-1}|) with |a_1| = 1.  A
-    negative sum (impossible for genuine class members) is clamped to 0.
+    sqrt( sum_{k=1}^{n-1} (d_k - c_k) |a_k|^2 / c_n ) with the weights of
+    :func:`parseval_weights`, given the moduli abs_a = (|a_1|, ..., |a_{n-1}|)
+    with |a_1| = 1 along the last axis.  A 1-D abs_a gives a float; rows of
+    moduli give an array, in the precision of abs_a (float64 or longdouble).
+    A negative sum (impossible for genuine class members) is clamped to 0.
     """
     if n < 2:
         raise OutOfRange(f"n = {n} must be >= 2")
-    if len(abs_a) != n - 1:
-        raise OutOfRange(f"abs_a must hold n-1 = {n - 1} moduli, got {len(abs_a)}")
-    if abs(abs_a[0] - 1.0) > 1e-12:
-        raise OutOfRange(f"abs_a[0] = {abs_a[0]} must be 1 (a1 = 1)")
-    qn = q_numbers(params.zeta, n)
-    dv = check_divisors(params.zeta, qn, first=n)
-    one_m2a = 1.0 - 2.0 * params.alpha
-    acc = 0.0
-    for wk, dk, ak in zip(qn, dv, abs_a):
-        acc += (abs(one_m2a + wk) ** 2 - abs(dk) ** 2) * float(ak) ** 2
-    return math.sqrt(max(acc, 0.0)) / abs(dv[n - 1])
+    abs_a = np.asarray(abs_a)
+    abs_a = abs_a.astype(np.promote_types(abs_a.dtype, float), copy=False)
+    if abs_a.ndim == 0 or abs_a.shape[-1] != n - 1:
+        raise OutOfRange(f"abs_a must hold n-1 = {n - 1} moduli, got shape {abs_a.shape}")
+    first = abs_a[..., 0]
+    if not np.all(np.abs(first - 1.0) <= 1e-12):
+        raise OutOfRange(f"abs_a[0] = {np.ravel(first)} must be 1 (a1 = 1)")
+    d, c = parseval_weights(params, n, np.result_type(abs_a.dtype, complex).type)
+    acc = ((d[:-1] - c[:-1]) * abs_a**2).sum(axis=-1)
+    rhs = np.sqrt(np.maximum(acc, 0.0)) / np.sqrt(c[-1])
+    return float(rhs) if rhs.ndim == 0 else rhs
 
 
 def cubic_bound_region(mu: float, nu: float) -> bool:
@@ -247,7 +271,8 @@ def disk_quadratic_max_grid(
     radii = np.linspace(0.0, 1.0, radial)
     angles = 2.0 * np.pi * np.arange(angular) / angular
     z = radii[:, None] * np.exp(1j * angles)[None, :]
-    vals = np.abs(a + b * z + c * z * z) + 1.0 - np.abs(z) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+        vals = np.abs(a + b * z + c * z * z) + 1.0 - np.abs(z) ** 2
     return _finite(float(vals.max()))
 
 
@@ -300,6 +325,7 @@ __all__ = [
     "CASE_SPLIT_IDS",
     "AN_PRODUCT",
     "bound_value",
+    "parseval_weights",
     "parseval_rhs",
     "cubic_bound_region",
     "schwarz_cubic_functional",

@@ -128,20 +128,50 @@ def schur_expand(params: SchurParams, order: int) -> SchwarzSeries:
 
     Guarantees b1 = g0, b2 = (1-|g0|^2) g1 and the b3 formula quoted in the
     module docstring; a single unit-modulus parameter gives the rotation
-    ``w(z) = g0 * z`` exactly.
+    ``w(z) = g0 * z`` exactly.  This is the one-row case of
+    :func:`schur_rows`.
+    """
+    if not isinstance(params, SchurParams):
+        params = SchurParams(tuple(params))
+    b = schur_rows(np.array([params.gammas]), order)[0]
+    return SchwarzSeries(PowerSeries(tuple(b)), provenance="schur")
+
+
+def schur_rows(gammas, order: int) -> np.ndarray:
+    """Coefficients b_0 .. b_order of many Schur chains at once.
+
+    ``gammas`` has shape (N, depth), one chain per row, and the result has
+    shape (N, order + 1).  Each step phi <- tau_g(z phi) is a truncated long
+    division by 1 + conj(g) z phi, one numpy operation per coefficient index
+    over all rows.  From a row's first parameter with |g| >= 1 - UNIT_TOL on,
+    phi is the constant g (tau_g is constant there), so later parameters are
+    ignored, as :meth:`SchurParams.effective` states.
     """
     if order < 1:
         raise OutOfRange(f"order = {order} must be >= 1")
-    if not isinstance(params, SchurParams):
-        params = SchurParams(tuple(params))
-    gammas = params.effective()
-    phi = PowerSeries.constant(gammas[-1], order)
-    for g in reversed(gammas[:-1]):
-        u = phi.shift(1)
-        num = u + PowerSeries.constant(g, order)
-        den = u * g.conjugate() + PowerSeries.constant(1.0, order)
-        phi = num / den
-    return SchwarzSeries(phi.shift(1), provenance="schur")
+    g = np.asarray(gammas, dtype=complex)
+    if g.ndim != 2 or g.shape[1] == 0:
+        raise InvalidParams("at least one Schur parameter per row is required")
+    r = np.abs(g)
+    bad = ~(r <= 1.0 + DISK_TOL)  # also true for NaN
+    if bad.any():
+        raise InvalidParams(f"|gamma| = {r[bad][0]} is not at most 1")
+    unit = r >= 1.0 - UNIT_TOL
+    phi = np.zeros((len(g), order + 1), dtype=complex)
+    phi[:, 0] = g[:, -1]
+    for j in range(g.shape[1] - 2, -1, -1):
+        den = np.zeros_like(phi)  # 1 + conj(g) z phi without its constant 1
+        den[:, 1:] = phi[:, :-1] * g[:, j, None].conjugate()
+        out = np.empty_like(phi)
+        out[:, 0] = g[:, j]
+        for m in range(1, order + 1):
+            out[:, m] = phi[:, m - 1] - np.einsum(
+                "ij,ij->i", den[:, 1:m + 1], out[:, m - 1::-1])
+        out[unit[:, j], 1:] = 0.0
+        phi = out
+    b = np.zeros_like(phi)
+    b[:, 1:] = phi[:, :-1]
+    return b
 
 
 def schur_test(w) -> tuple:
@@ -293,6 +323,7 @@ __all__ = [
     "SchwarzSeries",
     "CaratheodorySeries",
     "schur_expand",
+    "schur_rows",
     "schur_test",
     "schwarz_b2b3",
     "caratheodory_p2p3",

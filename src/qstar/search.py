@@ -26,7 +26,10 @@ either the bound or this implementation.
 it draws seeded Schur-parameter tuples, builds members through the
 coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, its one
 kernel), and checks the Parseval chain inequality, the derived |a_n| bound,
-and the product bound sample by sample.
+and the product bound on every sample.  It works on batches of samples as
+numpy arrays with one row per sample: the Schur chains
+(:func:`qstar.schwarz.schur_rows`), the recursion and the inequality sides
+run over all rows of a batch at once.
 
 Both engines, and the rotated-extremal items of ``sharpness_report``, judge
 a gap (bound minus value reached) by one rule, :func:`_verdict`: both of its
@@ -39,9 +42,19 @@ items.  Grid reductions break ties lexicographically on
 axes).  On the |y| = 1 sweep the eliminated radius is 1; for a functional
 affine in a4, (|y|, arg y) is the witness of |A| + |B| -- radius 1 and
 arg y = arg A - arg B, or y = 0 when B == 0 -- a function of (b1, x); a
-functional that ignores y reports y = 0.  Every sample draws from its own
-counter-based Philox stream keyed by (seed, sample index), so any parallel
-schedule -- or a rerun -- reproduces the serial report bit for bit.
+functional that ignores y reports y = 0.
+
+Every sample draws from its own counter-based Philox stream, keyed by the
+seed at counter 1024 * (sample index), and reads it as one block: the
+uniforms in [-1, 1) that ``Generator.uniform`` makes of consecutive doubles,
+paired into points u + iv, of which the first ``depth`` inside the closed
+unit disk are the sample's tuple -- the same points as drawing pair by pair
+and rejecting those outside, bit for bit.  Each check keeps its worst sample
+as a left fold over samples in index order (lowest gap on the verdict's
+scale, the first on a tie, the first NaN gap over any number), and a batch
+enters the fold with the incumbent as its first row.  So any split into
+batches, or any parallel schedule of them, and any rerun reproduces the
+serial report bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +72,8 @@ from .bounds import (
     BoundQuery,
     CaseFlag,
     bound_value,
+    parseval_rhs,
+    parseval_weights,
     product_bound_applies,
 )
 from .errors import DegenerateDivisor, OutOfRange, UnknownFunctional
@@ -71,7 +86,7 @@ from .functionals import (
     as_functional_id,
     named_functional,
 )
-from .schwarz import SchurParams, schur_expand, schwarz_b2b3
+from .schwarz import schur_rows, schwarz_b2b3
 from .series import ClassParams, check_divisors, q_numbers
 from .starlike import initial_coeffs_closed, recursion_coeffs
 
@@ -216,7 +231,7 @@ def _verdict(gap: float, bound: float) -> str:
     """The one verdict rule: both tolerances scale with max(1, |bound|)."""
     if not (math.isfinite(gap) and math.isfinite(bound)):  # no sound run gives these
         return "VIOLATION"
-    scale = _scale(bound)
+    scale = max(abs(bound), 1.0)
     if gap < VIOLATION_TOL * scale:
         return "VIOLATION"
     if gap <= ATTAIN_TOL * scale:
@@ -399,48 +414,100 @@ def rotated_extremal_values(q: float, theta: float = math.pi / 2.0) -> tuple:
 # randomized complex-parameter suite
 
 
-def _disk_point(rng) -> complex:
-    """Uniform point of the closed unit disk by rejection from the square."""
-    while True:
-        u, v = rng.uniform(-1.0, 1.0, size=2)
-        if u * u + v * v <= 1.0:
-            return complex(u, v)
+#: samples per batch of the random suite; bounds the size of its arrays, so
+#: the suite's memory does not grow with its sample count
+_CHUNK_SAMPLES = 1 << 7
+
+#: a sample with a gap below this times (1 + its bound side) is re-derived
+#: in clongdouble
+_REFINE_TOL = 1e-6
+
+#: the suite's checks, in report order; product is skipped without its hypothesis
+_CHECKS = ("chain", "parseval", "product")
+
+#: the low 64-bit word of a Philox counter
+_WORD = (1 << 64) - 1
 
 
-def _sample_gammas(seed: int, index: int, depth: int) -> tuple:
-    # a private counter-based stream per sample: parallel shards reproduce
-    # the serial stream no matter how samples are scheduled
-    bitgen = np.random.Philox(key=seed, counter=1024 * index)
-    rng = np.random.Generator(bitgen)
-    return tuple(_disk_point(rng) for _ in range(depth))
+def _sample_gammas(seed: int, indices, depth: int) -> np.ndarray:
+    """The Schur tuples of the given sample indices, shape (len(indices), depth).
 
-
-def _suite_margins(bvals, qn, dv, alpha, dtype):
-    """Inequality data for one sample at the requested scalar precision.
-
-    Returns (rows, abs_a): rows[n] = (chain_margin, chain_lhs, parseval_rhs)
-    for n = 2..order, abs_a the coefficient moduli |a_1..a_order| (floats),
-    where order = len(qn) and dv holds the divisors [k] - 1.
+    Sample i reads the Philox stream keyed by ``seed`` at counter 1024 i as
+    uniforms in [-1, 1), pairs them into u + iv and keeps its first ``depth``
+    points with u^2 + v^2 <= 1.  One block of 2 (depth + 3) uniforms usually
+    holds them; a sample that runs short draws a longer block from the start
+    of its stream.
     """
-    order = len(qn)
-    one_m2a = dtype(1.0 - 2.0 * alpha)
-    qnn = [dtype(w) for w in qn]
-    a = recursion_coeffs(bvals, qn, dv, alpha, dtype)
-    c = [abs(dtype(w)) ** 2 for w in dv]  # |[k]-1|^2 at index k-1
-    d = [abs(one_m2a + w) ** 2 for w in qnn]  # |(1-2a)+[k]|^2
-    t = [abs(v) ** 2 for v in a[1:]]  # |a_k|^2 at index k-1
-    rows = {}
-    lhs_cum = c[0] * t[0]
-    rhs_cum = d[0] * t[0]
-    diff_cum = (d[0] - c[0]) * t[0]
-    for n in range(2, order + 1):
-        lhs_cum = lhs_cum + c[n - 1] * t[n - 1]
-        prhs = math.sqrt(max(float(diff_cum), 0.0)) / math.sqrt(float(c[n - 1]))
-        rows[n] = (float(rhs_cum - lhs_cum), float(lhs_cum), prhs)
-        rhs_cum = rhs_cum + d[n - 1] * t[n - 1]
-        diff_cum = diff_cum + (d[n - 1] - c[n - 1]) * t[n - 1]
-    abs_a = [float(abs(v)) for v in a]
-    return rows, abs_a
+    bitgen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+
+    def doubles(index, pairs):
+        # the stream of Philox(key=seed, counter=1024 * index), without
+        # building a generator per sample
+        counter = 1024 * index
+        state["state"]["counter"][:2] = (counter & _WORD, counter >> 64)
+        state["buffer_pos"] = 4  # drop buffered output
+        bitgen.state = state
+        return rng.random(2 * pairs)
+
+    def points(d):
+        # -1 + 2 d is what Generator.uniform(-1, 1) makes of the same doubles
+        z = (-1.0 + 2.0 * d).view(complex)
+        return z, z.real * z.real + z.imag * z.imag <= 1.0
+
+    indices = np.asarray(indices).tolist()
+    pairs = depth + 3
+    d = np.empty((len(indices), 2 * pairs))
+    for row, index in enumerate(indices):
+        d[row] = doubles(index, pairs)
+    z, inside = points(d)
+    first = np.argsort(~inside, axis=1, kind="stable")[:, :depth]
+    gammas = np.take_along_axis(z, first, axis=1)
+    for row in np.flatnonzero(inside.sum(axis=1) < depth):
+        more = pairs
+        while True:
+            more *= 2
+            zr, ok = points(doubles(indices[row], more))
+            if ok.sum() >= depth:
+                gammas[row] = zr[ok][:depth]
+                break
+    return gammas
+
+
+def _suite_sides(b, params, order, prod, dtype):
+    """(gap, bound side, other side) of every check on rows of Schwarz
+    coefficients ``b``, each of shape (rows, checks, order - 1) over
+    n = 2..order; the product check is present when ``prod`` (its bounds) is.
+
+    The recursion and the chain sums run in ``dtype`` (complex or
+    np.clongdouble); the results are floats.
+    """
+    qn = q_numbers(params.zeta, order)
+    a = recursion_coeffs(b, qn, check_divisors(params.zeta, qn), params.alpha, dtype)
+    abs_a = np.abs(a[:, 1:])  # |a_1| .. |a_order|
+    d, c = parseval_weights(params, order, dtype)
+    t = abs_a**2
+    lhs = np.cumsum(c * t, axis=1)[:, 1:]  # sum_{k<=n} c_k |a_k|^2
+    rhs = np.cumsum(d * t, axis=1)[:, :-1]  # sum_{k<=n-1} d_k |a_k|^2
+    margin = (rhs - lhs).astype(float)
+    lhs = lhs.astype(float)
+    an = abs_a[:, 1:].astype(float)
+    prhs = np.stack([parseval_rhs(params, abs_a[:, :n - 1], n)
+                     for n in range(2, order + 1)], axis=1).astype(float)
+    gap, side, other = [margin, prhs - an], [lhs + margin, prhs], [lhs, an]
+    if prod is not None:
+        gap.append(prod - an)
+        side.append(np.broadcast_to(prod, an.shape))
+        other.append(an)
+    return np.stack(gap, axis=1), np.stack(side, axis=1), np.stack(other, axis=1)
+
+
+def _worst(gap, bound):
+    """Index along axis 0 of the sample each check reports: the first lowest
+    gap on the verdict's scale max(1, |bound|), or the first NaN gap, which
+    np.argmin puts below any number."""
+    return np.argmin(gap / np.fmax(np.abs(bound), 1.0), axis=0)
 
 
 def random_schwarz_suite(
@@ -452,7 +519,7 @@ def random_schwarz_suite(
 ) -> VerificationReport:
     """Check the complex-parameter coefficient inequalities on random members.
 
-    Draws ``count`` Schur tuples of length ``depth`` (plus the forced samples
+    Draws ``count`` Schur tuples of length ``depth`` (after the forced samples
     w = 0 and w = z), builds each member through the coefficient recursion,
     and tests for every 2 <= n <= order:
 
@@ -462,14 +529,16 @@ def random_schwarz_suite(
       product[n]   |a_n| <= an_product bound  (skipped unless
                    Re [k] > alpha holds up to order)
 
-    Each check reports the sample whose gap (bound side, the right-hand side
+    Samples go through in batches of at most ``_CHUNK_SAMPLES`` rows.  Each
+    check reports the sample whose gap (bound side, the right-hand side
     above, minus the other side) is lowest on the scale max(1, |bound side|)
-    of :func:`_verdict`, with its gap unscaled.  At small |zeta| the sides
+    of :func:`_verdict`, with its gap unscaled; the first such sample on a
+    tie, and the first NaN gap over any number.  At small |zeta| the sides
     reach 1e13 and more, where rounding alone exceeds any absolute slack.
-    Margins come out of double precision first and are re-derived in 80-bit
-    extended precision whenever they land below 1e-6 of their own scale: near
-    equality (the forced w = z sample attains all three families) the two
-    sides agree to O(eps) times |a_n|^2.
+    Margins come out of double precision first, and a sample's are re-derived
+    in 80-bit extended precision when any gap lands below 1e-6 times
+    (1 + its bound side): near equality (the forced w = z sample attains all
+    three families) the two sides agree to O(eps) times |a_n|^2.
 
     A degenerate [n] - 1 divisor marks the sample (here: every sample, since
     degeneracy depends only on zeta) as skipped.  A non-finite gap is a
@@ -477,81 +546,53 @@ def random_schwarz_suite(
     """
     if count < 0:
         raise OutOfRange(f"count = {count} must be >= 0")
+    if not 0 <= seed < 1 << 128:
+        raise OutOfRange(f"seed = {seed} outside [0, 2**128)")
     zeta, alpha = params.zeta, params.alpha
-    qn = q_numbers(zeta, order)
     try:
-        dv = check_divisors(zeta, qn)
+        check_divisors(zeta, q_numbers(zeta, order))
+        live = _CHECKS if product_bound_applies(params, order) else _CHECKS[:2]
     except DegenerateDivisor:
-        dv = None
-    hyp = dv is not None and product_bound_applies(params, order)
-    prod_bounds = {}
-    if dv is not None:
-        for n in range(2, order + 1):
-            prod_bounds[n] = bound_value(BoundQuery(AN_PRODUCT, params, n=n))
+        live = ()
+    prod = None
+    if "product" in live:
+        prod = np.array([bound_value(BoundQuery(AN_PRODUCT, params, n=n))
+                         for n in range(2, order + 1)])
 
-    names = ["forced_zero", "forced_z"] + [f"sample{i}" for i in range(count)]
-    worst = {}  # (check, n) -> (gap, witness, bound, achieved)
+    worst = None  # [gap, bound side, other side, row] of each (check, n)
+    for start in range(0, count + 2 if live else 0, _CHUNK_SAMPLES):
+        # row 0 is w = 0, row 1 is w = z, row r >= 2 draws sample r - 2
+        rows = np.arange(start, min(start + _CHUNK_SAMPLES, count + 2))
+        gammas = np.zeros((len(rows), depth), dtype=complex)
+        gammas[rows == 1, 0] = 1.0
+        gammas[rows >= 2] = _sample_gammas(seed, rows[rows >= 2] - 2, depth)
+        b = schur_rows(gammas, order)
+        gap, side, other = _suite_sides(b, params, order, prod, complex)
+        near = (gap < _REFINE_TOL * (1.0 + side)).any(axis=(1, 2))
+        if near.any():
+            gap[near], side[near], other[near] = _suite_sides(
+                b[near], params, order, prod, np.clongdouble)
+        batch = [gap, side, other, np.broadcast_to(rows[:, None, None], gap.shape)]
+        if worst is not None:  # the incumbent goes first, as the earlier sample
+            batch = [np.concatenate([w[None], x]) for w, x in zip(worst, batch)]
+        pick = _worst(batch[0], batch[1])[None]
+        worst = [np.take_along_axis(x, pick, axis=0)[0] for x in batch]
 
-    if dv is not None:
-        for label_index, label in enumerate(names):
-            if label == "forced_zero":
-                gammas = (0j,) * depth
-            elif label == "forced_z":
-                gammas = (1.0 + 0j,)
-            else:
-                gammas = _sample_gammas(seed, label_index - 2, depth)
-            omega = schur_expand(SchurParams(gammas), order)
-            b = omega.series.coeffs
-            rows, abs_a = _suite_margins(b, qn, dv, alpha, complex)
-            if _needs_refinement(rows, abs_a, prod_bounds, hyp, order):
-                rows, abs_a = _suite_margins(b, qn, dv, alpha, np.clongdouble)
-            for n in range(2, order + 1):
-                margin, lhs, prhs = rows[n]
-                an = abs_a[n]
-                _update(worst, ("chain", n), margin, label, lhs + margin, lhs)
-                _update(worst, ("parseval", n), prhs - an, label, prhs, an)
-                if hyp:
-                    _update(worst, ("product", n), prod_bounds[n] - an, label, prod_bounds[n], an)
-
+    labels = ("forced_zero", "forced_z")
     items = []
     for n in range(2, order + 1):
-        for check in ("chain", "parseval", "product"):
+        for check in _CHECKS:
             name = f"{check}[n={n}]"
-            if dv is None or (check == "product" and not hyp):
+            if check not in live:
                 items.append(
                     ReportItem(name, zeta, alpha, None, None, None, None, "skipped")
                 )
                 continue
-            gap, witness, bnd, ach = worst[(check, n)]
-            items.append(_checked_item(name, zeta, alpha, None, bnd, ach, gap, witness))
+            gap, bnd, ach, row = (x[live.index(check), n - 2] for x in worst)
+            witness = labels[row] if row < 2 else f"sample{row - 2}"
+            items.append(_checked_item(name, zeta, alpha, None, float(bnd), float(ach),
+                                       float(gap), witness))
     return VerificationReport(tuple(items), seed)
-
-
-def _needs_refinement(rows, abs_a, prod_bounds, hyp, order) -> bool:
-    for n in range(2, order + 1):
-        margin, lhs, prhs = rows[n]
-        if margin < 1e-6 * (1.0 + abs(lhs)):
-            return True
-        if prhs - abs_a[n] < 1e-6 * (1.0 + prhs):
-            return True
-        if hyp and prod_bounds[n] - abs_a[n] < 1e-6 * (1.0 + prod_bounds[n]):
-            return True
-    return False
-
-
-def _scale(bound) -> float:
-    """The unit of a gap: the bound's modulus, at least 1."""
-    b = abs(bound)
-    return b if b > 1.0 else 1.0  # not max(): this runs for every sample
-
-
-def _update(worst, key, gap, label, bound, achieved):
-    cur = worst.get(key)
-    # gaps compare on the verdict's scale; the first NaN gap (gap != gap)
-    # counts as the worst, so the verdict sees it
-    if (cur is None or gap / _scale(bound) < cur[0] / _scale(cur[2])
-            or (gap != gap and cur[0] == cur[0])):
-        worst[key] = (gap, label, bound, achieved)
 
 
 # ----------------------------------------------------------------------

@@ -83,19 +83,25 @@ class StarlikeFunction:
         return self.series.coeffs[n]
 
 
-def recursion_coeffs(b, qn, dv, alpha: float, dtype) -> list:
-    """a_0 .. a_N of the recursion in scalar ``dtype`` (complex or clongdouble),
-    N = len(qn), from b_0 .. b_(N-1), the q-numbers [1] .. [N] and the checked
-    divisors [1] - 1 .. [N] - 1 of :func:`qstar.series.check_divisors`."""
-    one_m2a = dtype(1.0 - 2.0 * alpha)
-    qnn = [dtype(w) for w in qn]
-    bb = [dtype(v) for v in b]
-    a = [dtype(0), dtype(1)]
-    for n in range(2, len(qn) + 1):
-        acc = dtype(0)
-        for k in range(1, n):
-            acc = acc + bb[n - k] * (one_m2a + qnn[k - 1]) * a[k]
-        a.append(acc / dtype(dv[n - 1]))
+def recursion_coeffs(b, qn, dv, alpha: float, dtype) -> np.ndarray:
+    """a_0 .. a_N of the recursion for each row of ``b``, in ``dtype``
+    (complex or np.clongdouble); N = len(qn).
+
+    ``b`` holds b_0 .. b_(N-1) (or more) along its last axis, one Schwarz
+    function per row, and the result has b's leading shape plus N + 1.  ``qn``
+    are the q-numbers [1] .. [N] and ``dv`` the checked divisors
+    [1] - 1 .. [N] - 1 of :func:`qstar.series.check_divisors`.  Each a_n is
+    one numpy reduction over k for all rows.
+    """
+    b = np.asarray(b, dtype=dtype)
+    n_max = len(qn)
+    weight = dtype(1.0 - 2.0 * alpha) + np.asarray(qn, dtype=dtype)  # (1-2a) + [k]
+    div = np.asarray(dv, dtype=dtype)
+    a = np.zeros(b.shape[:-1] + (n_max + 1,), dtype=dtype)
+    a[..., 1] = 1.0
+    for n in range(2, n_max + 1):
+        acc = (b[..., n - 1:0:-1] * weight[:n - 1] * a[..., 1:n]).sum(axis=-1)
+        a[..., n] = acc / div[n - 1]
     return a
 
 

@@ -81,3 +81,45 @@ def kernel_coefficient(zeta, n):
     if abs(zeta - 1.0) < 1e-9:
         return complex(n)
     return (1.0 - zeta**n) / (1.0 - zeta)
+
+
+class GaussFraction:
+    """An exact complex rational re + i im with Fraction parts; enough
+    arithmetic for :func:`frac_div` on complex coefficient lists."""
+
+    def __init__(self, re, im=0):
+        if isinstance(re, complex):
+            re, im = re.real, re.imag
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        other = _gauss(other)
+        return GaussFraction(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _gauss(other)
+        return GaussFraction(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = _gauss(other)
+        return GaussFraction(self.re * other.re - self.im * other.im,
+                             self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _gauss(other)
+        norm = other.re * other.re + other.im * other.im
+        return self * GaussFraction(other.re / norm, -other.im / norm)
+
+    def conjugate(self):
+        return GaussFraction(self.re, -self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _gauss(value):
+    return value if isinstance(value, GaussFraction) else GaussFraction(value)

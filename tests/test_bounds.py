@@ -24,6 +24,7 @@ from qstar import (
     product_bound_applies,
     schwarz_cubic_functional,
 )
+from qstar.series import check_divisors, q_numbers
 
 Q_HALF = ClassParams(0.5)
 
@@ -161,6 +162,25 @@ def test_parseval_rhs_zero_tail():
     q3 = 1 + 0.9j + (0.9j) ** 2
     expect = 2.0 / abs(q3 - 1)  # only the k = 1 term survives
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def test_parseval_rhs_on_rows_matches_the_scalar_sum():
+    # rows of moduli give one value per row, in their own precision; the
+    # reference is the scalar sum written out
+    params = ClassParams(0.6 * cmath.exp(1j), 0.1)
+    rng = np.random.default_rng(4)
+    rows = np.hstack([np.ones((50, 1)), rng.uniform(0.0, 3.0, size=(50, 5))])
+    qn = q_numbers(params.zeta, 7)
+    dv = check_divisors(params.zeta, qn)
+    for dtype in (np.float64, np.longdouble):
+        got = parseval_rhs(params, rows.astype(dtype), 7)
+        assert got.shape == (50,) and got.dtype == dtype
+        for row, value in zip(rows, got):
+            acc = sum((abs(0.8 + w) ** 2 - abs(d) ** 2) * a**2
+                      for w, d, a in zip(qn, dv, row))
+            assert float(value) == pytest.approx(math.sqrt(max(acc, 0.0)) / abs(dv[6]),
+                                                 rel=1e-14)
+            assert parseval_rhs(params, row, 7) == pytest.approx(float(value), rel=1e-15)
 
 
 def test_parseval_rhs_validation():

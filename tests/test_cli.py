@@ -236,6 +236,8 @@ def test_y_verb_skips_closed_form_when_ac_negative(capsys):
         ("y", "--a", "nan", "--b", "0", "--c", "0"),
         ("extremal", "--q", "0.5", "--n", "0"),
         ("verify", "--suite", "parseval", "--q", "0.5", "--count", "-1"),
+        ("bounds", "--q", "1e-60"),  # q**7 underflows to 0
+        ("bounds", "--q", "1e-45", "--format", "json"),  # a bound overflows to inf
     ],
 )
 def test_bad_input_exits_2_with_no_output(capsys, argv):
@@ -264,8 +266,10 @@ def _class_args(draw):
 
 @st.composite
 def _argv(draw):
-    verb = draw(st.sampled_from(["verify-grid", "y", "extremal", "verify"]))
+    verb = draw(st.sampled_from(["verify-grid", "y", "extremal", "verify", "bounds"]))
     fmt = f"--format={draw(st.sampled_from(['csv', 'json']))}"
+    if verb == "bounds":
+        return ["bounds", fmt, f"--q={draw(_FLOATS)!r}"]
     if verb == "y":
         return ["y", fmt] + [f"--{k}={draw(_FLOATS)!r}" for k in "abc"]
     if verb == "extremal":

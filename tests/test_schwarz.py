@@ -13,12 +13,14 @@ from qstar import (
     caratheodory_p2p3,
     caratheodory_to_schwarz,
     schur_expand,
+    schur_rows,
     schur_test,
     schwarz_b2b3,
     schwarz_to_caratheodory,
 )
 
-from _oracles import frac_div, frac_series
+from _oracles import GaussFraction, frac_div, frac_series
+from qstar.schwarz import UNIT_TOL
 
 
 def disk_points(rng, n):
@@ -73,6 +75,57 @@ def test_parameterization_equivalence_random():
         b2, b3 = schwarz_b2b3(b1, x, y)
         assert abs(w.coeff(2) - b2) <= 1e-12
         assert abs(w.coeff(3) - b3) <= 1e-12
+
+
+def exact_schur_chain(gammas, order):
+    """b_0 .. b_order of the Schur chain in exact complex rationals: the
+    floats' exact values, cut at the first |g| >= 1 - UNIT_TOL."""
+    cut = next((k for k, g in enumerate(gammas) if abs(g) >= 1.0 - UNIT_TOL), len(gammas) - 1)
+    gs = [GaussFraction(complex(g)) for g in gammas[:cut + 1]]
+    phi = [gs[-1]] + [GaussFraction(0)] * order
+    for g in reversed(gs[:-1]):
+        # phi <- (g + z phi) / (1 + conj(g) z phi)
+        zphi = [GaussFraction(0)] + phi[:-1]
+        num = [g] + zphi[1:]
+        den = [GaussFraction(1)] + [g.conjugate() * v for v in zphi[1:]]
+        phi = frac_div(num, den)
+    return [0j] + [complex(v) for v in phi[:-1]]
+
+
+@pytest.mark.parametrize("order, grid", [(8, None), (32, 16)])
+def test_schur_rows_match_the_exact_rational_chain(order, grid):
+    # every depth 1-6, with a unit-modulus parameter at each position and
+    # without one; at order 8 every other one lies 5e-13 inside the circle,
+    # where the chain still stops (UNIT_TOL); at order 32 the parameters are
+    # multiples of 1/16 and the unit ones powers of i, which keeps the exact
+    # rationals small
+    rng = np.random.default_rng(8)
+    for depth in range(1, 7):
+        g = 0.999 * np.sqrt(rng.uniform(size=(depth + 1, depth))) * np.exp(
+            2j * np.pi * rng.uniform(size=(depth + 1, depth)))
+        if grid:
+            g = (np.trunc(g.real * grid) + 1j * np.trunc(g.imag * grid)) / grid
+        for p in range(depth):
+            g[p, p] = 1j**p if grid else (1.0 - 5e-13 * (p % 2)) * np.exp(
+                2j * np.pi * rng.uniform())
+        b = schur_rows(g, order)
+        assert b.shape == (depth + 1, order + 1)
+        for row, gammas in zip(b, g):
+            exact = exact_schur_chain(list(gammas), order)
+            assert np.abs(row - exact).max() <= 1e-14, gammas
+            # the one-row wrapper is the same kernel
+            assert schur_expand(SchurParams(tuple(gammas)), order).series.coeffs == tuple(row)
+
+
+def test_schur_rows_rejects_bad_parameters():
+    with pytest.raises(InvalidParams):
+        schur_rows(np.array([[0.5, 1.5]]), 4)
+    with pytest.raises(InvalidParams):
+        schur_rows(np.array([[0.5, complex(float("nan"), 0.0)]]), 4)
+    with pytest.raises(InvalidParams):
+        schur_rows(np.zeros((3, 0)), 4)
+    with pytest.raises(OutOfRange):
+        schur_rows(np.zeros((3, 2)), 0)
 
 
 # ----------------------------------------------------------------- triples

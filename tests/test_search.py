@@ -23,7 +23,7 @@ from qstar import (
 from qstar import search
 from qstar.errors import OutOfRange
 from qstar.functionals import RAW_FORMULAS
-from qstar.search import _update, _verdict, _y_max
+from qstar.search import _sample_gammas, _verdict, _worst, _y_max
 
 COARSE = GridSpec.coarse()
 
@@ -286,10 +286,10 @@ def test_nonfinite_gap_is_a_violation(gap):
 
 
 def test_suite_worst_keeps_a_nan_gap():
-    worst = {}
-    for gap, label in [(1.0, "a"), (math.nan, "b"), (-3.0, "c"), (math.nan, "d")]:
-        _update(worst, "k", gap, label, 0.0, 0.0)
-    gap, label, _, _ = worst["k"]
+    gaps = np.array([1.0, math.nan, -3.0, math.nan])
+    labels = ["a", "b", "c", "d"]
+    pick = _worst(gaps, np.zeros(4))
+    gap, label = gaps[pick], labels[pick]
     assert math.isnan(gap) and label == "b"
     assert _verdict(gap, 0.0) == "VIOLATION"
 
@@ -317,11 +317,83 @@ def test_suite_slack_is_relative_to_the_bound_side(monkeypatch):
         product = [it for it in rep.items if it.name.startswith("product")]
         assert {it.verdict == "VIOLATION" for it in product} == {violated}
     # the worst sample is the lowest gap on that scale, reported unscaled
-    worst = {}
-    _update(worst, "k", -1e-7, "big", 1e3, 0.0)
-    _update(worst, "k", -5e-8, "small", 1.0, 0.0)
-    assert worst["k"][:2] == (-5e-8, "small")
-    assert _verdict(worst["k"][0], worst["k"][2]) == "VIOLATION"
+    gaps, bounds, labels = np.array([-1e-7, -5e-8]), np.array([1e3, 1.0]), ["big", "small"]
+    pick = _worst(gaps, bounds)
+    assert (gaps[pick], labels[pick]) == (-5e-8, "small")
+    assert _verdict(gaps[pick], bounds[pick]) == "VIOLATION"
+
+
+def _disk_point_reference(rng) -> complex:
+    # the per-pair rejection loop the suite's draws must reproduce
+    while True:
+        u, v = rng.uniform(-1.0, 1.0, size=2)
+        if u * u + v * v <= 1.0:
+            return complex(u, v)
+
+
+def _sample_gammas_reference(seed, index, depth):
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=1024 * index))
+    return [_disk_point_reference(rng) for _ in range(depth)]
+
+
+@pytest.mark.parametrize(
+    "seeds, count, depth",
+    [((0, 7, 2026, 2**64 + 3), 600, 5), ((11,), 300, 1), ((12,), 300, 8)],
+)
+def test_block_draw_reproduces_the_pairwise_stream(seeds, count, depth):
+    # bit for bit, including the samples whose first block runs short
+    for seed in seeds:
+        got = _sample_gammas(seed, range(count), depth)
+        want = np.array([_sample_gammas_reference(seed, i, depth) for i in range(count)])
+        assert got.shape == (count, depth)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    # any subset of indices, in any order, draws the same tuples
+    idx = [count - 1, 3, 0, 3]
+    assert np.array_equal(_sample_gammas(seeds[0], idx, depth),
+                          np.array([_sample_gammas_reference(seeds[0], i, depth)
+                                    for i in idx]))
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+@pytest.mark.parametrize("params", [ClassParams(-0.5), ClassParams(0.9j, 0.25)])
+def test_random_suite_is_independent_of_the_chunk_size(monkeypatch, params, perturb):
+    # the determinism contract: any schedule of sample batches gives the
+    # serial report, bit for bit.  The forced w = z sample is every check's
+    # worst, so a perturbed run replaces the gaps by -|b_(n-1)| rounded to
+    # 0.1 (ties) and the n = 2 gaps by NaN where Re b_1 > 0.8, to make random
+    # samples, first-on-tie and first-NaN picks cross the batch boundaries
+    sides = search._suite_sides
+
+    def perturbed(b, *args):
+        gap, side, other = sides(b, *args)
+        gap = np.broadcast_to(-np.round(np.abs(b[:, None, 1:-1]), 1), gap.shape).copy()
+        gap[b[:, 1].real > 0.8, :, 0] = np.nan
+        return gap, side, other
+
+    if perturb:
+        monkeypatch.setattr(search, "_suite_sides", perturbed)
+    reports = []
+    for chunk in (1, 7, search._CHUNK_SAMPLES):
+        monkeypatch.setattr(search, "_CHUNK_SAMPLES", chunk)
+        reports.append(random_schwarz_suite(params, seed=5, count=60, order=8))
+    assert repr(reports[0]) == repr(reports[1]) == repr(reports[2])  # NaN != NaN
+    witnesses = {it.witness for it in reports[0].items} - {""}
+    assert witnesses == {"forced_z"} if not perturb else len(witnesses) >= 3
+
+
+def test_random_suite_refines_only_the_near_equality_rows(monkeypatch):
+    # w = z attains every check, so its row alone is re-derived in clongdouble
+    calls = []
+    sides = search._suite_sides
+
+    def spy(b, params, order, prod, dtype):
+        calls.append((dtype, len(b)))
+        return sides(b, params, order, prod, dtype)
+
+    monkeypatch.setattr(search, "_suite_sides", spy)
+    rep = random_schwarz_suite(ClassParams(-0.5), seed=7, count=300, order=8)
+    assert [c for c in calls if c[0] is not complex] == [(np.clongdouble, 1)]
+    assert {it.witness for it in rep.items} == {"forced_z"}
 
 
 def test_random_suite_deterministic():

@@ -204,6 +204,29 @@ def test_recursion_kernel_complex_and_clongdouble_agree():
             assert abs(complex(x) - complex(y)) <= 1e-12 * max(1.0, abs(complex(y)))
 
 
+def test_recursion_kernel_rows_match_the_scalar_loop():
+    # one numpy reduction per n over all rows; the reference is the scalar
+    # loop, which sums in another order, so the tolerance is a few ulps
+    params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
+    qn = q_numbers(params.zeta, 16)
+    dv = check_divisors(params.zeta, qn)
+    rng = np.random.default_rng(7)
+    b = np.array([random_schwarz(rng, order=16).series.coeffs for _ in range(30)])
+    for dtype, tol in ((complex, 1e-13), (np.clongdouble, 1e-16)):
+        rows = recursion_coeffs(b, qn, dv, params.alpha, dtype)
+        assert rows.shape == (30, 17) and rows.dtype == dtype
+        for row, bb in zip(rows, b):
+            w = [dtype(1.0 - 2.0 * params.alpha) + dtype(v) for v in qn]
+            a = [dtype(0), dtype(1)]
+            for n in range(2, 17):
+                acc = dtype(0)
+                for k in range(1, n):
+                    acc = acc + dtype(bb[n - k]) * w[k - 1] * a[k]
+                a.append(acc / dtype(dv[n - 1]))
+            for x, y in zip(row, a):
+                assert abs(x - y) <= tol * max(1.0, abs(y))
+
+
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(OutOfRange):
         StarlikeFunction.from_coeffs([1.0, complex(math.nan, 0.0)], Q_HALF)
