@@ -8,9 +8,10 @@ verify      sharpness suites (hankel / toeplitz / initial / parseval / all)
 membership  grid margin of Re(z D_zeta f / f) - alpha for a coefficient file
 y           the disk maximum |a + b z + c z^2| + 1 - |z|^2, closed and grid
 
-Shared flags: --format {csv,json} (default csv), --seed (default 0),
---order (default 32), --out (default stdout).  Complex parameters are given
-as --zeta re,im; --q x is shorthand for --zeta x,0 --alpha 0.
+Shared flags: --format {csv,json} (default csv), --out (default stdout).
+extremal takes its order as --n (default 32); verify takes --seed (default 0)
+and the randomized suite's --order (2..8, default 8).  Complex parameters are
+given as --zeta re,im; --q x is shorthand for --zeta x,0 --alpha 0.
 
 Exit codes: 0 success, 1 any verification verdict VIOLATION (or a failed
 --self-check), 2 usage or domain errors.  Output is byte-stable for fixed
@@ -158,16 +159,17 @@ def _extremal_series(params: ClassParams, order: int, method: str) -> StarlikeFu
 
 def _cmd_extremal(args) -> int:
     params = _parse_zeta(args)
-    n = args.n if args.n is not None else args.order
+    n = args.n
+    routes = ("recursion", "product", "formula") if args.self_check else (args.method,)
+    funcs = {m: _extremal_series(params, n, m) for m in routes}
     if args.self_check:
-        funcs = [_extremal_series(params, n, m) for m in ("recursion", "product", "formula")]
         for k in range(1, n + 1):
-            vals = [f.coeff(k) for f in funcs]
+            vals = [f.coeff(k) for f in funcs.values()]
             scale = max(max(abs(v) for v in vals), 1.0)
             if max(abs(vals[0] - vals[1]), abs(vals[0] - vals[2])) > 1e-9 * scale:
                 sys.stderr.write(f"self-check failed at n={k}: {vals}\n")
                 return 1
-    f = _extremal_series(params, n, args.method)
+    f = funcs[args.method]
     coeffs = [f.coeff(k) for k in range(1, n + 1)]
     if args.format == "json":
         payload = {
@@ -187,6 +189,10 @@ def _cmd_extremal(args) -> int:
     return 0
 
 
+#: the randomized suite's highest order: beyond it the coefficients of small
+#: |zeta| overflow double precision and read as violations
+_SUITE_MAX_ORDER = 8
+
 _SUITES = {
     "initial": [FunctionalId.ABS_A2, FunctionalId.ABS_A3, FunctionalId.ABS_A4],
     "hankel": [FunctionalId.FEKETE_A2A3_A4, FunctionalId.H1_2, FunctionalId.H2_2],
@@ -196,6 +202,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if not 2 <= args.order <= _SUITE_MAX_ORDER:
+        raise QStarError(f"--order = {args.order} outside 2..{_SUITE_MAX_ORDER}")
     grid, levels = _GRIDS[args.grid]
     qs = args.q or [0.5]
     reports = []
@@ -203,7 +211,7 @@ def _cmd_verify(args) -> int:
         params = _parse_zeta(args)
         reports.append(
             random_schwarz_suite(params, seed=args.seed, count=args.count,
-                                 depth=5, order=min(args.order, 8))
+                                 depth=5, order=args.order)
         )
     else:
         reports.append(
@@ -214,7 +222,7 @@ def _cmd_verify(args) -> int:
         for q in qs:
             reports.append(
                 random_schwarz_suite(ClassParams(complex(q, 0.0)), seed=args.seed,
-                                     count=args.count, depth=5, order=min(args.order, 8))
+                                     count=args.count, depth=5, order=args.order)
             )
     merged = VerificationReport(
         tuple(it for rep in reports for it in rep.items), args.seed
@@ -278,8 +286,6 @@ def _cmd_y(args) -> int:
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=32)
     p.add_argument("--out", default=None)
 
 
@@ -301,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float)
     p.add_argument("--zeta", type=str)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=32)
     p.add_argument("--method", choices=("recursion", "product", "formula"),
                    default="recursion")
     p.add_argument("--self-check", action="store_true", dest="self_check")
@@ -316,6 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=str)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--count", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--order", type=int, default=_SUITE_MAX_ORDER)
     _add_shared(p)
     p.set_defaults(func=_cmd_verify)
 

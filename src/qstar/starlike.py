@@ -21,7 +21,9 @@ with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product
 
     f(z) = z * prod_{k>=0} (zeta - zeta^(k+1) z) / (zeta - zeta^k s z),
 
-whose n-th coefficient also equals the telescoped product
+whose logarithm sums over k in closed form (:func:`extremal_product` takes
+the exponential of that series) and whose n-th coefficient also equals the
+telescoped product
 
     a_n = prod_{k=2}^{n} ((1 - 2 alpha) + [k-1]) / ([k] - 1).
 
@@ -32,7 +34,6 @@ a_n e^{i (n-1) t} and stays in S*_zeta(alpha); :func:`rotate` applies it.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,6 @@ from .errors import DenominatorVanished, InvalidSchwarz, OutOfRange
 from .schwarz import MARGIN_TOL, SchwarzSeries, schur_test
 from .series import DEGENERATE_TOL, ClassParams, PowerSeries, check_divisors
 from .series import exp_series, one_minus_power, q_numbers
-
-#: Factor cap for the direct extremal product; the remaining factors are
-#: aggregated exactly in log space (their geometric sums are closed forms).
-_PRODUCT_FACTOR_CAP = 64
-
 
 @dataclass(frozen=True)
 class StarlikeFunction:
@@ -99,9 +95,11 @@ def recursion_coeffs(b, qn, dv, alpha: float, dtype) -> np.ndarray:
     div = np.asarray(dv, dtype=dtype)
     a = np.zeros(b.shape[:-1] + (n_max + 1,), dtype=dtype)
     a[..., 1] = 1.0
-    for n in range(2, n_max + 1):
-        acc = (b[..., n - 1:0:-1] * weight[:n - 1] * a[..., 1:n]).sum(axis=-1)
-        a[..., n] = acc / div[n - 1]
+    # an overflow surfaces as a non-finite coefficient, which the caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, n_max + 1):
+            acc = (b[..., n - 1:0:-1] * weight[:n - 1] * a[..., 1:n]).sum(axis=-1)
+            a[..., n] = acc / div[n - 1]
     return a
 
 
@@ -154,19 +152,21 @@ def initial_coeffs_closed(b1, b2, b3, q: float) -> tuple:
 
 
 def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
-    """The extremal function as a truncated product of rational factors.
+    """The extremal function as the exponential of its closed-form logarithm.
 
     f(z)/z is the product over k >= 0 of the normalized factors
 
         (1 - zeta^k z) / (1 - zeta^(k-1) s z),
 
     with s = 1 + (1 - zeta)(1 - 2 alpha); the k = 0 denominator carries
-    zeta^(-1), which is where the leading 2/zeta in a2 comes from.  Direct
-    multiplication runs through K factors, K chosen so |zeta|^K (2 + |zeta|)
-    < 1e-16.  For |zeta| near 1 that K explodes, so direct multiplication
-    stops at 64 factors and the remaining tail is folded in exactly through
-    its logarithm, whose coefficients are geometric sums in closed form.
-    Requires 0 < |zeta| < 1.
+    zeta^(-1), which is where the leading 2/zeta in a2 comes from.  Summed
+    over every k >= 0, the logarithm of that product is a geometric series in
+    zeta^k with the z^m coefficient
+
+        zeta^(-m) (s^m - zeta^m) / (m (1 - zeta^m)),
+
+    so f/z is one :func:`qstar.series.exp_series` of it, with no truncation
+    of the factor count.  Requires 0 < |zeta| < 1.
     """
     if order < 1:
         raise OutOfRange(f"order = {order} must be >= 1")
@@ -175,39 +175,15 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
     if r == 0.0 or r >= 1.0:
         raise OutOfRange(f"extremal product needs 0 < |zeta| < 1, got {zeta}")
     s = 1.0 + (1.0 - zeta) * (1.0 - 2.0 * params.alpha)
-    k_rule = max(1, math.ceil(math.log(1e-16 / (2.0 + r)) / math.log(r)))
-    k_direct = min(k_rule, _PRODUCT_FACTOR_CAP)
-
-    n = order - 1  # work on f/z, whose constant term is 1
-    p = [1.0 + 0j] + [0j] * n
-    num_c = -1.0 + 0j  # -zeta^k, starting at k = 0
-    den_c = -s / zeta  # -s * zeta^(k-1), starting at k = 0
-    for _ in range(k_direct):
-        # multiply by (1 + num_c z), then divide by (1 + den_c z)
-        for m in range(n, 0, -1):
-            p[m] += num_c * p[m - 1]
-        for m in range(1, n + 1):
-            p[m] -= den_c * p[m - 1]
-        num_c *= zeta
-        den_c *= zeta
-
-    if k_direct < k_rule:
-        # log of the tail product over k >= K := k_direct, coefficient of z^m:
-        #   zeta^((K-1) m) (s^m - zeta^m) / (m (1 - zeta^m))
-        zK = zeta ** (k_direct - 1)
-        log_tail = [0j]
-        sm = 1.0 + 0j
-        zm = 1.0 + 0j
-        zKm = 1.0 + 0j
-        for m in range(1, n + 1):
-            sm *= s
-            zm *= zeta
-            zKm *= zK
-            log_tail.append(zKm * (sm - zm) / (m * one_minus_power(zeta, m)))
-        tail = exp_series(PowerSeries(tuple(log_tail)))
-        p = (PowerSeries(tuple(p)) * tail).coeffs
-
-    coeffs = (0j,) + tuple(p)
+    inv = 1.0 / zeta
+    log_f = [0j]  # log(f/z); f/z has constant term 1
+    sm = zm = inv_m = 1.0 + 0j
+    for m in range(1, order):
+        sm *= s
+        zm *= zeta
+        inv_m *= inv
+        log_f.append(inv_m * (sm - zm) / (m * one_minus_power(zeta, m)))
+    coeffs = (0j,) + exp_series(PowerSeries(tuple(log_f))).coeffs
     return StarlikeFunction(PowerSeries(coeffs), params, source="product")
 
 

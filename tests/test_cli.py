@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qstar
 from qstar.cli import run
 from qstar.search import Q_MIN
 
@@ -86,6 +89,15 @@ def test_extremal_self_check_at_tiny_q(capsys):
     assert a2 == pytest.approx(2e9, rel=1e-12)
 
 
+def test_extremal_self_check_near_minus_one(capsys):
+    # arg zeta just short of pi with |zeta| near 1: all three routes agree
+    argv = ("extremal", "--zeta=-0.999,0.01", "--n", "64", "--method", "product")
+    code, out, err = run_cli(capsys, *argv, "--self-check")
+    assert code == 0
+    assert err == ""
+    assert run_cli(capsys, *argv) == (0, out, "")
+
+
 def test_extremal_complex_zeta_json(capsys):
     code, out, _ = run_cli(
         capsys, "extremal", "--zeta", "0.0,0.9", "--alpha", "0.25",
@@ -145,6 +157,14 @@ def test_verify_parseval_exit_zero(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(it["verdict"] != "VIOLATION" for it in payload["items"])
+
+
+def test_verify_parseval_default_order_is_8(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "parseval", "--q", "0.5",
+                           "--count", "20")
+    assert code == 0
+    # three checks for each n = 2 .. 8
+    assert len(out.strip().splitlines()) == 1 + 21
 
 
 def test_verify_parseval_small_zeta_no_rounding_violation(capsys):
@@ -238,6 +258,8 @@ def test_y_verb_skips_closed_form_when_ac_negative(capsys):
         ("verify", "--suite", "parseval", "--q", "0.5", "--count", "-1"),
         ("bounds", "--q", "1e-60"),  # q**7 underflows to 0
         ("bounds", "--q", "1e-45", "--format", "json"),  # a bound overflows to inf
+        ("extremal", "--q", "1e-5", "--n", "64"),  # the recursion overflows
+        ("verify", "--suite", "parseval", "--q", "0.5", "--order", "9"),
     ],
 )
 def test_bad_input_exits_2_with_no_output(capsys, argv):
@@ -311,6 +333,9 @@ def test_usage_error_exit_code(capsys):
     assert run(["bogus-verb"]) == 2
     assert run([]) == 2
     assert run(["extremal"]) == 2  # missing --q/--zeta
+    # each verb takes only the flags it reads
+    assert run(["bounds", "--seed", "1"]) == 2
+    assert run(["extremal", "--q", "0.5", "--order", "8"]) == 2
 
 
 def test_out_file(tmp_path, capsys):
@@ -322,10 +347,14 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child imports qstar from where this process did, installed or not
+    src = str(Path(qstar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qstar", "bounds", "--q", "0.5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("functional,q,case,bound")

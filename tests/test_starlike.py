@@ -149,6 +149,34 @@ def test_extremal_product_koebe_limit():
         assert abs(abs(f.coeff(n)) - n) <= 1e-4 * n
 
 
+@pytest.mark.parametrize("radius", [0.3, 0.9, 0.995, 0.999, 0.9999])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi - 0.03, math.pi - 0.01, math.pi])
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+def test_extremal_product_matches_formula_near_minus_one(radius, theta, alpha):
+    # arg zeta just short of pi at |zeta| near 1 is the hardest case for the
+    # product at order 64; the scale is extremal --self-check's max(|a_n|, 1)
+    params = ClassParams(cmath.rect(radius, theta), alpha)
+    prod = extremal_product(params, 64)
+    form = extremal_by_formula(params, 64)
+    for n in range(1, 65):
+        assert abs(prod.coeff(n) - form.coeff(n)) <= 1e-10 * max(abs(form.coeff(n)), 1.0), n
+
+
+def test_extremal_product_route_is_independent(monkeypatch):
+    # extremal --self-check compares three routes; the product must not
+    # borrow the q-numbers, the divisor check, the recursion or the formula
+    params = ClassParams(0.3 + 0.6j, 0.25)
+    expected = extremal_product(params, 16)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product route called another route")
+
+    for name in ("q_numbers", "check_divisors", "recursion_coeffs",
+                 "coeffs_from_schwarz", "extremal_factors", "extremal_by_formula"):
+        monkeypatch.setattr(starlike, name, forbidden)
+    assert extremal_product(params, 16) == expected
+
+
 def test_extremal_formula_examples():
     assert abs(extremal_coeff_formula(ClassParams(0.3), 2) - 2.0 / 0.3) <= 1e-12
     assert abs(extremal_coeff_formula(Q_HALF, 4) - 880.0 / 21.0) <= 1e-12
