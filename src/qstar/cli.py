@@ -40,6 +40,7 @@ from .functionals import FunctionalId
 from .search import (
     GRID_IDS,
     ROTATED_IDS,
+    SUITE_MAX_ORDER,
     GridSpec,
     VerificationReport,
     random_schwarz_suite,
@@ -189,10 +190,6 @@ def _cmd_extremal(args) -> int:
     return 0
 
 
-#: the randomized suite's highest order: beyond it the coefficients of small
-#: |zeta| overflow double precision and read as violations
-_SUITE_MAX_ORDER = 8
-
 _SUITES = {
     "initial": [FunctionalId.ABS_A2, FunctionalId.ABS_A3, FunctionalId.ABS_A4],
     "hankel": [FunctionalId.FEKETE_A2A3_A4, FunctionalId.H1_2, FunctionalId.H2_2],
@@ -202,8 +199,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    if not 2 <= args.order <= _SUITE_MAX_ORDER:
-        raise QStarError(f"--order = {args.order} outside 2..{_SUITE_MAX_ORDER}")
+    if not 2 <= args.order <= SUITE_MAX_ORDER:
+        raise QStarError(f"--order = {args.order} outside 2..{SUITE_MAX_ORDER}")
     grid, levels = _GRIDS[args.grid]
     qs = args.q or [0.5]
     reports = []
@@ -323,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=_SUITE_MAX_ORDER)
+    p.add_argument("--order", type=int, default=SUITE_MAX_ORDER)
     _add_shared(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -14,7 +14,7 @@ class DivisorNearZero(QStarError):
 
 
 class InnerNotVanishing(QStarError):
-    """Series composition attempted with an inner series where inner(0) != 0."""
+    """exp_series called on a series g whose constant term g(0) is not 0."""
 
 
 class InvalidParams(QStarError):

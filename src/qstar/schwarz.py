@@ -1,4 +1,4 @@
-"""Schwarz-class functions, Schur parameters, and Caratheodory conversions.
+"""Schwarz-class functions and their Schur parameters.
 
 The Schwarz class B0 consists of analytic self-maps of the unit disk fixing
 the origin, ``w(z) = b1 z + b2 z**2 + ...`` with |w| < 1.  Every such
@@ -18,15 +18,9 @@ Expanding the chain shows the first coefficients in terms of the parameters
 which for real b1 is exactly the classical (b1, x, y) parameterization of the
 first three Schwarz coefficients; :func:`schwarz_b2b3` evaluates it directly.
 A unit-modulus parameter makes tau constant, so the chain terminates there: a
-finite Blaschke-type function, and in particular b1 = 1 forces w(z) = z.
-
-The Caratheodory class P (p(0) = 1, Re p > 0) is linked to B0 through the
-Cayley-type transform p = (1 + w)/(1 - w); comparing coefficients,
-
-    2 b1 = p1,   4 b2 = 2 p2 - p1**2,   8 b3 = 4 p3 - 4 p1 p2 + p1**3.
-
-:func:`caratheodory_p2p3` carries the matching disk parameterization of
-(p2, p3) in terms of (p1, x, y) with p1 in [0, 2].
+finite Blaschke product, whose later coefficients are all fixed, and in
+particular b1 = 1 forces w(z) = z.  :func:`schur_rows` runs the chain forward
+and :func:`schur_test` runs it backward, reading the parameters off a series.
 """
 
 from __future__ import annotations
@@ -67,15 +61,6 @@ class SchurParams:
                 raise InvalidParams(f"|gamma_{k}| = {abs(g)} is not at most 1")
         object.__setattr__(self, "gammas", gammas)
 
-    def effective(self) -> tuple:
-        """The prefix actually used: up to the first unit-modulus parameter."""
-        out = []
-        for g in self.gammas:
-            out.append(g)
-            if abs(g) >= 1.0 - UNIT_TOL:
-                break
-        return tuple(out)
-
     def __len__(self):
         return len(self.gammas)
 
@@ -94,26 +79,6 @@ class SchwarzSeries:
             raise InvalidSchwarz(f"|b1| = {abs(self.series.coeffs[1])} exceeds 1")
         if self.provenance not in ("schur", "canonical", "raw"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-
-    @property
-    def order(self) -> int:
-        return self.series.order
-
-    def coeff(self, n: int) -> complex:
-        return self.series.coeffs[n]
-
-
-@dataclass(frozen=True)
-class CaratheodorySeries:
-    """A truncated expansion of a positive-real-part function (c0 = 1)."""
-
-    series: PowerSeries
-
-    def __post_init__(self):
-        if self.series.coeffs[0] != 1:
-            raise OutOfRange(f"p(0) = {self.series.coeffs[0]} must be 1")
-        if self.series.order >= 1 and abs(self.series.coeffs[1]) > 2.0 + 1e-9:
-            raise OutOfRange(f"|p1| = {abs(self.series.coeffs[1])} exceeds 2")
 
     @property
     def order(self) -> int:
@@ -145,7 +110,7 @@ def schur_rows(gammas, order: int) -> np.ndarray:
     division by 1 + conj(g) z phi, one numpy operation per coefficient index
     over all rows.  From a row's first parameter with |g| >= 1 - UNIT_TOL on,
     phi is the constant g (tau_g is constant there), so later parameters are
-    ignored, as :meth:`SchurParams.effective` states.
+    ignored.
     """
     if order < 1:
         raise OutOfRange(f"order = {order} must be >= 1")
@@ -177,34 +142,43 @@ def schur_rows(gammas, order: int) -> np.ndarray:
 def schur_test(w) -> tuple:
     """Run the Schur recursion on a truncated series; report the parameters.
 
-    Returns ``(gammas, margin)`` with ``margin = 1 - max_k |gamma_k|``.  A
-    margin >= -MARGIN_TOL is the acceptance threshold used downstream.  On
-    truncated data this is a necessary condition for membership in B0 only:
-    the tail of the true function is invisible at finite order.
+    Each step inverts one step of :func:`schur_rows` on the coefficient
+    array, phi <- ((phi - g) / z) / (1 - conj(g) phi), a truncated long
+    division with one dot product per index.  Returns ``(gammas, margin)``
+    with ``margin = 1 - max_k |gamma_k|``.  The chain stops at the first
+    |g| >= 1 - UNIT_TOL; there w must be a Blaschke product, so phi must be
+    the constant g, and a remainder phi - g that does not vanish lowers the
+    margin to -max_k |phi_k - g delta_k0|.  A margin >= -MARGIN_TOL is the
+    acceptance threshold used downstream.  On truncated data this is a
+    necessary condition for membership in B0 only: the tail of the true
+    function is invisible at finite order.
 
     Never raises on bad input; an out-of-disk parameter simply produces a
-    negative margin (e.g. ``w = 2z`` reports margin -1).
+    negative margin (e.g. ``w = 2z`` reports margin -1), and a division that
+    blows up after a near-unit parameter reads as |g| > 1 or a NaN margin.
     """
     series = w.series if isinstance(w, SchwarzSeries) else w
     if abs(series.coeffs[0]) > 1e-14:
         raise InvalidSchwarz(f"w(0) = {series.coeffs[0]} must be 0")
     if series.order == 0:
         return (0j,), 1.0
-    phi = PowerSeries(series.coeffs[1:])
-    gammas = []
-    worst = 0.0
-    while True:
-        g = phi.coeffs[0]
-        gammas.append(g)
-        worst = max(worst, abs(g))
-        if abs(g) >= 1.0 - UNIT_TOL:
-            break  # chain terminated (or invalid); transform would be singular
-        if phi.order == 0:
-            break
-        num = phi - PowerSeries.constant(g, phi.order)
-        den = phi * (-g.conjugate()) + PowerSeries.constant(1.0, phi.order)
-        phi = (num / den).shift(-1)
-    return tuple(gammas), 1.0 - worst
+    phi = np.array(series.coeffs[1:], dtype=complex)
+    gammas = [complex(phi[0])]
+    while abs(gammas[-1]) < 1.0 - UNIT_TOL and len(phi) > 1:  # False for NaN
+        den = -gammas[-1].conjugate() * phi  # 1 - conj(g) phi
+        den[0] += 1.0
+        out = np.empty(len(phi) - 1, dtype=complex)
+        with np.errstate(all="ignore"):  # a blow-up reads as |g| > 1 or NaN
+            out[0] = phi[1] / den[0]
+            for m in range(1, len(out)):
+                out[m] = (phi[m + 1] - den[1:m + 1] @ out[m - 1::-1]) / den[0]
+        phi = out
+        gammas.append(complex(phi[0]))
+    # |phi| beyond its constant term is the remainder left after a unit g,
+    # which must vanish; the last g goes first, so a NaN one carries over
+    r = np.abs(phi)
+    r[0] = max([r[0], *map(abs, gammas[:-1])]) - 1.0
+    return tuple(gammas), float(0.0 - r.max())
 
 
 def schwarz_b2b3(b1: float, x, y) -> tuple:
@@ -224,38 +198,6 @@ def schwarz_b2b3(b1: float, x, y) -> tuple:
     return b2, b3
 
 
-def caratheodory_p2p3(p1: float, x, y) -> tuple:
-    """(p2, p3) of a Caratheodory function from (p1, x, y), p1 in [0, 2].
-
-    2 p2 = p1^2 + x (4 - p1^2),
-    4 p3 = p1^3 + 2 (4 - p1^2) p1 x - p1 (4 - p1^2) x^2
-           + 2 (4 - p1^2)(1 - |x|^2) y.
-
-    p1 = 0 is accepted as the boundary case of the usual p1 > 0 assumption.
-    """
-    p1 = _real_in(p1, 0.0, 2.0, "p1")
-    x = _disk(x, "x")
-    y = _disk(y, "y")
-    s = 4.0 - p1 * p1
-    p2 = (p1 * p1 + x * s) / 2.0
-    p3 = (p1**3 + 2.0 * s * p1 * x - p1 * s * x * x + 2.0 * s * (1.0 - abs(x) ** 2) * y) / 4.0
-    return p2, p3
-
-
-def schwarz_to_caratheodory(w: SchwarzSeries) -> CaratheodorySeries:
-    """p = (1 + w) / (1 - w)."""
-    s = w.series
-    one = PowerSeries.constant(1.0, s.order)
-    return CaratheodorySeries((one + s) / (one - s))
-
-
-def caratheodory_to_schwarz(p: CaratheodorySeries) -> SchwarzSeries:
-    """w = (p - 1) / (p + 1); round trip with the forward map is identity."""
-    s = p.series
-    one = PowerSeries.constant(1.0, s.order)
-    return SchwarzSeries((s - one) / (s + one))
-
-
 def canonical_schwarz(kind: str, order: int, *, x=None, b1=None) -> SchwarzSeries:
     """Named Schwarz functions used as extremal witnesses.
 
@@ -263,9 +205,8 @@ def canonical_schwarz(kind: str, order: int, *, x=None, b1=None) -> SchwarzSerie
     kind = "x_zsquared":      w(z) = x z**2 for |x| <= 1.
     kind = "blaschke_remark": w(z) = z (z - b1) / (b1 z - 1) for b1 in [0, 1];
         has b1(w) = b1 and b2 = -(1 - b1^2), the x = -1 case of the triple
-        parameterization.  (The function z (2z - p1) / (p1 z - 2) with
-        p1 = 2 b1 realizes the same Caratheodory data and is the other
-        admissible choice; it is not constructed here.)
+        parameterization; its series is the closed form
+        b1 z - (1 - b1^2) sum_{k>=2} b1^(k-2) z^k.
     """
     if order < 1:
         raise OutOfRange(f"order = {order} must be >= 1")
@@ -284,9 +225,8 @@ def canonical_schwarz(kind: str, order: int, *, x=None, b1=None) -> SchwarzSerie
         if b1 is None:
             raise OutOfRange("blaschke_remark requires the parameter b1")
         b1 = _real_in(b1, 0.0, 1.0, "b1")
-        num = PowerSeries.from_coeffs([0.0, -b1, 1.0], order)
-        den = PowerSeries.from_coeffs([-1.0, b1], order)
-        return SchwarzSeries((num / den).resize(order), provenance="canonical")
+        tail = [-(1.0 - b1 * b1) * b1 ** (k - 2) for k in range(2, order + 1)]
+        return SchwarzSeries(PowerSeries((0.0, b1, *tail)), provenance="canonical")
     raise OutOfRange(f"unknown canonical kind {kind!r}")
 
 
@@ -321,14 +261,10 @@ def _disk(value, name):
 __all__ = [
     "SchurParams",
     "SchwarzSeries",
-    "CaratheodorySeries",
     "schur_expand",
     "schur_rows",
     "schur_test",
     "schwarz_b2b3",
-    "caratheodory_p2p3",
-    "schwarz_to_caratheodory",
-    "caratheodory_to_schwarz",
     "canonical_schwarz",
     "UNIT_TOL",
     "MARGIN_TOL",

@@ -422,6 +422,11 @@ _CHUNK_SAMPLES = 1 << 7
 #: in clongdouble
 _REFINE_TOL = 1e-6
 
+#: the random suite's highest order (its lowest is 2): beyond it the
+#: coefficients of small |zeta| overflow double precision and read as
+#: violations
+SUITE_MAX_ORDER = 8
+
 #: the suite's checks, in report order; product is skipped without its hypothesis
 _CHECKS = ("chain", "parseval", "product")
 
@@ -521,7 +526,8 @@ def random_schwarz_suite(
 
     Draws ``count`` Schur tuples of length ``depth`` (after the forced samples
     w = 0 and w = z), builds each member through the coefficient recursion,
-    and tests for every 2 <= n <= order:
+    and tests for every 2 <= n <= order, where order lies in
+    2..SUITE_MAX_ORDER:
 
       chain[n]     sum_{k<=n} |[k]-1|^2 |a_k|^2
                      <= sum_{k<=n-1} |(1-2a)+[k]|^2 |a_k|^2
@@ -548,6 +554,8 @@ def random_schwarz_suite(
         raise OutOfRange(f"count = {count} must be >= 0")
     if not 0 <= seed < 1 << 128:
         raise OutOfRange(f"seed = {seed} outside [0, 2**128)")
+    if not 2 <= order <= SUITE_MAX_ORDER:
+        raise OutOfRange(f"order = {order} outside 2..{SUITE_MAX_ORDER}")
     zeta, alpha = params.zeta, params.alpha
     try:
         check_divisors(zeta, q_numbers(zeta, order))
@@ -663,6 +671,7 @@ __all__ = [
     "VIOLATION_TOL",
     "ATTAIN_TOL",
     "Q_MIN",
+    "SUITE_MAX_ORDER",
     "ROTATED_IDS",
     "GRID_IDS",
 ]

@@ -1,25 +1,23 @@
-"""Truncated complex power series and the q-calculus operators built on them.
+"""Truncated complex power series and the q-numbers of the class.
 
 A :class:`PowerSeries` holds the Taylor coefficients ``c[0] .. c[N]`` of an
-analytic function about 0.  All arithmetic is strictly truncated at the shared
-order ``N``: products are truncated Cauchy products, quotients come from
-truncated long division, and no operation ever reads or writes past index
-``N``.  Truncating the exact product of two polynomials of degree <= N/2 is
-therefore identical to multiplying them at order ``N``.
+analytic function about 0.  Its products are truncated Cauchy products and its
+quotients come from truncated long division, both strictly at the shared order
+``N``: no operation ever reads or writes past index ``N``.  Truncating the
+exact product of two polynomials of degree <= N/2 is therefore identical to
+multiplying them at order ``N``.  :func:`exp_series` is the one transcendental
+operation (the extremal product is the exponential of a closed-form series).
 
-On top of the series engine the module provides the q-calculus pieces used
-everywhere else:
+The q-calculus pieces used everywhere else:
 
 * ``q_numbers(zeta, order)`` -- the generalized integers ``[1] .. [order]``,
   ``[n] = 1 + zeta + ... + zeta**(n-1)``, summed directly so that ``zeta = 1``
-  gives exactly ``n``; ``check_divisors`` forms the divisors ``[n] - 1`` of
-  the coefficient recursion and product as ``zeta * [n-1]`` (the subtraction
-  cancels for small |zeta|) and is the one test that they are away from 0;
-* ``q_difference(f, zeta)`` -- the difference operator that scales the n-th
-  coefficient by ``q_number(n, zeta)``, reducing to the Jackson q-derivative
-  for real ``zeta`` in (0, 1) and to ``f'`` as ``zeta -> 1``;
-* ``q_kernel(zeta, order)`` -- the convolution kernel ``z/((1-zeta*z)(1-z))``
-  whose Hadamard product with ``f`` realizes the same operator.
+  gives exactly ``n``.  The q-difference operator D_zeta of the class scales
+  the n-th coefficient by ``[n]``; it is the Jackson q-derivative for real
+  ``zeta`` in (0, 1) and ``f'`` as ``zeta -> 1``;
+* ``check_divisors`` forms the divisors ``[n] - 1`` of the coefficient
+  recursion and product as ``zeta * [n-1]`` (the subtraction cancels for
+  small |zeta|) and is the one test that they are away from 0.
 
 Instances are immutable values; every operation is a pure function, so series
 can be shared freely between concurrent workers.
@@ -38,7 +36,7 @@ DIVISOR_TOL = 1e-12
 #: |[n] - 1| at or below this counts as a degenerate divisor [n] - 1.
 DEGENERATE_TOL = 1e-12
 
-#: compose() demands |inner(0)| below this.
+#: exp_series() demands |g(0)| below this.
 INNER_TOL = 1e-14
 
 
@@ -48,7 +46,7 @@ class PowerSeries:
 
     ``coeffs`` is normalized to a tuple of ``complex``; the order is implied
     by its length.  Binary operations require both operands to carry the same
-    order -- callers truncate or pad explicitly with :meth:`resize` first.
+    order; :meth:`from_coeffs` truncates or zero-pads to one.
     """
 
     coeffs: tuple
@@ -101,55 +99,14 @@ class PowerSeries:
     def __getitem__(self, n):
         return self.coeffs[n]
 
-    def resize(self, order: int) -> "PowerSeries":
-        """Truncate, or zero-pad (treating unknown tail coefficients as 0)."""
-        if order == self.order:
-            return self
-        return PowerSeries.from_coeffs(self.coeffs, order)
-
-    def shift(self, k: int) -> "PowerSeries":
-        """Multiply by ``z**k`` (k > 0, order kept, top coefficients drop) or
-        divide by ``z**(-k)`` (k < 0, order shrinks; the low coefficients must
-        vanish)."""
-        if k == 0:
-            return self
-        if k > 0:
-            if k > self.order:
-                return PowerSeries.constant(0.0, self.order)
-            return PowerSeries((0j,) * k + self.coeffs[: len(self.coeffs) - k])
-        m = -k
-        if m > self.order:
-            raise ValueError("cannot shift below the constant term")
-        if any(abs(c) > INNER_TOL for c in self.coeffs[:m]):
-            raise ValueError("shift(-k) requires the low coefficients to vanish")
-        return PowerSeries(self.coeffs[m:])
-
     # ------------------------------------------------------------------
     # arithmetic
 
     def _same_order(self, other: "PowerSeries") -> None:
         if self.order != other.order:
             raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}; resize first"
+                f"order mismatch: {self.order} vs {other.order}"
             )
-
-    def __add__(self, other):
-        other = _coerce(other, self.order)
-        self._same_order(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other, self.order)
-        self._same_order(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.order) - self
-
-    def __neg__(self):
-        return PowerSeries(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -166,22 +123,6 @@ class PowerSeries:
         return PowerSeries(tuple(out))
 
     __rmul__ = __mul__
-
-    def reciprocal(self) -> "PowerSeries":
-        """Truncated ``1/self``; requires ``|self(0)| > DIVISOR_TOL``."""
-        a = self.coeffs
-        if abs(a[0]) <= DIVISOR_TOL:
-            raise DivisorNearZero(f"constant term {a[0]} below {DIVISOR_TOL}")
-        n = self.order
-        inv0 = 1.0 / a[0]
-        out = [0j] * (n + 1)
-        out[0] = inv0
-        for m in range(1, n + 1):
-            acc = 0j
-            for k in range(1, m + 1):
-                acc += a[k] * out[m - k]
-            out[m] = -inv0 * acc
-        return PowerSeries(tuple(out))
 
     def __truediv__(self, other):
         """Truncated long division ``self / other``."""
@@ -200,54 +141,6 @@ class PowerSeries:
                 acc -= b[k] * out[m - k]
             out[m] = acc / b[0]
         return PowerSeries(tuple(out))
-
-    def __rtruediv__(self, other):
-        return _coerce(other, self.order) / self
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Coefficients of ``self(inner(z))``; needs ``inner(0) = 0``.
-
-        Horner accumulation over truncated powers of ``inner``, which is exact
-        for the retained coefficients precisely because inner has no constant
-        term.
-        """
-        self._same_order(inner)
-        if abs(inner.coeffs[0]) > INNER_TOL:
-            raise InnerNotVanishing(f"inner(0) = {inner.coeffs[0]} != 0")
-        inner = PowerSeries((0j,) + inner.coeffs[1:])
-        order = self.order
-        result = PowerSeries.constant(self.coeffs[order], order)
-        for k in range(order - 1, -1, -1):
-            result = result * inner + PowerSeries.constant(self.coeffs[k], order)
-        return result
-
-    def hadamard(self, other: "PowerSeries") -> "PowerSeries":
-        """Coefficient-wise product (general, no normalization assumed)."""
-        self._same_order(other)
-        return PowerSeries(tuple(a * b for a, b in zip(self.coeffs, other.coeffs)))
-
-    # ------------------------------------------------------------------
-    # evaluation
-
-    def evaluate(self, z) -> complex:
-        """Horner evaluation of the truncated polynomial.
-
-        Meant for |z| <= 1; the truncation error grows quickly with |z|
-        beyond the series' region of convergence.
-        """
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    __call__ = evaluate
-
-
-def _coerce(value, order: int) -> PowerSeries:
-    if isinstance(value, PowerSeries):
-        return value
-    return PowerSeries.constant(value, order)
-
 
 @dataclass(frozen=True)
 class ClassParams:
@@ -295,11 +188,6 @@ def q_numbers(zeta, order: int) -> list:
     return out
 
 
-def q_number(n: int, zeta) -> complex:
-    """The single q-number ``[n]``; the last entry of :func:`q_numbers`."""
-    return q_numbers(zeta, n)[-1]
-
-
 def check_divisors(zeta, qn: list, first: int = 2) -> list:
     """The divisors ``[1] - 1 .. [N] - 1`` for ``qn = [1..N]``, formed as
     ``zeta * [n-1]``, or ``DegenerateDivisor(n)`` at the first n in first..N
@@ -310,31 +198,6 @@ def check_divisors(zeta, qn: list, first: int = 2) -> list:
         if abs(dv[n - 1]) <= DEGENERATE_TOL:
             raise DegenerateDivisor(n)
     return dv
-
-
-def q_difference(f: PowerSeries, zeta) -> PowerSeries:
-    """Series whose z**(n-1) coefficient is ``q_number(n, zeta) * c_n(f)``.
-
-    The constant term of ``f`` is ignored.  For real ``zeta = q`` in (0, 1)
-    this agrees coefficient-wise with the expansion of
-    ``(f(z) - f(qz)) / ((1 - q) z)``, and for ``zeta -> 1`` with ``f'``.
-    """
-    if f.order == 0:
-        return PowerSeries((0j,))
-    qn = q_numbers(zeta, f.order)
-    return PowerSeries(tuple(w * c for w, c in zip(qn, f.coeffs[1:])))
-
-
-def q_kernel(zeta, order: int) -> PowerSeries:
-    """The kernel ``z / ((1 - zeta z)(1 - z))`` truncated at ``order``.
-
-    Its z**n coefficient equals ``q_number(n, zeta)``, so a Hadamard product
-    with this kernel followed by a shift down reproduces :func:`q_difference`.
-    """
-    zeta = complex(zeta)
-    den = PowerSeries.from_coeffs([1.0, -(1.0 + zeta), zeta], order)
-    rec = den.reciprocal()
-    return PowerSeries((0j,) + rec.coeffs[:order])
 
 
 def one_minus_power(zeta, n: int) -> complex:
@@ -363,11 +226,8 @@ def exp_series(g: PowerSeries) -> PowerSeries:
 __all__ = [
     "PowerSeries",
     "ClassParams",
-    "q_number",
     "q_numbers",
     "check_divisors",
-    "q_difference",
-    "q_kernel",
     "one_minus_power",
     "exp_series",
     "DIVISOR_TOL",

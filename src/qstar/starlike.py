@@ -2,7 +2,8 @@
 
 A normalized function f(z) = z + a2 z^2 + ... belongs to S*_zeta(alpha) when
 Re(z D_zeta f / f) > alpha on the unit disk, D_zeta being the q-difference
-operator of :mod:`qstar.series`.  Writing the defining inequality through a
+operator that scales a_n by the q-number [n] = 1 + zeta + ... + zeta^(n-1)
+(:func:`qstar.series.q_numbers`).  Writing the defining inequality through a
 Schwarz function w,
 
     (z D_zeta f / f - alpha) / (1 - alpha) = (1 + w) / (1 - w),
@@ -11,10 +12,10 @@ and comparing coefficients yields the linear recursion
 
     ([n] - 1) a_n = sum_{k=1}^{n-1} b_{n-k} ((1 - 2 alpha) + [k]) a_k,
 
-with a1 = 1 and [n] = q_number(n, zeta).  The recursion is the ground truth
-here; the infinite-product solution for w(z) = z and the closed coefficient
-formula are independent cross-checks of it.  :func:`recursion_coeffs` is the
-one recursion kernel; the randomized suite in :mod:`qstar.search` runs it too.
+with a1 = 1.  The recursion is the ground truth here; the infinite-product
+solution for w(z) = z and the closed coefficient formula are independent
+cross-checks of it.  :func:`recursion_coeffs` is the one recursion kernel;
+the randomized suite in :mod:`qstar.search` runs it too.
 
 For w(z) = z the function satisfies f(zeta z) = f(z) (zeta - s z)/(1 - z)
 with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product
@@ -26,9 +27,6 @@ the exponential of that series) and whose n-th coefficient also equals the
 telescoped product
 
     a_n = prod_{k=2}^{n} ((1 - 2 alpha) + [k-1]) / ([k] - 1).
-
-The class is rotation invariant: e^{-i t} f(e^{i t} z) has coefficients
-a_n e^{i (n-1) t} and stays in S*_zeta(alpha); :func:`rotate` applies it.
 """
 
 from __future__ import annotations
@@ -118,7 +116,7 @@ def coeffs_from_schwarz(
             f"omega carries {omega.order} coefficients; need >= {order - 1}"
         )
     _, margin = schur_test(omega)
-    if margin < -MARGIN_TOL:
+    if not margin >= -MARGIN_TOL:  # also true for a NaN margin
         raise InvalidSchwarz(f"schur_test margin {margin:.3e} below {-MARGIN_TOL}")
     qn = q_numbers(params.zeta, order)
     dv = check_divisors(params.zeta, qn)
@@ -196,16 +194,6 @@ def extremal_factors(params: ClassParams, n: int):
         yield one_m2a + qn[k - 2], dv[k - 1]
 
 
-def extremal_coeff_formula(params: ClassParams, n: int) -> complex:
-    """a_n of the extremal function as a literal product of complex factors.
-
-    prod_{k=2}^{n} ((1 - 2 alpha) + [k-1]) / ([k] - 1); no modulus is taken.
-    """
-    if n < 2:
-        raise OutOfRange(f"n = {n} must be >= 2")
-    return extremal_by_formula(params, n).coeff(n)
-
-
 def extremal_by_formula(params: ClassParams, order: int) -> StarlikeFunction:
     """The extremal function as running products of :func:`extremal_factors`,
     independent of the recursion and of :func:`extremal_product`."""
@@ -215,17 +203,6 @@ def extremal_by_formula(params: ClassParams, order: int) -> StarlikeFunction:
     for num, den in extremal_factors(params, order):
         coeffs.append(coeffs[-1] * (num / den))
     return StarlikeFunction(PowerSeries(tuple(coeffs)), params, source="formula")
-
-
-def rotate(f: StarlikeFunction, theta: float) -> StarlikeFunction:
-    """e^{-i theta} f(e^{i theta} z): coefficients a_n -> a_n e^{i(n-1) theta}."""
-    phase = cmath.exp(1j * theta)
-    coeffs = [0j, 1.0 + 0j]
-    rot = phase
-    for n in range(2, f.order + 1):
-        coeffs.append(f.series.coeffs[n] * rot)
-        rot *= phase
-    return StarlikeFunction(PowerSeries(tuple(coeffs)), f.params, f.source)
 
 
 def membership_margin(
@@ -276,9 +253,7 @@ __all__ = [
     "initial_coeffs_closed",
     "extremal_product",
     "extremal_factors",
-    "extremal_coeff_formula",
     "extremal_by_formula",
-    "rotate",
     "membership_margin",
     "DEGENERATE_TOL",
 ]

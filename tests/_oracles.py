@@ -16,15 +16,6 @@ def frac_series(values, order):
     return out[: order + 1]
 
 
-def frac_mul(a, b):
-    n = len(a) - 1
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a):
-        for j in range(n + 1 - i):
-            out[i + j] += ai * b[j]
-    return out
-
-
 def frac_div(a, b):
     """Long division a/b on exact rationals; b[0] must be nonzero."""
     n = len(a) - 1
@@ -35,17 +26,6 @@ def frac_div(a, b):
             acc -= b[k] * out[m - k]
         out[m] = acc / b[0]
     return out
-
-
-def frac_compose(outer, inner):
-    """outer(inner(z)) with inner[0] == 0, exact rationals."""
-    assert inner[0] == 0
-    n = len(outer) - 1
-    result = frac_series([outer[n]], n)
-    for k in range(n - 1, -1, -1):
-        result = frac_mul(result, inner)
-        result[0] += outer[k]
-    return result
 
 
 def det_permanent_expansion(m):

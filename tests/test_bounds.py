@@ -18,7 +18,7 @@ from qstar import (
     cubic_bound_region,
     disk_quadratic_max_closed,
     disk_quadratic_max_grid,
-    extremal_coeff_formula,
+    extremal_by_formula,
     h2_quadratic_triple,
     parseval_rhs,
     product_bound_applies,
@@ -142,7 +142,8 @@ def test_an_product_is_modulus_of_formula(zeta, alpha):
     params = ClassParams(zeta, alpha)
     for n in range(2, 33):
         bound = bound_value(BoundQuery(AN_PRODUCT, params, n=n))
-        assert bound == pytest.approx(abs(extremal_coeff_formula(params, n)), rel=1e-13)
+        formula = abs(extremal_by_formula(params, n).coeff(n))
+        assert bound == pytest.approx(formula, rel=1e-13)
 
 
 # ----------------------------------------------------------------- parseval

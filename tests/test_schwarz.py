@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qstar import (
-    CaratheodorySeries,
     InvalidParams,
     InvalidSchwarz,
     OutOfRange,
@@ -10,13 +9,10 @@ from qstar import (
     SchurParams,
     SchwarzSeries,
     canonical_schwarz,
-    caratheodory_p2p3,
-    caratheodory_to_schwarz,
     schur_expand,
     schur_rows,
     schur_test,
     schwarz_b2b3,
-    schwarz_to_caratheodory,
 )
 
 from _oracles import GaussFraction, frac_div, frac_series
@@ -151,84 +147,6 @@ def test_schwarz_b2b3_range_checks():
         schwarz_b2b3(0.5, 0, 1 + 1e-6)
 
 
-def test_caratheodory_p2p3_examples():
-    # p1 = 2 collapses every x, y term
-    assert caratheodory_p2p3(2.0, 0.9j, -0.4) == (2.0 + 0j, 2.0 + 0j)
-    # x = -1 gives p2 = p1^2 - 2 regardless of y
-    for p1 in (0.0, 0.7, 1.3, 2.0):
-        p2, _ = caratheodory_p2p3(p1, -1.0, 0.77j)
-        assert abs(p2 - (p1 * p1 - 2.0)) <= 1e-15
-    # direct substitution at (1, 0.5, 0)
-    p2, p3 = caratheodory_p2p3(1.0, 0.5, 0.0)
-    assert abs(p2 - 1.25) <= 1e-15
-    assert abs(p3 - 0.8125) <= 1e-15
-
-
-# ----------------------------------------------------------------- conversion
-
-
-def test_convert_identity_schwarz_gives_half_plane_kernel():
-    w = canonical_schwarz("identity", 6)
-    p = schwarz_to_caratheodory(w)
-    assert p.series.coeffs == (1, 2, 2, 2, 2, 2, 2)
-
-
-def test_convert_zero_gives_one():
-    w = SchwarzSeries(PowerSeries.constant(0.0, 5))
-    p = schwarz_to_caratheodory(w)
-    assert p.series.coeffs == (1, 0, 0, 0, 0, 0)
-
-
-def test_convert_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        g = disk_points(rng, 3)
-        w = schur_expand(SchurParams(tuple(g)), 10)
-        back = caratheodory_to_schwarz(schwarz_to_caratheodory(w))
-        for k in range(11):
-            assert abs(back.series.coeffs[k] - w.series.coeffs[k]) <= 1e-12
-
-
-def test_convert_first_three_coefficient_relations():
-    # 2 b1 = p1, 4 b2 = 2 p2 - p1^2, 8 b3 = 4 p3 - 4 p1 p2 + p1^3
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        g = disk_points(rng, 3)
-        w = schur_expand(SchurParams(tuple(g)), 8)
-        p = schwarz_to_caratheodory(w)
-        b1, b2, b3 = w.coeff(1), w.coeff(2), w.coeff(3)
-        p1, p2, p3 = p.coeff(1), p.coeff(2), p.coeff(3)
-        assert abs(2 * b1 - p1) <= 1e-12
-        assert abs(4 * b2 - (2 * p2 - p1**2)) <= 1e-12
-        assert abs(8 * b3 - (4 * p3 - 4 * p1 * p2 + p1**3)) <= 1e-12
-
-
-def test_convert_known_triple():
-    # (b1, b2, b3) = (0.5, -0.75, -0.375) -> (p1, p2, p3) = (1, -1, -2),
-    # frozen from direct Mobius expansion of (1 + w)/(1 - w)
-    w = schur_expand(SchurParams((0.5, -1.0, 0.7)), 6)
-    p = schwarz_to_caratheodory(w)
-    assert abs(p.coeff(1) - 1.0) <= 1e-12
-    assert abs(p.coeff(2) - (-1.0)) <= 1e-12
-    assert abs(p.coeff(3) - (-2.0)) <= 1e-12
-
-
-def test_cross_parameterization():
-    # caratheodory_p2p3 pushed through the coefficient relations reproduces
-    # schwarz_b2b3 when p1 = 2 b1
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        b1 = rng.uniform(0.0, 1.0)
-        x, y = disk_points(rng, 2)
-        p1 = 2.0 * b1
-        p2, p3 = caratheodory_p2p3(p1, x, y)
-        b2_via = (2.0 * p2 - p1 * p1) / 4.0
-        b3_via = (4.0 * p3 - 4.0 * p1 * p2 + p1**3) / 8.0
-        b2, b3 = schwarz_b2b3(b1, x, y)
-        assert abs(b2 - b2_via) <= 1e-12
-        assert abs(b3 - b3_via) <= 1e-12
-
-
 # ----------------------------------------------------------------- canonical
 
 
@@ -254,6 +172,13 @@ def test_canonical_blaschke_long_division_oracle():
     assert abs(w.coeff(1) - 0.5) <= 1e-15
     assert abs(w.coeff(2) - (-0.75)) <= 1e-15
     assert abs(w.coeff(3) - (-0.375)) <= 1e-15
+    # the closed form against the exact division of the floats' values
+    for b1 in (0.0, 0.1, 0.9, 0.999, 1.0):
+        w = canonical_schwarz("blaschke_remark", 32, b1=b1)
+        exact = frac_div(frac_series([0, -b1, 1], 32), frac_series([-1, b1], 32))
+        assert w.order == 32
+        for k in range(33):
+            assert abs(w.coeff(k) - float(exact[k])) <= 1e-16
 
 
 def test_canonical_blaschke_is_x_minus_one_case():
@@ -284,6 +209,38 @@ def test_schur_test_recovers_terminated_chain():
     assert abs(g[1] - (-1.0)) <= 1e-12
     assert len(g) == 2  # |x| = 1 terminates the chain
     assert margin == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("w", [
+    canonical_schwarz("identity", 16),
+    canonical_schwarz("x_zsquared", 16, x=1j),
+    canonical_schwarz("blaschke_remark", 16, b1=0.0),
+    canonical_schwarz("blaschke_remark", 32, b1=0.5),
+    canonical_schwarz("blaschke_remark", 32, b1=0.95),
+])
+def test_schur_test_terminated_chains_keep_margin_zero(w):
+    # the chain ends in a unit parameter, and the remainder after it is
+    # zero up to rounding
+    assert abs(schur_test(w)[1]) <= 1e-15
+
+
+@pytest.mark.parametrize("b1", [1.0, 1.0 - 1e-13, -1j])
+def test_schur_test_flags_a_tail_after_a_unit_parameter(b1):
+    # a unit parameter makes w the rotation b1 z, so the remainder
+    # 0.5 z^4 + 0.25 z^5 lowers the margin to -max |remainder|
+    w = PowerSeries.from_coeffs([0, b1, 0, 0, 0.5, -0.25], 8)
+    g, margin = schur_test(w)
+    assert g == (b1,)
+    assert margin == -0.5
+
+
+def test_schur_test_blow_up_after_a_near_unit_parameter_is_rejected():
+    # |b1| = 1 - 1e-11 is no unit parameter, so the next step divides by
+    # 1 - |b1|^2 = 2e-11; the b2 that a unit b1 forbids comes out as |g| > 1
+    w = PowerSeries.from_coeffs([0, 1.0 - 1e-11, 1e-3], 8)
+    g, margin = schur_test(w)
+    assert abs(g[1]) > 1.0
+    assert margin < -1.0
 
 
 def test_schur_test_flags_unbounded_series():
@@ -333,11 +290,3 @@ def test_schwarz_series_invariants():
         SchwarzSeries(PowerSeries.from_coeffs([0.1, 1], 3))
     with pytest.raises(InvalidSchwarz):
         SchwarzSeries(PowerSeries.from_coeffs([0, 1.1], 3))
-
-
-def test_caratheodory_series_invariants():
-    CaratheodorySeries(PowerSeries.from_coeffs([1, 2], 3))
-    with pytest.raises(OutOfRange):
-        CaratheodorySeries(PowerSeries.from_coeffs([0.9, 0], 3))
-    with pytest.raises(OutOfRange):
-        CaratheodorySeries(PowerSeries.from_coeffs([1, 2.1], 3))

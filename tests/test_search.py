@@ -278,6 +278,14 @@ def test_random_suite_rejects_negative_count():
         random_schwarz_suite(ClassParams(0.5), count=-1, order=4)
 
 
+@pytest.mark.parametrize("order", [1, 9, 32])
+def test_random_suite_rejects_an_order_outside_its_range(order):
+    # at zeta = 1e-5 and order 32 the double-precision sides overflow into
+    # false VIOLATIONs (-inf, nan and inf gaps)
+    with pytest.raises(OutOfRange):
+        random_schwarz_suite(ClassParams(1e-5), seed=0, count=20, depth=5, order=order)
+
+
 @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
 def test_nonfinite_gap_is_a_violation(gap):
     assert _verdict(gap, 1.0) == "VIOLATION"

@@ -17,11 +17,9 @@ from qstar import (
     canonical_schwarz,
     coeffs_from_schwarz,
     extremal_by_formula,
-    extremal_coeff_formula,
     extremal_product,
     initial_coeffs_closed,
     membership_margin,
-    rotate,
     schur_expand,
 )
 from qstar import starlike
@@ -88,6 +86,21 @@ def test_recursion_rejects_invalid_schwarz():
     bad = PowerSeries.from_coeffs([0, 0.5, 0.9], 8)  # fails the Schur test
     with pytest.raises(InvalidSchwarz):
         coeffs_from_schwarz(SchwarzSeries(bad), Q_HALF, 8)
+
+
+@pytest.mark.parametrize("b1", [1.0, 1.0 - 1e-13])
+def test_recursion_rejects_a_tail_after_a_unit_parameter(b1):
+    # |b1| = 1 makes w = b1 z (Schwarz's lemma), so b4 = b5 = 0.5 cannot
+    # follow; accepted, this w gave |a5| = 129.57 over the bound 128.51
+    omega = SchwarzSeries(PowerSeries((0, b1, 0, 0, 0.5, 0.5, 0, 0, 0)))
+    with pytest.raises(InvalidSchwarz):
+        coeffs_from_schwarz(omega, Q_HALF, 8)
+
+
+def test_recursion_rejects_a_nan_schwarz_coefficient():
+    omega = SchwarzSeries(PowerSeries((0, 0.5, complex(math.nan, 0.0), 0.1)))
+    with pytest.raises(InvalidSchwarz):
+        coeffs_from_schwarz(omega, Q_HALF, 4)
 
 
 def test_degenerate_divisor_at_minus_one():
@@ -178,13 +191,13 @@ def test_extremal_product_route_is_independent(monkeypatch):
 
 
 def test_extremal_formula_examples():
-    assert abs(extremal_coeff_formula(ClassParams(0.3), 2) - 2.0 / 0.3) <= 1e-12
-    assert abs(extremal_coeff_formula(Q_HALF, 4) - 880.0 / 21.0) <= 1e-12
+    assert abs(extremal_by_formula(ClassParams(0.3), 2).coeff(2) - 2.0 / 0.3) <= 1e-12
+    assert abs(extremal_by_formula(Q_HALF, 4).coeff(4) - 880.0 / 21.0) <= 1e-12
     # telescoping at zeta -> 1: prod k/(k-1) = n
-    val = extremal_coeff_formula(ClassParams(1.0 - 1e-8), 5)
+    val = extremal_by_formula(ClassParams(1.0 - 1e-8), 5).coeff(5)
     assert abs(val - 5.0) <= 1e-5
     with pytest.raises(DegenerateDivisor):
-        extremal_coeff_formula(ClassParams(-1.0), 5)
+        extremal_by_formula(ClassParams(-1.0), 5)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +214,7 @@ def test_formula_running_product_bitwise(zeta, alpha):
         acc = 1.0 + 0j
         for k in range(2, n + 1):
             acc *= ((1.0 - 2.0 * alpha) + qn[k - 1]) / (complex(zeta) * qn[k - 1])
-        assert form.coeff(n) == extremal_coeff_formula(params, n) == acc
+        assert form.coeff(n) == extremal_by_formula(params, n).coeff(n) == acc
 
 
 def test_formula_route_is_independent(monkeypatch):
@@ -213,9 +226,7 @@ def test_formula_route_is_independent(monkeypatch):
     monkeypatch.setattr(starlike, "recursion_coeffs", forbidden)
     monkeypatch.setattr(starlike, "coeffs_from_schwarz", forbidden)
     monkeypatch.setattr(starlike, "extremal_product", forbidden)
-    params = ClassParams(0.3 + 0.6j, 0.25)
-    extremal_by_formula(params, 16)
-    extremal_coeff_formula(params, 16)
+    extremal_by_formula(ClassParams(0.3 + 0.6j, 0.25), 16)
 
 
 def test_recursion_kernel_complex_and_clongdouble_agree():
@@ -303,17 +314,9 @@ def test_rotation_of_schwarz_rotates_coefficients():
         )
         f = coeffs_from_schwarz(w, Q_HALF, 8)
         g = coeffs_from_schwarz(rotated_w, Q_HALF, 8)
-        fr = rotate(f, theta)
         for n in range(1, 9):
-            assert abs(g.coeff(n) - fr.coeff(n)) <= 1e-12 * max(1, abs(g.coeff(n)))
-
-
-def test_rotate_preserves_normalization():
-    f = extremal_product(Q_HALF, 6)
-    g = rotate(f, 0.7)
-    assert g.coeff(0) == 0
-    assert g.coeff(1) == 1
-    assert abs(abs(g.coeff(3)) - abs(f.coeff(3))) <= 1e-12 * abs(f.coeff(3))
+            fr = f.coeff(n) * ph ** (n - 1)
+            assert abs(g.coeff(n) - fr) <= 1e-12 * max(1, abs(g.coeff(n)))
 
 
 # ----------------------------------------------------------------- membership
