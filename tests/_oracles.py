@@ -28,6 +28,20 @@ def frac_div(a, b):
     return out
 
 
+def caratheodory_p2p3(p1, x, y):
+    """(p2, p3) of a Caratheodory function from (p1, x, y), by direct
+    substitution into the Libera-Zlotkiewicz formulas:
+
+    2 p2 = p1^2 + x (4 - p1^2),
+    4 p3 = p1^3 + 2 (4 - p1^2) p1 x - p1 (4 - p1^2) x^2
+           + 2 (4 - p1^2)(1 - |x|^2) y.
+    """
+    s = 4.0 - p1 * p1
+    p2 = (p1 * p1 + x * s) / 2.0
+    p3 = (p1**3 + 2.0 * s * p1 * x - p1 * s * x * x + 2.0 * s * (1.0 - abs(x) ** 2) * y) / 4.0
+    return p2, p3
+
+
 def det_permanent_expansion(m):
     """Determinant by signed permutation expansion (k! terms; k <= 5)."""
     k = len(m)

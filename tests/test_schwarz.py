@@ -15,7 +15,7 @@ from qstar import (
     schwarz_b2b3,
 )
 
-from _oracles import GaussFraction, frac_div, frac_series
+from _oracles import GaussFraction, caratheodory_p2p3, frac_div, frac_series
 from qstar.schwarz import UNIT_TOL
 
 
@@ -138,6 +138,22 @@ def test_schwarz_b2b3_examples():
     assert abs(b3 - (-0.375)) <= 1e-15
 
 
+def test_cross_parameterization():
+    # the Caratheodory (p1, x, y) formulas pushed through the coefficient
+    # relations of p = (1 + w)/(1 - w) reproduce schwarz_b2b3 at p1 = 2 b1
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        b1 = rng.uniform(0.0, 1.0)
+        x, y = disk_points(rng, 2)
+        p1 = 2.0 * b1
+        p2, p3 = caratheodory_p2p3(p1, x, y)
+        b2_via = (2.0 * p2 - p1 * p1) / 4.0
+        b3_via = (4.0 * p3 - 4.0 * p1 * p2 + p1**3) / 8.0
+        b2, b3 = schwarz_b2b3(b1, x, y)
+        assert abs(b2 - b2_via) <= 1e-12
+        assert abs(b3 - b3_via) <= 1e-12
+
+
 def test_schwarz_b2b3_range_checks():
     with pytest.raises(OutOfRange):
         schwarz_b2b3(1.2, 0, 0)
@@ -172,13 +188,16 @@ def test_canonical_blaschke_long_division_oracle():
     assert abs(w.coeff(1) - 0.5) <= 1e-15
     assert abs(w.coeff(2) - (-0.75)) <= 1e-15
     assert abs(w.coeff(3) - (-0.375)) <= 1e-15
+
+
+@pytest.mark.parametrize("b1", [0.0, 0.1, 0.5, 0.9, 0.999, 1.0])
+def test_canonical_blaschke_closed_form_against_exact_division(b1):
     # the closed form against the exact division of the floats' values
-    for b1 in (0.0, 0.1, 0.9, 0.999, 1.0):
-        w = canonical_schwarz("blaschke_remark", 32, b1=b1)
-        exact = frac_div(frac_series([0, -b1, 1], 32), frac_series([-1, b1], 32))
-        assert w.order == 32
-        for k in range(33):
-            assert abs(w.coeff(k) - float(exact[k])) <= 1e-16
+    w = canonical_schwarz("blaschke_remark", 32, b1=b1)
+    exact = frac_div(frac_series([0, -b1, 1], 32), frac_series([-1, b1], 32))
+    assert w.order == 32
+    for k in range(33):
+        assert abs(w.coeff(k) - float(exact[k])) <= 1e-16
 
 
 def test_canonical_blaschke_is_x_minus_one_case():

@@ -58,6 +58,15 @@ def test_divide_random_against_exact_long_division():
         assert_coeffs(got, [float(e) for e in expected], tol=1e-10)
 
 
+def test_divide_one_by_one_minus_z_is_geometric():
+    assert_coeffs(series([1], 3) / series([1, -1], 3), [1, 1, 1, 1], tol=0)
+
+
+def test_div_orders_must_match():
+    with pytest.raises(ValueError):
+        series([1], 3) / series([1], 4)
+
+
 def test_divisor_near_zero_raises():
     with pytest.raises(DivisorNearZero):
         series([1], 3) / series([1e-13, 1], 3)
@@ -92,6 +101,21 @@ def test_q_numbers_bitwise_equal_to_q_number(zeta):
             acc += term
             term *= complex(zeta)
         assert qn[n - 1] == q_numbers(zeta, n)[-1] == acc
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+def test_q_difference_pointwise_formula(q):
+    # scaling c[n] by [n] and shifting down one index is the Jackson
+    # q-difference (f(z) - f(qz)) / ((1 - q) z), checked at points of the disk
+    rng = np.random.default_rng(42)
+    qn = np.array(q_numbers(q, 8))
+    for _ in range(20):
+        c = rng.normal(size=9) + 1j * rng.normal(size=9)
+        z = 0.8 * np.exp(2j * np.pi * rng.uniform(size=5))
+        f = np.polynomial.polynomial.polyval
+        expected = (f(z, c) - f(q * z, c)) / ((1.0 - q) * z)
+        got = f(z, qn * c[1:])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_check_divisors_first_degenerate_index():
