@@ -1,12 +1,13 @@
 """qstar: the q-starlike function family, its sharp coefficient bounds, and
 brute-force verification that every bound is tight.
 
-Layering, bottom up: :mod:`~qstar.series` (truncated complex series and the
-q-numbers), :mod:`~qstar.schwarz` (Schur parameters and the Schwarz class),
-:mod:`~qstar.starlike` (coefficient recursion, extremal functions,
-membership), :mod:`~qstar.functionals` (Hankel/Toeplitz determinants),
-:mod:`~qstar.bounds` (the closed-form catalog), :mod:`~qstar.search` (grid
-and randomized verification), :mod:`~qstar.cli`.
+Layering, bottom up: :mod:`~qstar.series` (coefficient arrays, the series
+exponential and the q-numbers), :mod:`~qstar.schwarz` (Schur parameters and
+the Schwarz class), :mod:`~qstar.starlike` (coefficient recursion, extremal
+functions, membership), :mod:`~qstar.functionals` (Hankel/Toeplitz
+determinants), :mod:`~qstar.bounds` (the closed-form catalog),
+:mod:`~qstar.search` (grid and randomized verification), :mod:`~qstar.cli`.
+Every Taylor coefficient sequence is a read-only 1-D complex numpy array.
 """
 
 from ._version import __version__
@@ -26,7 +27,6 @@ from .bounds import (
 from .errors import (
     DegenerateDivisor,
     DenominatorVanished,
-    DivisorNearZero,
     IndexOutOfRange,
     InnerNotVanishing,
     InvalidParams,
@@ -66,7 +66,7 @@ from .search import (
     rotated_extremal_values,
     sharpness_report,
 )
-from .series import ClassParams, PowerSeries
+from .series import ClassParams
 from .starlike import (
     StarlikeFunction,
     coeffs_from_schwarz,
@@ -78,7 +78,6 @@ from .starlike import (
 
 __all__ = [
     "__version__",
-    "PowerSeries",
     "ClassParams",
     "SchurParams",
     "SchwarzSeries",
@@ -120,7 +119,6 @@ __all__ = [
     "random_schwarz_suite",
     "sharpness_report",
     "QStarError",
-    "DivisorNearZero",
     "InnerNotVanishing",
     "InvalidParams",
     "OutOfRange",

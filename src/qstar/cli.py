@@ -46,7 +46,7 @@ from .search import (
     random_schwarz_suite,
     sharpness_report,
 )
-from .series import ClassParams, PowerSeries
+from .series import ClassParams
 from .starlike import (
     StarlikeFunction,
     coeffs_from_schwarz,
@@ -100,12 +100,11 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _report_csv(rows) -> str:
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -143,7 +142,7 @@ def _cmd_bounds(args) -> int:
         ]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit(_report_csv(rows), args.out)
+        _emit(_csv(REPORT_COLUMNS, rows), args.out)
     return 0
 
 
@@ -162,16 +161,15 @@ def _cmd_extremal(args) -> int:
     params = _parse_zeta(args)
     n = args.n
     routes = ("recursion", "product", "formula") if args.self_check else (args.method,)
-    funcs = {m: _extremal_series(params, n, m) for m in routes}
+    funcs = {m: _extremal_series(params, n, m).coeffs.tolist() for m in routes}
     if args.self_check:
         for k in range(1, n + 1):
-            vals = [f.coeff(k) for f in funcs.values()]
+            vals = [c[k] for c in funcs.values()]
             scale = max(max(abs(v) for v in vals), 1.0)
             if max(abs(vals[0] - vals[1]), abs(vals[0] - vals[2])) > 1e-9 * scale:
                 sys.stderr.write(f"self-check failed at n={k}: {vals}\n")
                 return 1
-    f = funcs[args.method]
-    coeffs = [f.coeff(k) for k in range(1, n + 1)]
+    coeffs = funcs[args.method][1:]
     if args.format == "json":
         payload = {
             "zeta": [params.zeta.real, params.zeta.imag],
@@ -181,12 +179,8 @@ def _cmd_extremal(args) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("n", "re", "im"))
-        for k, c in enumerate(coeffs, start=1):
-            writer.writerow((k, _fmt(c.real), _fmt(c.imag)))
-        _emit(buf.getvalue(), args.out)
+        rows = ((k, c.real, c.imag) for k, c in enumerate(coeffs, start=1))
+        _emit(_csv(("n", "re", "im"), rows), args.out)
     return 0
 
 
@@ -227,18 +221,30 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit(json.dumps(merged.to_json_dict(), indent=2) + "\n", args.out)
     else:
-        _emit(_report_csv(_report_rows(merged)), args.out)
+        _emit(_csv(REPORT_COLUMNS, _report_rows(merged)), args.out)
     return 1 if merged.has_violation else 0
+
+
+def _read_coeffs(path) -> list:
+    """a_1, a_2, ... from a JSON array of numbers and [re, im] pairs."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh, parse_int=float)  # a huge int reads as inf
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
+        raise QStarError(f"cannot read {path}: {exc}") from exc
+    if isinstance(raw, list):
+        pairs = [v if isinstance(v, list) else [v, 0.0] for v in raw]
+        if all(len(p) == 2 and all(type(x) is float for x in p) for p in pairs):
+            return [complex(*p) for p in pairs]
+    raise QStarError("coefficient file must list numbers or [re, im] pairs")
 
 
 def _cmd_membership(args) -> int:
     params = _parse_zeta(args)
-    with open(args.input) as fh:
-        raw = json.load(fh)
-    coeffs = [complex(v[0], v[1]) if isinstance(v, list) else complex(v) for v in raw]
+    coeffs = _read_coeffs(args.input)
     if not coeffs or coeffs[0] != 1:
         raise QStarError("coefficient file must start with a1 = 1")
-    f = StarlikeFunction(PowerSeries((0j, *coeffs)), params)
+    f = StarlikeFunction.from_coeffs(coeffs, params)
     margin = membership_margin(f, r_max=args.rmax)
     verdict = "member" if margin >= -1e-6 else "nonmember"
     if args.format == "json":
@@ -252,7 +258,7 @@ def _cmd_membership(args) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         rows = [("membership", params.zeta, None, 0.0, margin, margin, verdict)]
-        _emit(_report_csv(rows), args.out)
+        _emit(_csv(REPORT_COLUMNS, rows), args.out)
     return 0
 
 
@@ -267,13 +273,9 @@ def _cmd_y(args) -> int:
                    "y_closed": closed, "y_grid": grid}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("method", "a", "b", "c", "value"))
-        if closed is not None:
-            writer.writerow(("y_closed", _fmt(args.a), _fmt(args.b), _fmt(args.c), _fmt(closed)))
-        writer.writerow(("y_grid", _fmt(args.a), _fmt(args.b), _fmt(args.c), _fmt(grid)))
-        _emit(buf.getvalue(), args.out)
+        rows = [("y_closed", args.a, args.b, args.c, closed)] if closed is not None else []
+        rows.append(("y_grid", args.a, args.b, args.c, grid))
+        _emit(_csv(("method", "a", "b", "c", "value"), rows), args.out)
     return 0
 
 

@@ -9,10 +9,6 @@ class QStarError(Exception):
     """Base class for all qstar domain errors."""
 
 
-class DivisorNearZero(QStarError):
-    """Series division attempted with a divisor whose constant term is ~0."""
-
-
 class InnerNotVanishing(QStarError):
     """exp_series called on a series g whose constant term g(0) is not 0."""
 

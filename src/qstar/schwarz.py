@@ -20,7 +20,8 @@ first three Schwarz coefficients; :func:`schwarz_b2b3` evaluates it directly.
 A unit-modulus parameter makes tau constant, so the chain terminates there: a
 finite Blaschke product, whose later coefficients are all fixed, and in
 particular b1 = 1 forces w(z) = z.  :func:`schur_rows` runs the chain forward
-and :func:`schur_test` runs it backward, reading the parameters off a series.
+and :func:`schur_test` runs it backward, reading the parameters off a
+coefficient array; a :class:`SchwarzSeries` holds one such array.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidSchwarz, OutOfRange
-from .series import PowerSeries
+from .series import Coefficients
 
 #: |gamma| within this of 1 terminates the Schur chain.
 UNIT_TOL = 1e-12
@@ -61,31 +62,19 @@ class SchurParams:
                 raise InvalidParams(f"|gamma_{k}| = {abs(g)} is not at most 1")
         object.__setattr__(self, "gammas", gammas)
 
-    def __len__(self):
-        return len(self.gammas)
 
-
-@dataclass(frozen=True)
-class SchwarzSeries:
-    """A truncated expansion of a Schwarz-class function (c0 = 0, |b1| <= 1)."""
-
-    series: PowerSeries
-    provenance: str = "raw"
+@dataclass(frozen=True, eq=False)
+class SchwarzSeries(Coefficients):
+    """A truncated expansion b_0 .. b_N of a Schwarz-class function
+    (b_0 = 0, |b1| <= 1)."""
 
     def __post_init__(self):
-        if self.series.coeffs[0] != 0:
-            raise InvalidSchwarz(f"w(0) = {self.series.coeffs[0]} must be 0")
-        if self.series.order >= 1 and abs(self.series.coeffs[1]) > 1.0 + DISK_TOL:
-            raise InvalidSchwarz(f"|b1| = {abs(self.series.coeffs[1])} exceeds 1")
-        if self.provenance not in ("schur", "canonical", "raw"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-
-    @property
-    def order(self) -> int:
-        return self.series.order
-
-    def coeff(self, n: int) -> complex:
-        return self.series.coeffs[n]
+        super().__post_init__()
+        c = self.coeffs
+        if c[0] != 0:
+            raise InvalidSchwarz(f"w(0) = {complex(c[0])} must be 0")
+        if len(c) > 1 and abs(c[1]) > 1.0 + DISK_TOL:
+            raise InvalidSchwarz(f"|b1| = {abs(c[1])} exceeds 1")
 
 
 def schur_expand(params: SchurParams, order: int) -> SchwarzSeries:
@@ -98,8 +87,7 @@ def schur_expand(params: SchurParams, order: int) -> SchwarzSeries:
     """
     if not isinstance(params, SchurParams):
         params = SchurParams(tuple(params))
-    b = schur_rows(np.array([params.gammas]), order)[0]
-    return SchwarzSeries(PowerSeries(tuple(b)), provenance="schur")
+    return SchwarzSeries(schur_rows(np.array([params.gammas]), order)[0])
 
 
 def schur_rows(gammas, order: int) -> np.ndarray:
@@ -142,6 +130,8 @@ def schur_rows(gammas, order: int) -> np.ndarray:
 def schur_test(w) -> tuple:
     """Run the Schur recursion on a truncated series; report the parameters.
 
+    ``w`` is a :class:`SchwarzSeries` or any sequence b_0 .. b_N.
+
     Each step inverts one step of :func:`schur_rows` on the coefficient
     array, phi <- ((phi - g) / z) / (1 - conj(g) phi), a truncated long
     division with one dot product per index.  Returns ``(gammas, margin)``
@@ -157,12 +147,12 @@ def schur_test(w) -> tuple:
     negative margin (e.g. ``w = 2z`` reports margin -1), and a division that
     blows up after a near-unit parameter reads as |g| > 1 or a NaN margin.
     """
-    series = w.series if isinstance(w, SchwarzSeries) else w
-    if abs(series.coeffs[0]) > 1e-14:
-        raise InvalidSchwarz(f"w(0) = {series.coeffs[0]} must be 0")
-    if series.order == 0:
+    c = (w if isinstance(w, SchwarzSeries) else Coefficients(w)).coeffs
+    if abs(c[0]) > 1e-14:
+        raise InvalidSchwarz(f"w(0) = {complex(c[0])} must be 0")
+    if len(c) == 1:
         return (0j,), 1.0
-    phi = np.array(series.coeffs[1:], dtype=complex)
+    phi = c[1:]
     gammas = [complex(phi[0])]
     while abs(gammas[-1]) < 1.0 - UNIT_TOL and len(phi) > 1:  # False for NaN
         den = -gammas[-1].conjugate() * phi  # 1 - conj(g) phi
@@ -210,24 +200,24 @@ def canonical_schwarz(kind: str, order: int, *, x=None, b1=None) -> SchwarzSerie
     """
     if order < 1:
         raise OutOfRange(f"order = {order} must be >= 1")
+    c = [0j] * (order + 1)
     if kind == "identity":
-        return SchwarzSeries(PowerSeries.identity(order), provenance="canonical")
-    if kind == "x_zsquared":
+        c[1] = 1.0
+    elif kind == "x_zsquared":
         if x is None:
             raise OutOfRange("x_zsquared requires the parameter x")
         x = _disk(x, "x")
         if order < 2:
             raise OutOfRange("x_zsquared needs order >= 2")
-        return SchwarzSeries(
-            PowerSeries.monomial(2, order, x), provenance="canonical"
-        )
-    if kind == "blaschke_remark":
+        c[2] = x
+    elif kind == "blaschke_remark":
         if b1 is None:
             raise OutOfRange("blaschke_remark requires the parameter b1")
         b1 = _real_in(b1, 0.0, 1.0, "b1")
-        tail = [-(1.0 - b1 * b1) * b1 ** (k - 2) for k in range(2, order + 1)]
-        return SchwarzSeries(PowerSeries((0.0, b1, *tail)), provenance="canonical")
-    raise OutOfRange(f"unknown canonical kind {kind!r}")
+        c[1:] = [b1] + [-(1.0 - b1 * b1) * b1 ** (k - 2) for k in range(2, order + 1)]
+    else:
+        raise OutOfRange(f"unknown canonical kind {kind!r}")
+    return SchwarzSeries(c)
 
 
 def _as_complex(value):

@@ -1,12 +1,10 @@
-"""Truncated complex power series and the q-numbers of the class.
+"""Coefficient arrays and the q-numbers of the class.
 
-A :class:`PowerSeries` holds the Taylor coefficients ``c[0] .. c[N]`` of an
-analytic function about 0.  Its products are truncated Cauchy products and its
-quotients come from truncated long division, both strictly at the shared order
-``N``: no operation ever reads or writes past index ``N``.  Truncating the
-exact product of two polynomials of degree <= N/2 is therefore identical to
-multiplying them at order ``N``.  :func:`exp_series` is the one transcendental
-operation (the extremal product is the exponential of a closed-form series).
+Taylor coefficients ``c[0] .. c[N]`` of an analytic function about 0 are a
+1-D complex numpy array everywhere in the package.  The Schwarz and starlike
+classes hold theirs through :class:`Coefficients`, as a read-only copy that
+compares by value.  :func:`exp_series` is the one series operation (the
+extremal product is the exponential of a closed-form series).
 
 The q-calculus pieces used everywhere else:
 
@@ -18,9 +16,6 @@ The q-calculus pieces used everywhere else:
 * ``check_divisors`` forms the divisors ``[n] - 1`` of the coefficient
   recursion and product as ``zeta * [n-1]`` (the subtraction cancels for
   small |zeta|) and is the one test that they are away from 0.
-
-Instances are immutable values; every operation is a pure function, so series
-can be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
@@ -28,10 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDivisor, DivisorNearZero, InnerNotVanishing, OutOfRange
+import numpy as np
 
-#: Divisors need a constant term of at least this modulus.
-DIVISOR_TOL = 1e-12
+from .errors import DegenerateDivisor, InnerNotVanishing, OutOfRange
 
 #: |[n] - 1| at or below this counts as a degenerate divisor [n] - 1.
 DEGENERATE_TOL = 1e-12
@@ -40,107 +34,31 @@ DEGENERATE_TOL = 1e-12
 INNER_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Coefficients ``c[0] + c[1] z + ... + c[N] z**N`` with N = order.
+@dataclass(frozen=True, eq=False)
+class Coefficients:
+    """Taylor coefficients c_0 .. c_N (N = ``order``): a read-only complex copy
+    of a non-empty 1-D sequence, compared by value."""
 
-    ``coeffs`` is normalized to a tuple of ``complex``; the order is implied
-    by its length.  Binary operations require both operands to carry the same
-    order; :meth:`from_coeffs` truncates or zero-pads to one.
-    """
-
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", coeffs)
+        c = np.array(self.coeffs, dtype=complex)
+        if c.ndim != 1 or not len(c):
+            raise ValueError("coefficients must be a non-empty 1-D sequence")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def constant(cls, value, order: int) -> "PowerSeries":
-        return cls((complex(value),) + (0j,) * order)
-
-    @classmethod
-    def monomial(cls, power: int, order: int, coeff=1.0) -> "PowerSeries":
-        """Series of ``coeff * z**power`` at the given order."""
-        if not 0 <= power <= order:
-            raise ValueError(f"power {power} outside 0..{order}")
-        c = [0j] * (order + 1)
-        c[power] = complex(coeff)
-        return cls(tuple(c))
-
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series of ``z`` itself."""
-        return cls.monomial(1, order)
-
-    @classmethod
-    def from_coeffs(cls, coeffs, order: int | None = None) -> "PowerSeries":
-        """Build a series, zero-padding or truncating to ``order`` if given."""
-        c = [complex(v) for v in coeffs]
-        if order is not None:
-            c = (c + [0j] * (order + 1 - len(c)))[: order + 1]
-        return cls(tuple(c))
-
-    # ------------------------------------------------------------------
-    # basic queries
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.coeffs, other.coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __len__(self):
-        return len(self.coeffs)
+    def coeff(self, n: int) -> complex:
+        """The coefficient c_n."""
+        return complex(self.coeffs[n])
 
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
-    # ------------------------------------------------------------------
-    # arithmetic
-
-    def _same_order(self, other: "PowerSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}"
-            )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return PowerSeries(tuple(a * other for a in self.coeffs))
-        self._same_order(other)
-        a, b = self.coeffs, other.coeffs
-        n = self.order
-        out = [0j] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += ai * b[j]
-        return PowerSeries(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """Truncated long division ``self / other``."""
-        if isinstance(other, (int, float, complex)):
-            return self * (1.0 / other)
-        self._same_order(other)
-        b = other.coeffs
-        if abs(b[0]) <= DIVISOR_TOL:
-            raise DivisorNearZero(f"constant term {b[0]} below {DIVISOR_TOL}")
-        a = self.coeffs
-        n = self.order
-        out = [0j] * (n + 1)
-        for m in range(n + 1):
-            acc = a[m]
-            for k in range(1, m + 1):
-                acc -= b[k] * out[m - k]
-            out[m] = acc / b[0]
-        return PowerSeries(tuple(out))
 
 @dataclass(frozen=True)
 class ClassParams:
@@ -208,29 +126,27 @@ def one_minus_power(zeta, n: int) -> complex:
     return 1.0 - zeta**n
 
 
-def exp_series(g: PowerSeries) -> PowerSeries:
-    """Truncated ``exp(g)`` for a series with ``g(0) = 0``."""
-    if abs(g.coeffs[0]) > INNER_TOL:
-        raise InnerNotVanishing(f"exp_series needs g(0) = 0, got {g.coeffs[0]}")
-    n = g.order
-    out = [0j] * (n + 1)
-    out[0] = 1.0 + 0j
-    for m in range(1, n + 1):
+def exp_series(g) -> np.ndarray:
+    """Truncated ``exp(g)`` for coefficients ``g[0] .. g[N]`` with ``g(0) = 0``."""
+    g = [complex(v) for v in g]  # scalar complex arithmetic, in a fixed order
+    if abs(g[0]) > INNER_TOL:
+        raise InnerNotVanishing(f"exp_series needs g(0) = 0, got {g[0]}")
+    out = [1.0 + 0j]
+    for m in range(1, len(g)):
         acc = 0j
         for k in range(1, m + 1):
-            acc += k * g.coeffs[k] * out[m - k]
-        out[m] = acc / m
-    return PowerSeries(tuple(out))
+            acc += k * g[k] * out[m - k]
+        out.append(acc / m)
+    return np.array(out)
 
 
 __all__ = [
-    "PowerSeries",
     "ClassParams",
+    "Coefficients",
     "q_numbers",
     "check_divisors",
     "one_minus_power",
     "exp_series",
-    "DIVISOR_TOL",
     "DEGENERATE_TOL",
     "INNER_TOL",
 ]

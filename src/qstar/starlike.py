@@ -15,7 +15,9 @@ and comparing coefficients yields the linear recursion
 with a1 = 1.  The recursion is the ground truth here; the infinite-product
 solution for w(z) = z and the closed coefficient formula are independent
 cross-checks of it.  :func:`recursion_coeffs` is the one recursion kernel;
-the randomized suite in :mod:`qstar.search` runs it too.
+the randomized suite in :mod:`qstar.search` runs it too.  Each route returns
+a :class:`StarlikeFunction`, which holds a_0 .. a_N as a read-only complex
+numpy array.
 
 For w(z) = z the function satisfies f(zeta z) = f(z) (zeta - s z)/(1 - z)
 with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product
@@ -31,50 +33,41 @@ telescoped product
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DenominatorVanished, InvalidSchwarz, OutOfRange
 from .schwarz import MARGIN_TOL, SchwarzSeries, schur_test
-from .series import DEGENERATE_TOL, ClassParams, PowerSeries, check_divisors
+from .series import DEGENERATE_TOL, ClassParams, Coefficients, check_divisors
 from .series import exp_series, one_minus_power, q_numbers
 
-@dataclass(frozen=True)
-class StarlikeFunction:
-    """A truncated member (or candidate member) of S*_zeta(alpha)."""
+@dataclass(frozen=True, eq=False)
+class StarlikeFunction(Coefficients):
+    """A truncated member (or candidate member) a_0 .. a_N of S*_zeta(alpha)."""
 
-    series: PowerSeries
     params: ClassParams
-    source: str = "raw"
 
     def __post_init__(self):
-        c = self.series.coeffs
+        super().__post_init__()
+        c = self.coeffs
         if c[0] != 0:
-            raise OutOfRange(f"f(0) = {c[0]} must be 0")
-        if self.series.order < 1 or c[1] != 1:
+            raise OutOfRange(f"f(0) = {complex(c[0])} must be 0")
+        if len(c) < 2 or c[1] != 1:
             raise OutOfRange("f must be normalized with a1 = 1")
-        if not all(cmath.isfinite(v) for v in c):
+        if not np.isfinite(c).all():
             raise OutOfRange("a coefficient is not finite (overflow or NaN input)")
-        if self.source not in ("recursion", "product", "formula", "raw"):
-            raise ValueError(f"unknown source {self.source!r}")
+
+    def __eq__(self, other):
+        return super().__eq__(other) and self.params == other.params
 
     @classmethod
-    def from_coeffs(cls, coeffs, params: ClassParams, source="raw"):
+    def from_coeffs(cls, coeffs, params: ClassParams):
         """Build from the tail (a1, a2, ...) or the full (0, a1, a2, ...)."""
         c = [complex(v) for v in coeffs]
         if c and c[0] != 0:
             c = [0j] + c
-        return cls(PowerSeries(tuple(c)), params, source)
-
-    @property
-    def order(self) -> int:
-        return self.series.order
-
-    def coeff(self, n: int) -> complex:
-        """The Taylor coefficient a_n."""
-        return self.series.coeffs[n]
+        return cls(c, params)
 
 
 def recursion_coeffs(b, qn, dv, alpha: float, dtype) -> np.ndarray:
@@ -120,8 +113,8 @@ def coeffs_from_schwarz(
         raise InvalidSchwarz(f"schur_test margin {margin:.3e} below {-MARGIN_TOL}")
     qn = q_numbers(params.zeta, order)
     dv = check_divisors(params.zeta, qn)
-    a = recursion_coeffs(omega.series.coeffs, qn, dv, params.alpha, complex)
-    return StarlikeFunction(PowerSeries(tuple(a)), params, source="recursion")
+    a = recursion_coeffs(omega.coeffs, qn, dv, params.alpha, complex)
+    return StarlikeFunction(a, params)
 
 
 def initial_coeffs_closed(b1, b2, b3, q: float) -> tuple:
@@ -181,8 +174,7 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
         zm *= zeta
         inv_m *= inv
         log_f.append(inv_m * (sm - zm) / (m * one_minus_power(zeta, m)))
-    coeffs = (0j,) + exp_series(PowerSeries(tuple(log_f))).coeffs
-    return StarlikeFunction(PowerSeries(coeffs), params, source="product")
+    return StarlikeFunction(np.append(0j, exp_series(log_f)), params)
 
 
 def extremal_factors(params: ClassParams, n: int):
@@ -202,7 +194,7 @@ def extremal_by_formula(params: ClassParams, order: int) -> StarlikeFunction:
     coeffs = [0j, 1.0 + 0j]
     for num, den in extremal_factors(params, order):
         coeffs.append(coeffs[-1] * (num / den))
-    return StarlikeFunction(PowerSeries(tuple(coeffs)), params, source="formula")
+    return StarlikeFunction(coeffs, params)
 
 
 def membership_margin(
@@ -223,27 +215,30 @@ def membership_margin(
     no function and the margin means nothing (their zeros crowd onto the
     boundary circle).  For the extremal that disk is |z| < |zeta/s|, which is
     q/(2 - q) for real zeta = q and alpha = 0.  A coefficient list that is the
-    whole function, such as a polynomial, has no such limit.
+    whole function, such as a polynomial, has no such limit.  Coefficients
+    that overflow double precision on the grid give a non-finite margin,
+    which raises OutOfRange.
     """
     if not 0.0 < r_max < 1.0:
         raise OutOfRange(f"r_max = {r_max} outside (0, 1)")
     if radial_steps < 1 or angular_steps < 1:
         raise OutOfRange("grid steps must be positive")
-    a = np.asarray(f.series.coeffs[1:], dtype=complex)  # a1..aN
+    a = f.coeffs[1:]  # a1..aN
     qn = np.asarray(q_numbers(f.params.zeta, f.order), dtype=complex)
-    num = qn * a  # coefficients of (z D_zeta f)/z
     radii = np.linspace(r_max / radial_steps, r_max, radial_steps)
     angles = 2.0 * np.pi * np.arange(angular_steps) / angular_steps
     z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     pv = np.polynomial.polynomial.polyval
-    top = pv(z, num)
-    bot = pv(z, a)
-    bad = np.abs(bot) <= 1e-12
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise DenominatorVanished(complex(z[idx]))
-    ratio = top / bot
-    return float(np.min(ratio.real) - f.params.alpha)
+    with np.errstate(all="ignore"):  # an overflow surfaces as a non-finite margin
+        top = pv(z, qn * a)  # qn * a: the coefficients of (z D_zeta f)/z
+        bot = pv(z, a)
+        bad = np.abs(bot) <= 1e-12
+        if bad.any():
+            raise DenominatorVanished(complex(z[np.argmax(bad)]))
+        margin = float(np.min((top / bot).real) - f.params.alpha)
+    if not np.isfinite(margin):
+        raise OutOfRange(f"margin {margin}: the coefficients overflow on the grid")
+    return margin
 
 
 __all__ = [

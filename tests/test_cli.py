@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qstar
@@ -260,9 +260,24 @@ def test_y_verb_skips_closed_form_when_ac_negative(capsys):
         ("bounds", "--q", "1e-45", "--format", "json"),  # a bound overflows to inf
         ("extremal", "--q", "1e-5", "--n", "64"),  # the recursion overflows
         ("verify", "--suite", "parseval", "--q", "0.5", "--order", "9"),
+        # membership files: the last item is the file's contents
+        ("membership", "--q", "0.5", "--input", b"[[1]]"),
+        ("membership", "--q", "0.5", "--input", b'[1, {"a": 2}]'),
+        ("membership", "--q", "0.5", "--input", b'{"a": 1}'),
+        ("membership", "--q", "0.5", "--input", b"not json"),
+        ("membership", "--q", "0.5", "--input", b"[1, \xff]"),  # not UTF-8
+        ("membership", "--q", "0.5", "--input", b"[1, [0.5, 0.1, 9]]"),
+        ("membership", "--q", "0.5", "--input", b'[1, "2+1j"]'),
+        ("membership", "--q", "0.5", "--input", b"[1, true]"),
+        ("membership", "--q", "0.5", "--input", b"[1, 1" + b"0" * 400 + b"]"),
+        ("membership", "--q", "0.5", "--input", b"[1, 1e308, 1e308]"),  # margin NaN
     ],
 )
-def test_bad_input_exits_2_with_no_output(capsys, argv):
+def test_bad_input_exits_2_with_no_output(capsys, tmp_path, argv):
+    if isinstance(argv[-1], bytes):
+        path = tmp_path / "coeffs.json"
+        path.write_bytes(argv[-1])
+        argv = (*argv[:-1], str(path))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -286,10 +301,44 @@ def _class_args(draw):
     ]
 
 
+_JSON_NUMBERS = st.one_of(st.integers(), _FLOATS)
+_PAIRS = st.lists(_JSON_NUMBERS, min_size=2, max_size=2)
+
+_ENTRIES = st.one_of(
+    _JSON_NUMBERS,
+    _PAIRS,
+    st.lists(_JSON_NUMBERS, max_size=4),  # any arity
+    st.lists(st.lists(_JSON_NUMBERS, max_size=2), min_size=1, max_size=2),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), _JSON_NUMBERS, max_size=2),
+)
+
+
+@st.composite
+def _coeff_file(draw):
+    """Bytes of a membership input: well-formed a_1 = 1, a_2, ... or not."""
+    kind = draw(st.sampled_from(["valid", "valid", "mixed", "array", "other", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=12))
+    if kind == "other":
+        return json.dumps(draw(_ENTRIES)).encode()
+    if kind == "valid":
+        entries = draw(st.lists(st.one_of(_JSON_NUMBERS, _PAIRS), max_size=6))
+        return json.dumps([1] + entries).encode()
+    entries = draw(st.lists(_ENTRIES, max_size=6))
+    return json.dumps([1] + entries if kind == "mixed" else entries).encode()
+
+
 @st.composite
 def _argv(draw):
-    verb = draw(st.sampled_from(["verify-grid", "y", "extremal", "verify", "bounds"]))
+    verb = draw(st.sampled_from(["verify-grid", "y", "extremal", "verify", "bounds",
+                                 "membership"]))
     fmt = f"--format={draw(st.sampled_from(['csv', 'json']))}"
+    if verb == "membership":
+        zeta = draw(st.sampled_from(["--q=0.5", "--q=0.8", "--zeta=0.3,0.4"]))
+        return ["membership", fmt, zeta, "--input", draw(_coeff_file())]
     if verb == "bounds":
         return ["bounds", fmt, f"--q={draw(_FLOATS)!r}"]
     if verb == "y":
@@ -307,13 +356,18 @@ def _argv(draw):
             *draw(_class_args())]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_argv())
-def test_fuzz_cli_exit_codes_and_finite_output(argv):
+def test_fuzz_cli_exit_codes_and_finite_output(tmp_path, argv):
+    if argv[0] == "membership":  # the last item is the input file's contents
+        path = tmp_path / "coeffs.json"
+        path.write_bytes(argv[-1])
+        argv = [*argv[:-1], str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    assert code in (0, 1, 2)
+        code = run(argv)  # an exception escaping here is a traceback at the shell
+    assert code in ((0, 2) if argv[0] == "membership" else (0, 1, 2))
     text = out.getvalue().lower()
     if code == 0:
         assert "nan" not in text and "inf" not in text

@@ -3,73 +3,46 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qstar import (
     ClassParams,
     DegenerateDivisor,
-    DivisorNearZero,
+    InnerNotVanishing,
     OutOfRange,
-    PowerSeries,
 )
-from qstar.series import check_divisors, q_numbers
+from qstar.series import check_divisors, exp_series, q_numbers
 
-from _oracles import frac_div, frac_series, kernel_coefficient
-
-
-def series(values, order):
-    return PowerSeries.from_coeffs(values, order)
+from _oracles import kernel_coefficient
 
 
-def assert_coeffs(ps, expected, tol=1e-12):
-    got = ps.coeffs
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert abs(g - complex(e)) <= tol, (got, expected)
+# ----------------------------------------------------------------- exp_series
 
 
-# ----------------------------------------------------------------- arithmetic
+def test_exp_series_of_z_is_the_exponential():
+    got = exp_series([0, 1] + [0] * 15)
+    assert got.dtype == complex
+    for k in range(17):
+        assert abs(got[k] * math.factorial(k) - 1.0) <= 1e-15
 
 
-def test_mul_binomial_identity():
-    f = series([1, 1], 4) * series([1, -1], 4)
-    assert_coeffs(f, [1, 0, -1, 0, 0], tol=0)
-    with pytest.raises(ValueError):
-        series([1], 3) * series([1], 4)
+def test_exp_series_of_minus_log_one_minus_z_is_geometric():
+    # exp(sum_k z^k / k) = 1 / (1 - z)
+    got = exp_series([0] + [1.0 / k for k in range(1, 33)])
+    assert np.abs(got - 1.0).max() <= 1e-15
 
 
-def test_divide_against_exact_long_division():
-    got = series([1, 1], 2) / series([1, -1], 2)
-    expected = frac_div(frac_series([1, 1], 2), frac_series([1, -1], 2))
-    assert_coeffs(got, [float(e) for e in expected])
-    assert_coeffs(got, [1, 2, 2], tol=0)
+def test_exp_series_needs_a_vanishing_constant_term():
+    with pytest.raises(InnerNotVanishing):
+        exp_series([1e-13, 1.0, 0.5])
+    exp_series([1e-15, 1.0, 0.5])  # within INNER_TOL
 
 
-def test_divide_random_against_exact_long_division():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        a = [int(v) for v in rng.integers(-5, 6, size=7)]
-        b = [int(v) for v in rng.integers(-5, 6, size=7)]
-        if b[0] == 0:
-            b[0] = 3
-        got = series(a, 6) / series(b, 6)
-        expected = frac_div(frac_series(a, 6), frac_series(b, 6))
-        assert_coeffs(got, [float(e) for e in expected], tol=1e-10)
-
-
-def test_divide_one_by_one_minus_z_is_geometric():
-    assert_coeffs(series([1], 3) / series([1, -1], 3), [1, 1, 1, 1], tol=0)
-
-
-def test_div_orders_must_match():
-    with pytest.raises(ValueError):
-        series([1], 3) / series([1], 4)
-
-
-def test_divisor_near_zero_raises():
-    with pytest.raises(DivisorNearZero):
-        series([1], 3) / series([1e-13, 1], 3)
+def test_exp_series_input_types_agree_bitwise():
+    rng = np.random.default_rng(5)
+    g = np.concatenate(([0j], rng.normal(size=24) + 1j * rng.normal(size=24)))
+    ref = exp_series(g)
+    for other in (g.tolist(), tuple(g.tolist())):
+        assert ref.tobytes() == exp_series(other).tobytes()
 
 
 # ----------------------------------------------------------------- q-numbers
@@ -140,22 +113,6 @@ def test_kernel_coefficients_equal_q_numbers():
     for zeta in zetas:
         for n, qn in enumerate(q_numbers(zeta, 16), start=1):
             assert abs(qn - kernel_coefficient(complex(zeta), n)) <= 1e-10
-
-
-# ----------------------------------------------------------------- truncation
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-    st.lists(st.integers(-9, 9), min_size=1, max_size=5),
-)
-def test_truncation_homomorphism_products(a, b):
-    # degree <= N/2 factors: truncated product == exact polynomial product
-    order = 8
-    exact = np.polynomial.polynomial.polymul(a, b)
-    got = series(a, order) * series(b, order)
-    assert_coeffs(got, list(exact) + [0] * (order + 1 - len(exact)), tol=0)
 
 
 # ----------------------------------------------------------------- params

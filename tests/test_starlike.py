@@ -10,7 +10,6 @@ from qstar import (
     DenominatorVanished,
     InvalidSchwarz,
     OutOfRange,
-    PowerSeries,
     SchurParams,
     SchwarzSeries,
     StarlikeFunction,
@@ -48,7 +47,7 @@ def random_schwarz(rng, order=12, depth=4, real_b1=False):
 
 
 def test_zero_schwarz_gives_identity():
-    omega = SchwarzSeries(PowerSeries.constant(0.0, 12))
+    omega = SchwarzSeries(np.zeros(13))
     f = coeffs_from_schwarz(omega, Q_HALF, 12)
     assert f.coeff(1) == 1
     assert all(f.coeff(n) == 0 for n in range(2, 13))
@@ -83,7 +82,7 @@ def test_recursion_matches_closed_initial_coeffs():
 
 
 def test_recursion_rejects_invalid_schwarz():
-    bad = PowerSeries.from_coeffs([0, 0.5, 0.9], 8)  # fails the Schur test
+    bad = [0, 0.5, 0.9] + [0] * 6  # fails the Schur test
     with pytest.raises(InvalidSchwarz):
         coeffs_from_schwarz(SchwarzSeries(bad), Q_HALF, 8)
 
@@ -92,13 +91,13 @@ def test_recursion_rejects_invalid_schwarz():
 def test_recursion_rejects_a_tail_after_a_unit_parameter(b1):
     # |b1| = 1 makes w = b1 z (Schwarz's lemma), so b4 = b5 = 0.5 cannot
     # follow; accepted, this w gave |a5| = 129.57 over the bound 128.51
-    omega = SchwarzSeries(PowerSeries((0, b1, 0, 0, 0.5, 0.5, 0, 0, 0)))
+    omega = SchwarzSeries((0, b1, 0, 0, 0.5, 0.5, 0, 0, 0))
     with pytest.raises(InvalidSchwarz):
         coeffs_from_schwarz(omega, Q_HALF, 8)
 
 
 def test_recursion_rejects_a_nan_schwarz_coefficient():
-    omega = SchwarzSeries(PowerSeries((0, 0.5, complex(math.nan, 0.0), 0.1)))
+    omega = SchwarzSeries((0, 0.5, complex(math.nan, 0.0), 0.1))
     with pytest.raises(InvalidSchwarz):
         coeffs_from_schwarz(omega, Q_HALF, 4)
 
@@ -236,7 +235,7 @@ def test_recursion_kernel_complex_and_clongdouble_agree():
     dv = check_divisors(params.zeta, qn)
     for _ in range(20):
         u = rng.uniform(0.0, 1.0, 5) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=5))
-        b = schur_expand(SchurParams(tuple(complex(v) for v in u)), 8).series.coeffs
+        b = schur_expand(SchurParams(tuple(complex(v) for v in u)), 8).coeffs
         lo = recursion_coeffs(b, qn, dv, params.alpha, complex)
         hi = recursion_coeffs(b, qn, dv, params.alpha, np.clongdouble)
         for x, y in zip(lo, hi):
@@ -250,7 +249,7 @@ def test_recursion_kernel_rows_match_the_scalar_loop():
     qn = q_numbers(params.zeta, 16)
     dv = check_divisors(params.zeta, qn)
     rng = np.random.default_rng(7)
-    b = np.array([random_schwarz(rng, order=16).series.coeffs for _ in range(30)])
+    b = np.array([random_schwarz(rng, order=16).coeffs for _ in range(30)])
     for dtype, tol in ((complex, 1e-13), (np.clongdouble, 1e-16)):
         rows = recursion_coeffs(b, qn, dv, params.alpha, dtype)
         assert rows.shape == (30, 17) and rows.dtype == dtype
@@ -308,9 +307,7 @@ def test_rotation_of_schwarz_rotates_coefficients():
     for _ in range(100):
         w = random_schwarz(rng, order=8)
         rotated_w = SchwarzSeries(
-            PowerSeries(
-                tuple(c * ph**k for k, c in enumerate(w.series.coeffs))
-            )
+            tuple(c * ph**k for k, c in enumerate(w.coeffs.tolist()))
         )
         f = coeffs_from_schwarz(w, Q_HALF, 8)
         g = coeffs_from_schwarz(rotated_w, Q_HALF, 8)
@@ -362,8 +359,34 @@ def test_membership_input_validation():
 
 def test_starlike_function_invariants():
     with pytest.raises(OutOfRange):
-        StarlikeFunction(PowerSeries.from_coeffs([0, 2.0], 3), Q_HALF)
+        StarlikeFunction([0, 2.0, 0, 0], Q_HALF)
     with pytest.raises(OutOfRange):
-        StarlikeFunction(PowerSeries.from_coeffs([1, 1.0], 3), Q_HALF)
+        StarlikeFunction([1, 1.0, 0, 0], Q_HALF)
     f = StarlikeFunction.from_coeffs([1, 0.5j], Q_HALF)
     assert f.coeff(2) == 0.5j
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: SchwarzSeries(c),
+    lambda c: StarlikeFunction(c, Q_HALF),
+])
+def test_coefficient_classes_are_values(make):
+    data = np.array([0, 1, 0.25 - 0.5j, 0.125])
+    obj = make(data)
+    # read-only, and a copy of the caller's array
+    with pytest.raises(ValueError):
+        obj.coeffs[2] = 0.0
+    data[2] = 9.0
+    assert obj.coeff(2) == 0.25 - 0.5j and type(obj.coeff(2)) is complex
+    # == is value equality; list, tuple and array inputs build equal objects
+    values = [0, 1, 0.25 - 0.5j, 0.125]
+    assert obj == make(values) == make(tuple(values)) == make(np.array(values))
+    assert obj != make(values + [0])
+    assert obj != make([0, 1, 0.25 - 0.5j, 0.0])
+
+
+def test_starlike_equality_compares_the_class():
+    f = StarlikeFunction.from_coeffs([1, 0.5], Q_HALF)
+    assert f == StarlikeFunction([0, 1, 0.5], Q_HALF)
+    assert f != StarlikeFunction([0, 1, 0.5], ClassParams(0.5, 0.25))
+    assert f != SchwarzSeries([0, 1, 0.5])
