@@ -72,7 +72,6 @@ from .starlike import (
     coeffs_from_schwarz,
     extremal_by_formula,
     extremal_product,
-    initial_coeffs_closed,
     membership_margin,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "canonical_schwarz",
     "StarlikeFunction",
     "coeffs_from_schwarz",
-    "initial_coeffs_closed",
     "extremal_product",
     "extremal_by_formula",
     "membership_margin",

@@ -11,7 +11,9 @@ y           the disk maximum |a + b z + c z^2| + 1 - |z|^2, closed and grid
 Shared flags: --format {csv,json} (default csv), --out (default stdout).
 extremal takes its order as --n (default 32); verify takes --seed (default 0)
 and the randomized suite's --order (2..8, default 8).  Complex parameters are
-given as --zeta re,im; --q x is shorthand for --zeta x,0 --alpha 0.
+given as --zeta re,im with --alpha (default 0); --q x is shorthand for
+--zeta x,0 --alpha 0 and combines with neither.  The grid suites take --q only
+(repeatable); every other verb and suite takes one class.
 
 Exit codes: 0 success, 1 any verification verdict VIOLATION (or a failed
 --self-check), 2 usage or domain errors.  Output is byte-stable for fixed
@@ -79,17 +81,20 @@ def _fmt(value) -> str:
 
 
 def _parse_zeta(args) -> ClassParams:
-    if getattr(args, "zeta", None) is not None:
-        try:
-            re_str, im_str = args.zeta.split(",")
-            zeta = complex(float(re_str), float(im_str))
-        except ValueError as exc:
-            raise QStarError(f"--zeta expects re,im (got {args.zeta!r})") from exc
-        return ClassParams(zeta, getattr(args, "alpha", 0.0) or 0.0)
-    if getattr(args, "q", None) is not None:
-        q = args.q[0] if isinstance(args.q, list) else args.q
-        return ClassParams(complex(q, 0.0), 0.0)
-    raise QStarError("one of --q or --zeta is required")
+    """The one class that --q, or --zeta with --alpha, names."""
+    if args.q is not None:  # a list: only the grid suites read more than one q
+        if len(args.q) > 1 or args.zeta is not None or args.alpha is not None:
+            raise QStarError("--q x names one class, --zeta x,0 --alpha 0: "
+                             "give it once and alone")
+        return ClassParams(complex(args.q[0], 0.0), 0.0)
+    if args.zeta is None:
+        raise QStarError("one of --q or --zeta is required")
+    try:
+        re_str, im_str = args.zeta.split(",")
+        zeta = complex(float(re_str), float(im_str))
+    except ValueError as exc:
+        raise QStarError(f"--zeta expects re,im (got {args.zeta!r})") from exc
+    return ClassParams(zeta, args.alpha or 0.0)
 
 
 def _emit(text: str, out_path) -> None:
@@ -205,6 +210,9 @@ def _cmd_verify(args) -> int:
                                  depth=5, order=args.order)
         )
     else:
+        if args.zeta is not None or args.alpha is not None:
+            raise QStarError(f"--suite {args.suite} runs at real q and alpha = 0: "
+                             "give --q only")
         reports.append(
             sharpness_report(qs, _SUITES[args.suite], grid=grid,
                              refinement_levels=levels, seed=args.seed)
@@ -303,9 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("extremal", help="extremal coefficients a_1..a_n")
-    p.add_argument("--q", type=float)
+    p.add_argument("--q", type=float, action="append")
     p.add_argument("--zeta", type=str)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--method", choices=("recursion", "product", "formula"),
                    default="recursion")
@@ -319,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=tuple(_GRIDS), default="default")
     p.add_argument("--q", type=float, action="append")
     p.add_argument("--zeta", type=str)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", type=int, default=SUITE_MAX_ORDER)
@@ -330,9 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="JSON array of a_1, a_2, ... (numbers or [re, im] pairs)")
     p.add_argument("--rmax", type=float, default=0.95)
-    p.add_argument("--q", type=float)
+    p.add_argument("--q", type=float, action="append")
     p.add_argument("--zeta", type=str)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=float)
     _add_shared(p)
     p.set_defaults(func=_cmd_membership)
 

@@ -4,9 +4,10 @@ Two engines live here.
 
 ``maximize_functional`` searches the parameter family of the first three
 Schwarz coefficients -- real b1 in [0, 1] and disk parameters x, y -- by
-mapping each triple through :func:`qstar.schwarz.schwarz_b2b3` and
-:func:`qstar.starlike.initial_coeffs_closed` to (a2, a3, a4) and evaluating
-the chosen functional.  It grids (b1, x) and refines that grid around the
+mapping each triple through :func:`qstar.schwarz.schwarz_b2b3` and the
+coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, the one map
+from Schwarz to starlike coefficients) to (a2, a3, a4) and evaluating the
+chosen functional.  It grids (b1, x) and refines that grid around the
 incumbent; y is not gridded:
 
 * b3, hence a4, is affine in y.  A functional affine in a4 is A + B y on each
@@ -23,9 +24,8 @@ member, so a search value above the catalog bound (a negative gap) falsifies
 either the bound or this implementation.
 
 ``random_schwarz_suite`` attacks the complex-parameter inequalities instead:
-it draws seeded Schur-parameter tuples, builds members through the
-coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, its one
-kernel), and checks the Parseval chain inequality, the derived |a_n| bound,
+it draws seeded Schur-parameter tuples, builds members through the same
+recursion, and checks the Parseval chain inequality, the derived |a_n| bound,
 and the product bound on every sample.  It works on batches of samples as
 numpy arrays with one row per sample: the Schur chains
 (:func:`qstar.schwarz.schur_rows`), the recursion and the inequality sides
@@ -88,7 +88,7 @@ from .functionals import (
 )
 from .schwarz import schur_rows, schwarz_b2b3
 from .series import ClassParams, check_divisors, q_numbers
-from .starlike import initial_coeffs_closed, recursion_coeffs
+from .starlike import recursion_coeffs
 
 #: a gap below this times max(1, |bound|) is a VIOLATION
 VIOLATION_TOL = -1e-9
@@ -258,7 +258,7 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 def _functional_values(fid, q, b1, x, y):
     """The raw functional at every (b1, x, y) of the broadcast arrays."""
     b2, b3 = schwarz_b2b3(b1, x, y)
-    return RAW_FORMULAS[fid](*initial_coeffs_closed(b1, b2, b3, q))
+    return RAW_FORMULAS[fid](*recursion_coeffs((0.0, b1, b2, b3), ClassParams(q), 4)[2:])
 
 
 def _affine_witness(a, b) -> tuple:
@@ -390,7 +390,9 @@ def _case_for(spec: SearchSpec) -> CaseFlag | None:
 
 
 def rotated_extremal_values(q: float, theta: float = math.pi / 2.0) -> tuple:
-    """(a2, a3, a4) of the extremal function after a phase rotation.
+    """(a2, a3, a4) of the rotated extremal: the member generated by the
+    Schwarz function w(z) = e^(i theta) z, whose coefficients are the
+    extremal's a_n times e^(i (n-1) theta).
 
     With the positive extremal coefficients and theta = pi/2 the rotation
     sends (a2, a3, a4) to (i a2, -a3, -i a4), which aligns the two terms of
@@ -405,9 +407,8 @@ def rotated_extremal_values(q: float, theta: float = math.pi / 2.0) -> tuple:
     attainment witness for the whole family (the unrotated one is not:
     |1 - a2^2| < 1 + a2^2 for real a2).
     """
-    a2, a3, a4 = initial_coeffs_closed(1.0, 0.0, 0.0, q)
-    ph = complex(math.cos(theta), math.sin(theta))
-    return a2 * ph, a3 * ph * ph, a4 * ph**3
+    a = recursion_coeffs((0.0, cmath.rect(1.0, theta), 0.0, 0.0), ClassParams(q), 4)
+    return tuple(complex(v) for v in a[2:])
 
 
 # ----------------------------------------------------------------------
@@ -488,9 +489,8 @@ def _suite_sides(b, params, order, prod, dtype):
     The recursion and the chain sums run in ``dtype`` (complex or
     np.clongdouble); the results are floats.
     """
-    qn = q_numbers(params.zeta, order)
-    a = recursion_coeffs(b, qn, check_divisors(params.zeta, qn), params.alpha, dtype)
-    abs_a = np.abs(a[:, 1:])  # |a_1| .. |a_order|
+    a = recursion_coeffs(b.T, params, order, dtype)
+    abs_a = np.abs(np.stack(np.broadcast_arrays(*a[1:]), axis=1))  # |a_1| .. |a_order|
     d, c = parseval_weights(params, order, dtype)
     t = abs_a**2
     lhs = np.cumsum(c * t, axis=1)[:, 1:]  # sum_{k<=n} c_k |a_k|^2

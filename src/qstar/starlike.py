@@ -14,10 +14,12 @@ and comparing coefficients yields the linear recursion
 
 with a1 = 1.  The recursion is the ground truth here; the infinite-product
 solution for w(z) = z and the closed coefficient formula are independent
-cross-checks of it.  :func:`recursion_coeffs` is the one recursion kernel;
-the randomized suite in :mod:`qstar.search` runs it too.  Each route returns
-a :class:`StarlikeFunction`, which holds a_0 .. a_N as a read-only complex
-numpy array.
+cross-checks of it.  :func:`recursion_coeffs` is the one map from Schwarz to
+starlike coefficients, at any order and alpha: :func:`coeffs_from_schwarz`
+runs it on one coefficient array, and :mod:`qstar.search` on arrays of
+members (the grid's (b1, b2, b3), the random suite's rows and the rotated
+extremal).  Each route returns a :class:`StarlikeFunction`, which holds
+a_0 .. a_N as a read-only complex numpy array.
 
 For w(z) = z the function satisfies f(zeta z) = f(z) (zeta - s z)/(1 - z)
 with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product
@@ -70,27 +72,35 @@ class StarlikeFunction(Coefficients):
         return cls(c, params)
 
 
-def recursion_coeffs(b, qn, dv, alpha: float, dtype) -> np.ndarray:
-    """a_0 .. a_N of the recursion for each row of ``b``, in ``dtype``
-    (complex or np.clongdouble); N = len(qn).
+def recursion_coeffs(b, params: ClassParams, order: int, dtype=complex) -> list:
+    """[a_0, ..., a_order] of the recursion, in numpy values of ``dtype``
+    (complex or np.clongdouble).
 
-    ``b`` holds b_0 .. b_(N-1) (or more) along its last axis, one Schwarz
-    function per row, and the result has b's leading shape plus N + 1.  ``qn``
-    are the q-numbers [1] .. [N] and ``dv`` the checked divisors
-    [1] - 1 .. [N] - 1 of :func:`qstar.series.check_divisors`.  Each a_n is
-    one numpy reduction over k for all rows.
+    ``b[k]`` is the Schwarz coefficient b_k; b_1 .. b_(order-1) enter, each a
+    scalar or an array of one b_k per member.  The arrays broadcast together,
+    and an array b_k already has the broadcast shape of b_1 .. b_k, as when
+    each coefficient is a function of the ones before it.  a_n has the
+    broadcast shape of the b_1 .. b_(n-1) it reads (a_0 = 0 and a_1 = 1 are
+    scalars), so the results broadcast together without being expanded.  A
+    1-D coefficient array gives one member, the transposed rows of
+    :func:`qstar.schwarz.schur_rows` one member per row, and a tuple
+    (0, b1, b2, b3) of grid arrays one member per grid point.  The q-numbers
+    and the checked divisors come from :mod:`qstar.series`; a degenerate
+    divisor raises ``DegenerateDivisor``.
     """
-    b = np.asarray(b, dtype=dtype)
-    n_max = len(qn)
-    weight = dtype(1.0 - 2.0 * alpha) + np.asarray(qn, dtype=dtype)  # (1-2a) + [k]
-    div = np.asarray(dv, dtype=dtype)
-    a = np.zeros(b.shape[:-1] + (n_max + 1,), dtype=dtype)
-    a[..., 1] = 1.0
+    t = np.dtype(dtype).type
+    qn = q_numbers(params.zeta, order)
+    div = [t(d) for d in check_divisors(params.zeta, qn)]
+    w = [t(1.0 - 2.0 * params.alpha) + t(v) for v in qn]  # (1-2a) + [k]
+    b = [np.asarray(v, dtype=t)[()] for v in b[:order]]
+    a = [t(0), t(1)]
     # an overflow surfaces as a non-finite coefficient, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, n_max + 1):
-            acc = (b[..., n - 1:0:-1] * weight[:n - 1] * a[..., 1:n]).sum(axis=-1)
-            a[..., n] = acc / div[n - 1]
+        for n in range(2, order + 1):
+            acc = b[n - 1] * w[0]  # the k = 1 term, a_1 = 1
+            for k in range(2, n):
+                acc += b[n - k] * w[k - 1] * a[k]  # in place: one array temporary fewer
+            a.append(acc / div[n - 1])
     return a
 
 
@@ -111,35 +121,7 @@ def coeffs_from_schwarz(
     _, margin = schur_test(omega)
     if not margin >= -MARGIN_TOL:  # also true for a NaN margin
         raise InvalidSchwarz(f"schur_test margin {margin:.3e} below {-MARGIN_TOL}")
-    qn = q_numbers(params.zeta, order)
-    dv = check_divisors(params.zeta, qn)
-    a = recursion_coeffs(omega.coeffs, qn, dv, params.alpha, complex)
-    return StarlikeFunction(a, params)
-
-
-def initial_coeffs_closed(b1, b2, b3, q: float) -> tuple:
-    """(a2, a3, a4) in closed form from (b1, b2, b3), real q in (0, 1).
-
-    a2 = 2 b1 / q
-    a3 = (2 b2 q + 4 b1^2 + 2 b1^2 q) / (q^2 (1 + q))
-    a4 = (2 q^2 (1+q) b3 + 4 q (2 + 2q + q^2) b1 b2
-          + 2 (4 + 4q + 3q^2 + q^3) b1^3) / (q^3 (1+q)(1 + q + q^2))
-
-    Any complex triple is accepted; validity is the caller's concern.
-    Scalar arguments give Python complex values; numpy array arguments
-    broadcast against each other and give arrays.
-    """
-    if not 0.0 < q < 1.0:
-        raise OutOfRange(f"q = {q} outside (0, 1)")
-    b1, b2, b3 = (complex(v) if np.ndim(v) == 0 else v for v in (b1, b2, b3))
-    a2 = 2.0 * b1 / q
-    a3 = (2.0 * b2 * q + 4.0 * b1 * b1 + 2.0 * b1 * b1 * q) / (q * q * (1.0 + q))
-    a4 = (
-        2.0 * q * q * (1.0 + q) * b3
-        + 4.0 * q * (2.0 + 2.0 * q + q * q) * b1 * b2
-        + 2.0 * (4.0 + 4.0 * q + 3.0 * q * q + q**3) * b1**3
-    ) / (q**3 * (1.0 + q) * (1.0 + q + q * q))
-    return a2, a3, a4
+    return StarlikeFunction(recursion_coeffs(omega.coeffs, params, order), params)
 
 
 def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
@@ -245,7 +227,6 @@ __all__ = [
     "StarlikeFunction",
     "recursion_coeffs",
     "coeffs_from_schwarz",
-    "initial_coeffs_closed",
     "extremal_product",
     "extremal_factors",
     "extremal_by_formula",

@@ -42,6 +42,27 @@ def caratheodory_p2p3(p1, x, y):
     return p2, p3
 
 
+def initial_coeffs_closed(b1, b2, b3, q):
+    """(a2, a3, a4) of the q-starlike class at alpha = 0 from (b1, b2, b3), by
+    the hand-expanded recursion at real q in (0, 1):
+
+    a2 = 2 b1 / q
+    a3 = (2 b2 q + 4 b1^2 + 2 b1^2 q) / (q^2 (1 + q))
+    a4 = (2 q^2 (1+q) b3 + 4 q (2 + 2q + q^2) b1 b2
+          + 2 (4 + 4q + 3q^2 + q^3) b1^3) / (q^3 (1+q)(1 + q + q^2))
+
+    Scalars or numpy arrays, which broadcast against each other.
+    """
+    a2 = 2.0 * b1 / q
+    a3 = (2.0 * b2 * q + 4.0 * b1 * b1 + 2.0 * b1 * b1 * q) / (q * q * (1.0 + q))
+    a4 = (
+        2.0 * q * q * (1.0 + q) * b3
+        + 4.0 * q * (2.0 + 2.0 * q + q * q) * b1 * b2
+        + 2.0 * (4.0 + 4.0 * q + 3.0 * q * q + q**3) * b1**3
+    ) / (q**3 * (1.0 + q) * (1.0 + q + q * q))
+    return a2, a3, a4
+
+
 def det_permanent_expansion(m):
     """Determinant by signed permutation expansion (k! terms; k <= 5)."""
     k = len(m)

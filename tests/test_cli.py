@@ -260,6 +260,12 @@ def test_y_verb_skips_closed_form_when_ac_negative(capsys):
         ("bounds", "--q", "1e-45", "--format", "json"),  # a bound overflows to inf
         ("extremal", "--q", "1e-5", "--n", "64"),  # the recursion overflows
         ("verify", "--suite", "parseval", "--q", "0.5", "--order", "9"),
+        # a class flag the verb or suite does not read
+        ("verify", "--suite", "hankel", "--zeta", "0.3,0"),
+        ("verify", "--suite", "all", "--q", "0.5", "--zeta", "0.3,0", "--alpha", "0.5"),
+        ("verify", "--suite", "parseval", "--q", "0.5", "--q", "0.8"),
+        ("extremal", "--q", "0.5", "--alpha", "0.25", "--n", "3"),
+        ("extremal", "--q", "0.5", "--zeta", "0.3,0"),
         # membership files: the last item is the file's contents
         ("membership", "--q", "0.5", "--input", b"[[1]]"),
         ("membership", "--q", "0.5", "--input", b'[1, {"a": 2}]'),

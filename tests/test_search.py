@@ -12,7 +12,6 @@ from qstar import (
     GridSpec,
     SearchSpec,
     bound_value,
-    initial_coeffs_closed,
     maximize_functional,
     named_functional,
     random_schwarz_suite,
@@ -24,6 +23,8 @@ from qstar import search
 from qstar.errors import OutOfRange
 from qstar.functionals import RAW_FORMULAS
 from qstar.search import _sample_gammas, _verdict, _worst, _y_max
+
+from _oracles import initial_coeffs_closed
 
 COARSE = GridSpec.coarse()
 
@@ -128,6 +129,38 @@ def test_y_elimination_dominates_a_y_lattice(fid):
             b2, b3 = schwarz_b2b3(b1, x, lattice)
             brute = np.max(np.abs(RAW_FORMULAS[fid](*initial_coeffs_closed(b1, b2, b3, q))))
             assert np.max(vals) >= brute - 1e-12 * max(1.0, brute)
+
+
+@pytest.mark.parametrize("fid, b1_range", [
+    (FunctionalId.H2_2, (0.0, 1.0)),  # affine in a4: |A| + |B|
+    (FunctionalId.T2_3, (0.0, 0.0)),  # swept on |y| = 1
+    (FunctionalId.ABS_A2, (0.0, 1.0)),  # ignores x and y
+])
+def test_search_is_independent_of_the_chunk_size(monkeypatch, fid, b1_range):
+    # the determinism contract: grid cells are independent work items, so any
+    # split of the lattice into chunks gives the same result, bit for bit
+    results = []
+    for chunk in (1, 4096, search._CHUNK_POINTS):
+        monkeypatch.setattr(search, "_CHUNK_POINTS", chunk)
+        results.append(maximize_functional(coarse_spec(fid, 0.5, b1_range=b1_range)))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9, 0.99])
+def test_grid_map_matches_the_closed_forms(monkeypatch, q):
+    # the (a2, a3, a4) the grid's functionals read, against the hand-expanded
+    # recursion of the test oracle, on a random (b1, x, y) lattice
+    rng = np.random.default_rng(11)
+    b1 = rng.uniform(0.0, 1.0, (40, 1, 1, 1))
+    x = (rng.uniform(0.0, 1.0, 30) ** 0.5
+         * np.exp(2j * np.pi * rng.uniform(size=30))).reshape(1, 5, 6, 1)
+    y = rng.uniform(0.0, 1.0, 7) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=7))
+    monkeypatch.setattr(search, "RAW_FORMULAS", {"probe": lambda *a: a})
+    got = search._functional_values("probe", q, b1, x, y)
+    b2, b3 = schwarz_b2b3(b1, x, y)
+    for a, closed in zip(got, initial_coeffs_closed(b1, b2, b3, q)):
+        a, closed = np.broadcast_arrays(a, closed)
+        assert np.all(np.abs(a - closed) <= 1e-13 * np.maximum(1.0, np.abs(closed)))
 
 
 def test_search_evaluation_counts():

@@ -17,13 +17,14 @@ from qstar import (
     coeffs_from_schwarz,
     extremal_by_formula,
     extremal_product,
-    initial_coeffs_closed,
     membership_margin,
     schur_expand,
 )
 from qstar import starlike
 from qstar.series import check_divisors, q_numbers
 from qstar.starlike import recursion_coeffs
+
+from _oracles import initial_coeffs_closed
 
 Q_HALF = ClassParams(0.5)
 
@@ -120,23 +121,6 @@ def test_a2_bound_on_random_samples():
             assert abs(f.coeff(2)) <= 2.0 / q + 1e-9
 
 
-# ----------------------------------------------------------------- closed form
-
-
-def test_initial_coeffs_closed_examples():
-    a2, a3, a4 = initial_coeffs_closed(1.0, 0.0, 0.0, 0.5)
-    assert abs(a2 - 4.0) <= 1e-15
-    assert abs(a3 - 40.0 / 3.0) <= 1e-14
-    assert abs(a4 - 880.0 / 21.0) <= 1e-13
-    x = 0.3 - 0.7j
-    a2, a3, a4 = initial_coeffs_closed(0.0, x, 0.0, 0.4)
-    assert a2 == 0
-    assert abs(a3 - 2.0 * x / (0.4 * 1.4)) <= 1e-15
-    assert initial_coeffs_closed(0.0, 0.0, 0.0, 0.9) == (0j, 0j, 0j)
-    with pytest.raises(OutOfRange):
-        initial_coeffs_closed(1.0, 0.0, 0.0, 1.0)
-
-
 # ----------------------------------------------------------------- extremal
 
 
@@ -231,27 +215,26 @@ def test_formula_route_is_independent(monkeypatch):
 def test_recursion_kernel_complex_and_clongdouble_agree():
     rng = np.random.default_rng(2024)
     params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
-    qn = q_numbers(params.zeta, 8)
-    dv = check_divisors(params.zeta, qn)
     for _ in range(20):
         u = rng.uniform(0.0, 1.0, 5) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=5))
         b = schur_expand(SchurParams(tuple(complex(v) for v in u)), 8).coeffs
-        lo = recursion_coeffs(b, qn, dv, params.alpha, complex)
-        hi = recursion_coeffs(b, qn, dv, params.alpha, np.clongdouble)
+        lo = recursion_coeffs(b, params, 8, complex)
+        hi = recursion_coeffs(b, params, 8, np.clongdouble)
         for x, y in zip(lo, hi):
             assert abs(complex(x) - complex(y)) <= 1e-12 * max(1.0, abs(complex(y)))
 
 
 def test_recursion_kernel_rows_match_the_scalar_loop():
-    # one numpy reduction per n over all rows; the reference is the scalar
-    # loop, which sums in another order, so the tolerance is a few ulps
+    # one numpy operation per term over all rows (the transposed rows are
+    # b_0, b_1, ...); the reference is the scalar loop, one row at a time
     params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
     qn = q_numbers(params.zeta, 16)
     dv = check_divisors(params.zeta, qn)
     rng = np.random.default_rng(7)
     b = np.array([random_schwarz(rng, order=16).coeffs for _ in range(30)])
     for dtype, tol in ((complex, 1e-13), (np.clongdouble, 1e-16)):
-        rows = recursion_coeffs(b, qn, dv, params.alpha, dtype)
+        a = recursion_coeffs(b.T, params, 16, dtype)
+        rows = np.stack(np.broadcast_arrays(*a), axis=1)
         assert rows.shape == (30, 17) and rows.dtype == dtype
         for row, bb in zip(rows, b):
             w = [dtype(1.0 - 2.0 * params.alpha) + dtype(v) for v in qn]
@@ -263,6 +246,33 @@ def test_recursion_kernel_rows_match_the_scalar_loop():
                 a.append(acc / dtype(dv[n - 1]))
             for x, y in zip(row, a):
                 assert abs(x - y) <= tol * max(1.0, abs(y))
+
+
+def test_recursion_kernel_broadcasts_scalar_and_array_coefficients():
+    # one member per grid point: a scalar b1 against arrays b2, b3
+    params = ClassParams(0.5)
+    b2 = np.linspace(-0.5, 0.5, 3)[:, None]
+    b3 = b2 * np.array([0.1j, -0.2, 0.3])
+    a = recursion_coeffs((0.0, 0.6, b2, b3), params, 4)
+    # a_n has the shape of the b_k it reads, so a2 stays a scalar
+    assert [np.shape(v) for v in a] == [(), (), (), (3, 1), (3, 3)]
+    assert a[0] == 0 and a[1] == 1 and a[2] == 2.0 * 0.6 / 0.5
+    a = np.broadcast_arrays(*a)
+    for i in range(3):
+        for j in range(3):
+            one = recursion_coeffs((0.0, 0.6, b2[i, 0], b3[i, j]), params, 4)
+            assert [complex(v[i, j]) for v in a] == [complex(v) for v in one]
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_recursion_kernel_tuple_and_array_inputs_agree_bitwise(dtype):
+    params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
+    b = random_schwarz(np.random.default_rng(5), order=12).coeffs
+    from_array = recursion_coeffs(b, params, 12, dtype)
+    from_tuple = recursion_coeffs(tuple(complex(v) for v in b), params, 12, dtype)
+    assert all(np.shape(v) == () for v in from_array)
+    assert all(x == y for x, y in zip(from_array, from_tuple))
+    assert np.array(from_array).dtype == dtype
 
 
 def test_nonfinite_coefficients_rejected():
