@@ -257,20 +257,57 @@ def disk_quadratic_max_closed(a: float, b: float, c: float) -> float:
     return _finite(1.0 + abs(a) + b * b / (4.0 * (1.0 - abs(c))))
 
 
+def _peak_angles(a: float, b: float, c: float, radii, angular: int):
+    """Indices into the angular grid, one row per radius, that hold the
+    row's largest |a + b z + c z^2| (see :func:`disk_quadratic_max_grid`)."""
+    scale = max(abs(a), abs(b), abs(c)) or 1.0
+    a, b, c = a / scale, b / scale, c / scale  # the vertex is scale-free; nothing overflows
+    lin = 2.0 * b * radii * (a + c * radii * radii)
+    quad = 2.0 * a * c * radii * radii
+    with np.errstate(divide="ignore", over="ignore"):  # a huge vertex clips to -1 or 1
+        vertex = np.divide(-lin, 4.0 * quad, out=np.ones_like(radii), where=quad < 0.0)
+    nearest = np.rint(np.arccos(np.clip(vertex, -1.0, 1.0)) * (angular / (2.0 * np.pi)))
+    k = nearest.astype(int)[:, None]
+    half = angular // 2
+    centres = np.hstack(np.broadcast_arrays(k, -k, 0, half, angular - half))
+    return ((centres[:, :, None] + np.arange(-1, 2)) % angular).reshape(len(radii), -1)
+
+
 def disk_quadratic_max_grid(
     a, b, c, radial: int = 256, angular: int = 720
 ) -> float:
     """Grid maximum of |a + b z + c z^2| + 1 - |z|^2 over the closed disk.
 
     A lower bound on the true maximum, with resolution error of order
-    O(1/radial + 1/angular); the grid always contains z = 0 and |z| = 1.
+    O(1/radial + 1/angular); the grid holds ``radial`` equispaced radii from
+    0 to 1 and ``angular`` equispaced angles, so it contains z = 0 and |z| = 1.
+
+    a, b and c must be real (a complex one raises ``OutOfRange``).  Then on
+    the circle |z| = r, with t = cos(theta),
+
+        |a + b z + c z^2|^2 = const + B t + 2 C t^2,
+        B = 2 b r (a + c r^2),  C = 2 a c r^2,
+
+    a quadratic in t, and t is monotone in the angle on [0, pi] and even in
+    it.  So the largest grid value on each circle lies at the grid angle
+    nearest the vertex t = -B / (4 C) when C < 0, and otherwise at t = 1 or
+    t = -1.  Only those angles are evaluated: for each radius the index
+    nearest the vertex, index 0 and the one or two indices nearest
+    angular / 2, each with its neighbours on either side and its mirror
+    image angular - j, which keeps at most 15 of the angles per circle.  Each
+    value is the same expression on the same z as the full grid, so the
+    result is the full grid's maximum bit for bit, up to rounding ties
+    between angles (as where |f| is constant on a circle).
     """
     if radial < 64 or angular < 64:
         raise OutOfRange("grid resolutions must be >= 64")
+    if any(np.iscomplexobj(v) for v in (a, b, c)):
+        raise OutOfRange(f"a, b, c must be real, got {(a, b, c)}")
     _finite(a, b, c)
+    a, b, c = float(a), float(b), float(c)
     radii = np.linspace(0.0, 1.0, radial)
-    angles = 2.0 * np.pi * np.arange(angular) / angular
-    z = radii[:, None] * np.exp(1j * angles)[None, :]
+    j = _peak_angles(a, b, c, radii, angular)
+    z = radii[:, None] * np.exp(1j * (2.0 * np.pi * j / angular))
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
         vals = np.abs(a + b * z + c * z * z) + 1.0 - np.abs(z) ** 2
     return _finite(float(vals.max()))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -291,12 +292,33 @@ def _cmd_y(args) -> int:
 # argument plumbing
 
 
+class _Once(argparse.Action):
+    """Stores a flag's value, and rejects the flag given twice in one command
+    line.  The flags seen live in the namespace of the parse, so the shared
+    parser carries nothing from one command line to the next."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        seen = vars(namespace).setdefault("_once_seen", set())
+        if self.dest in seen:
+            raise QStarError(f"{self.option_strings[0]} given more than once")
+        seen.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv", action=_Once)
+    p.add_argument("--out", default=None, action=_Once)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_class(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=float, action="append")
+    p.add_argument("--zeta", type=str, action=_Once)
+    p.add_argument("--alpha", type=float, action=_Once)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="qstar",
         description="bounds, extremal coefficients, and sharpness verification "
@@ -311,45 +333,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("extremal", help="extremal coefficients a_1..a_n")
-    p.add_argument("--q", type=float, action="append")
-    p.add_argument("--zeta", type=str)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n", type=int, default=32)
+    _add_class(p)
+    p.add_argument("--n", type=int, default=32, action=_Once)
     p.add_argument("--method", choices=("recursion", "product", "formula"),
-                   default="recursion")
+                   default="recursion", action=_Once)
     p.add_argument("--self-check", action="store_true", dest="self_check")
     _add_shared(p)
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("hankel", "toeplitz", "initial", "parseval", "all"),
-                   default="all")
-    p.add_argument("--grid", choices=tuple(_GRIDS), default="default")
-    p.add_argument("--q", type=float, action="append")
-    p.add_argument("--zeta", type=str)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=SUITE_MAX_ORDER)
+                   default="all", action=_Once)
+    p.add_argument("--grid", choices=tuple(_GRIDS), default="default", action=_Once)
+    _add_class(p)
+    p.add_argument("--count", type=int, default=10000, action=_Once)
+    p.add_argument("--seed", type=int, default=0, action=_Once)
+    p.add_argument("--order", type=int, default=SUITE_MAX_ORDER, action=_Once)
     _add_shared(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("membership", help="grid membership margin for a coefficient file")
-    p.add_argument("--input", required=True,
+    p.add_argument("--input", required=True, action=_Once,
                    help="JSON array of a_1, a_2, ... (numbers or [re, im] pairs)")
-    p.add_argument("--rmax", type=float, default=0.95)
-    p.add_argument("--q", type=float, action="append")
-    p.add_argument("--zeta", type=str)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--rmax", type=float, default=0.95, action=_Once)
+    _add_class(p)
     _add_shared(p)
     p.set_defaults(func=_cmd_membership)
 
     p = sub.add_parser("y", help="disk maximum of |a + b z + c z^2| + 1 - |z|^2")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--radial", type=int, default=256)
-    p.add_argument("--angular", type=int, default=720)
+    for name in ("--a", "--b", "--c"):
+        p.add_argument(name, type=float, required=True, action=_Once)
+    p.add_argument("--radial", type=int, default=256, action=_Once)
+    p.add_argument("--angular", type=int, default=720, action=_Once)
     _add_shared(p)
     p.set_defaults(func=_cmd_y)
 
@@ -358,17 +373,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except QStarError as exc:
-        sys.stderr.write(f"qstar: {exc}\n")
-        return 2
-    except OSError as exc:
+    except SystemExit as exc:  # argparse: a usage error, --help or --version
+        return int(exc.code or 0)
+    except (QStarError, OSError) as exc:
         sys.stderr.write(f"qstar: {exc}\n")
         return 2
 

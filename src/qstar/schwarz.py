@@ -171,19 +171,22 @@ def schur_test(w) -> tuple:
     return tuple(gammas), float(0.0 - r.max())
 
 
-def schwarz_b2b3(b1: float, x, y) -> tuple:
+def schwarz_b2b3(b1: float, x, y=None) -> tuple:
     """(b2, b3) of a Schwarz function from the triple (b1, x, y).
 
     b2 = x (1 - b1^2),  b3 = (1 - b1^2) ((1 - |x|^2) y - b1 x^2),
     valid for real b1 in [0, 1] and |x| <= 1, |y| <= 1.  Scalar arguments
     give Python complex values; numpy array arguments broadcast against each
-    other, are range-checked element by element, and give arrays.
+    other, are range-checked element by element, and give arrays.  Without
+    y only b2 is formed, and b3 comes back as None.
     """
     b1 = _real_in(b1, 0.0, 1.0, "b1")
     x = _disk(x, "x")
-    y = _disk(y, "y")
     one_m = 1.0 - b1 * b1
     b2 = x * one_m
+    if y is None:
+        return b2, None
+    y = _disk(y, "y")
     b3 = one_m * ((1.0 - abs(x) ** 2) * y - b1 * x * x)
     return b2, b3
 

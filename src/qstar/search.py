@@ -17,7 +17,7 @@ incumbent; y is not gridded:
 * A functional quadratic in a4 is a polynomial in y, so by the maximum-modulus
   principle its maximum over the disk lies on |y| = 1; the search sweeps
   arg y on that circle only.
-* The other functionals do not read y at all.
+* The other functionals do not read y at all, and their map stops at a3.
 
 Every evaluated point, and every reported witness, is a genuine class
 member, so a search value above the catalog bound (a negative gap) falsifies
@@ -255,9 +255,16 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _functional_values(fid, q, b1, x, y):
-    """The raw functional at every (b1, x, y) of the broadcast arrays."""
+def _functional_values(fid, q, b1, x, y=None):
+    """The raw functional at every (b1, x, y) of the broadcast arrays.
+
+    Without y, for a functional that does not read a4, the recursion stops
+    at a3: neither b3 nor a4 is formed, and the functional gets a4 = None.
+    """
     b2, b3 = schwarz_b2b3(b1, x, y)
+    if y is None:
+        a2, a3 = recursion_coeffs((0.0, b1, b2), ClassParams(q), 3)[2:]
+        return RAW_FORMULAS[fid](a2, a3, None)
     return RAW_FORMULAS[fid](*recursion_coeffs((0.0, b1, b2, b3), ClassParams(q), 4)[2:])
 
 
@@ -291,7 +298,7 @@ def _y_max(fid, q, b1, x, ays):
     if fid in A4_DEPENDENT:
         vals = np.abs(_functional_values(fid, q, b1, x, np.exp(1j * ays)))
         return vals, lambda i: (1.0, float(ays[i[3]]))
-    return np.abs(_functional_values(fid, q, b1, x, 0.0)), lambda i: (0.0, 0.0)
+    return np.abs(_functional_values(fid, q, b1, x)), lambda i: (0.0, 0.0)
 
 
 def maximize_functional(spec: SearchSpec) -> SearchResult:

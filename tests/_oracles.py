@@ -1,12 +1,15 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here is deliberately primitive: exact-rational series arithmetic
-on coefficient lists, permutation-expansion determinants, and direct
-substitution formulas.  None of it shares code paths with the package.
+on coefficient lists, permutation-expansion determinants, direct
+substitution formulas, and a disk maximum over every point of its grid.
+None of it shares code paths with the package.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+import numpy as np
 
 
 def frac_series(values, order):
@@ -138,3 +141,15 @@ class GaussFraction:
 
 def _gauss(value):
     return value if isinstance(value, GaussFraction) else GaussFraction(value)
+
+
+def disk_quadratic_max_full_grid(a, b, c, radial=256, angular=720):
+    """max of |a + b z + c z^2| + 1 - |z|^2 over every point of the polar grid
+    of ``radial`` radii in [0, 1] and ``angular`` angles, as a float (NaN or
+    infinite when a value overflows)."""
+    radii = np.linspace(0.0, 1.0, radial)
+    angles = 2.0 * np.pi * np.arange(angular) / angular
+    z = radii[:, None] * np.exp(1j * angles)[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(a + b * z + c * z * z) + 1.0 - np.abs(z) ** 2
+    return float(vals.max())

@@ -26,6 +26,8 @@ from qstar import (
 )
 from qstar.series import check_divisors, q_numbers
 
+from _oracles import disk_quadratic_max_full_grid
+
 Q_HALF = ClassParams(0.5)
 
 
@@ -274,6 +276,73 @@ def test_disk_quadratic_grid_examples():
     assert disk_quadratic_max_grid(1.0, 0.0, 0.0) == pytest.approx(2.0)
     with pytest.raises(OutOfRange):
         disk_quadratic_max_grid(1.0, 0.0, 0.0, radial=32)
+
+
+#: (radial, angular) of the oracle comparisons: the smallest grid, odd and
+#: even angular counts, and the default grid
+_DISK_GRIDS = [(64, 64), (64, 65), (80, 72), (64, 721), (256, 720)]
+
+
+def _disk_grid_shape(i):
+    # the default grid and 64 x 721 cost most in the oracle, so appear least
+    return _DISK_GRIDS[4 if i % 50 == 0 else 3 if i % 10 == 5 else i % 3]
+
+
+def test_disk_quadratic_grid_equals_the_full_grid():
+    # only the angles that can hold each circle's maximum are evaluated; the
+    # oracle evaluates every grid point, and the two agree bit for bit
+    rng = np.random.default_rng(2026)
+    abc = rng.uniform(-2.0, 2.0, (5200, 3))
+    abc[0::4, 2] = -np.sign(abc[0::4, 0]) * np.abs(abc[0::4, 2])  # a c < 0
+    abc[1::4, 2] *= rng.uniform(1.0, 10.0, len(abc[1::4])) / np.abs(abc[1::4, 2])  # |c| > 1
+    abc[2::4] *= 10.0 ** rng.uniform(-3.0, 3.0, abc[2::4].shape)  # unequal scales
+    abc[3::8, rng.integers(0, 3)] = 0.0  # one coefficient zero
+    assert np.count_nonzero(abc[:, 0] * abc[:, 2] < 0) > 1300
+    assert np.count_nonzero(np.abs(abc[:, 2]) > 1.0) > 1300
+    mismatches = []
+    for i, (a, b, c) in enumerate(abc):
+        radial, angular = _disk_grid_shape(i)
+        got = disk_quadratic_max_grid(a, b, c, radial, angular)
+        if got != disk_quadratic_max_full_grid(a, b, c, radial, angular):
+            mismatches.append((a, b, c, radial, angular))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("abc", [
+    (0.0, 0.0, 1.0), (0.0, 0.0, -0.3), (0.0, 0.0, 7.5), (1.0, 0.0, 0.0),
+    (-2.5, 0.0, 0.0), (1e-300, 1.0, 1e300), (1e-12, 1e-12, 1e12), (3e8, 1e-9, 0.0),
+])
+def test_disk_quadratic_grid_on_circles_of_constant_modulus(abc):
+    # with |a + b z + c z^2| (nearly) constant on each circle, rounding alone
+    # picks the maximizing angle; the value then differs by a few ulp at most
+    for i in range(len(_DISK_GRIDS)):
+        radial, angular = _DISK_GRIDS[i]
+        got = disk_quadratic_max_grid(*abc, radial, angular)
+        full = disk_quadratic_max_full_grid(*abc, radial, angular)
+        assert abs(got - full) <= 4.0 * np.spacing(max(1.0, abs(full)))
+
+
+@pytest.mark.parametrize("abc", [
+    (1e308, 1e308, 0.0), (0.0, 1e308, 1e308), (1e308, 0.0, -1e308), (-1e308, 1e308, 1e308),
+    (1.7e308, 1e305, 0.0), (0.0, 0.0, 1.7e308), (1e200, -1e200, 1e308),
+])
+def test_disk_quadratic_grid_overflow_matches_the_full_grid(abc):
+    # the grid raises exactly when some full-grid value overflows; c z^2
+    # dominates the finite ones, so |f| is nearly constant on each circle
+    with np.errstate(over="ignore"):
+        full = disk_quadratic_max_full_grid(*abc)
+    if math.isfinite(full):
+        assert abs(disk_quadratic_max_grid(*abc) - full) <= 4.0 * np.spacing(full)
+    else:
+        with pytest.raises(OutOfRange):
+            disk_quadratic_max_grid(*abc)
+
+
+@pytest.mark.parametrize("abc", [(1j, 0.0, 0.0), (0.0, 1.0 + 0j, 0.0),
+                                 (0.0, 0.0, np.complex64(1.0)), (1.0, np.complex128(2.0), 3.0)])
+def test_disk_quadratic_grid_rejects_complex_input(abc):
+    with pytest.raises(OutOfRange):
+        disk_quadratic_max_grid(*abc)
 
 
 # ----------------------------------------------------------------- h2 triple

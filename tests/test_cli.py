@@ -277,6 +277,20 @@ def test_y_verb_skips_closed_form_when_ac_negative(capsys):
         ("membership", "--q", "0.5", "--input", b"[1, true]"),
         ("membership", "--q", "0.5", "--input", b"[1, 1" + b"0" * 400 + b"]"),
         ("membership", "--q", "0.5", "--input", b"[1, 1e308, 1e308]"),  # margin NaN
+        # a single-valued flag given twice, even with its default value
+        ("extremal", "--zeta", "0.3,0", "--zeta", "0.5,0", "--n", "2"),
+        ("extremal", "--zeta", "0.3,0", "--alpha", "0.25", "--alpha", "0.5"),
+        ("extremal", "--q", "0.5", "--n", "32", "--n", "32"),
+        ("extremal", "--q", "0.5", "--method", "product", "--method=formula"),
+        ("verify", "--suite", "toeplitz", "--q", "0.5", "--grid", "coarse", "--grid", "coarse"),
+        ("verify", "--suite", "parseval", "--suite", "parseval", "--q", "0.5", "--count", "3"),
+        ("verify", "--suite", "parseval", "--q", "0.5", "--count", "3", "--count", "4"),
+        ("verify", "--suite", "parseval", "--q", "0.5", "--seed", "0", "--seed", "0"),
+        ("verify", "--suite", "parseval", "--q", "0.5", "--order", "4", "--order", "5"),
+        ("y", "--a", "1", "--b", "0", "--c", "0", "--c", "0"),
+        ("y", "--a", "1", "--b", "0", "--c", "0", "--angular", "65", "--angular", "65"),
+        ("bounds", "--q", "0.5", "--format", "json", "--format", "csv"),
+        ("membership", "--q", "0.5", "--rmax", "0.5", "--rmax", "0.5", "--input", b"[1]"),
     ],
 )
 def test_bad_input_exits_2_with_no_output(capsys, tmp_path, argv):
@@ -387,6 +401,65 @@ def test_fuzz_cli_exit_codes_and_finite_output(tmp_path, argv):
 
 
 # ----------------------------------------------------------------- plumbing
+
+
+#: calls that pass, fail a check, or are usage errors, over every verb
+_SEQUENCE = [
+    ("bounds", "--q", "0.3"),
+    ("extremal", "--q", "0.5", "--n", "4", "--self-check", "--format", "json"),
+    ("y", "--a", "0.5", "--b", "-1", "--c", "0.25"),
+    ("extremal", "--q", "0.5", "--n", "2", "--n", "3"),
+    ("verify", "--suite", "toeplitz", "--grid", "coarse", "--q", "0.5", "--q", "0.8"),
+    ("verify", "--suite", "parseval", "--zeta=-0.5,0", "--alpha", "0.25", "--count", "5"),
+    ("extremal", "--zeta=nan,0"),
+    ("bogus-verb",),
+    ("bounds",),
+]
+
+
+def test_parser_reuse_answers_as_a_fresh_process():
+    # one process runs the calls in order, then in reverse: every call gives
+    # what it gives as the first call of a fresh process
+    src = str(Path(qstar.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from qstar.cli import run\n"
+        "def call(argv):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = run(list(argv))\n"
+        "    return [code, out.getvalue(), err.getvalue()]\n"
+        "argvs = json.loads(sys.argv[1])\n"
+        "json.dump([call(a) for a in argvs + argvs[::-1]], sys.stdout)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def fresh(argvs):
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, check=True)
+        return json.loads(proc.stdout)
+
+    forward = fresh(_SEQUENCE)
+    n = len(_SEQUENCE)
+    assert forward[:n] == forward[n:][::-1]
+    assert [r[0] for r in forward[:n]] == [0, 0, 0, 2, 0, 0, 2, 2, 0]
+    # the first call ran first in its process; the last one runs first here
+    assert fresh(_SEQUENCE[-1:])[0] == forward[n - 1]
+
+
+def test_parser_reuse_keeps_no_values_between_calls(capsys):
+    run_cli(capsys, "bounds", "--q", "0.3")
+    assert run_cli(capsys, "bounds") == run_cli(capsys, "bounds", "--q", "0.5")
+    grid = ("verify", "--suite", "toeplitz", "--grid", "coarse")
+    code, both, _ = run_cli(capsys, *grid, "--q", "0.5", "--q", "0.8")
+    assert code == 0 and ",0.8," in both
+    assert run_cli(capsys, *grid, "--q", "0.5") == run_cli(capsys, *grid, "--q=0.5")
+    assert ",0.8," not in run_cli(capsys, *grid, "--q", "0.5")[1]
+    # a repeated flag is rejected in its own call only
+    code, out, err = run_cli(capsys, "extremal", "--q", "0.5", "--n", "2", "--n", "2")
+    assert (code, out, err) == (2, "", "qstar: --n given more than once\n")
+    assert run_cli(capsys, "extremal", "--q", "0.5", "--n", "2") == (0, "n,re,im\n1,1,0\n2,4,0\n", "")
 
 
 def test_usage_error_exit_code(capsys):

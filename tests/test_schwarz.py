@@ -135,6 +135,7 @@ def test_schwarz_b2b3_examples():
     b2, b3 = schwarz_b2b3(0.5, -1.0, 0.7)
     assert abs(b2 - (-0.75)) <= 1e-15
     assert abs(b3 - (-0.375)) <= 1e-15
+    assert schwarz_b2b3(0.5, -1.0) == (b2, None)  # without y, b3 is not formed
 
 
 def test_cross_parameterization():
