@@ -35,7 +35,6 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
     QStarError,
-    UnknownFunctional,
     UnknownId,
 )
 from .functionals import (
@@ -125,7 +124,6 @@ __all__ = [
     "InvalidSchwarz",
     "DenominatorVanished",
     "UnknownId",
-    "UnknownFunctional",
     "MissingCaseFlag",
     "PreconditionViolated",
 ]

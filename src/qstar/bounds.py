@@ -184,37 +184,41 @@ def parseval_weights(params: ClassParams, n: int, dtype=complex) -> tuple:
         d_k = |(1-2a)+[k]|^2,  c_k = |[k]-1|^2,
 
     as real arrays in the precision of the complex ``dtype`` (complex or
-    np.clongdouble).  Raises DegenerateDivisor when [n] - 1 vanishes.
+    np.clongdouble).  Raises DegenerateDivisor at the first k in 2..n where
+    [k] - 1 vanishes.
     """
     qn = q_numbers(params.zeta, n)
-    dv = check_divisors(params.zeta, qn, first=n)
+    dv = check_divisors(params.zeta, qn)
     d = np.abs(dtype(1.0 - 2.0 * params.alpha) + np.asarray(qn, dtype=dtype)) ** 2
     c = np.abs(np.asarray(dv, dtype=dtype)) ** 2
     return d, c
 
 
-def parseval_rhs(params: ClassParams, abs_a, n: int):
-    """Upper bound on |a_n| from the Parseval inequality chain.
+def parseval_rhs(params: ClassParams, abs_a):
+    """Upper bounds on |a_2|, ..., |a_{m+1}| from the Parseval inequality chain.
 
-    sqrt( sum_{k=1}^{n-1} (d_k - c_k) |a_k|^2 / c_n ) with the weights of
-    :func:`parseval_weights`, given the moduli abs_a = (|a_1|, ..., |a_{n-1}|)
-    with |a_1| = 1 along the last axis.  A 1-D abs_a gives a float; rows of
-    moduli give an array, in the precision of abs_a (float64 or longdouble).
-    A negative sum (impossible for genuine class members) is clamped to 0.
+    For n = 2..m+1, sqrt( sum_{k=1}^{n-1} (d_k - c_k) |a_k|^2 / c_n ) with
+    the weights of :func:`parseval_weights`, given the moduli
+    abs_a = (|a_1|, ..., |a_m|) with |a_1| = 1 along the last axis; n is
+    read off the length m of that axis.  The result has the shape of abs_a,
+    in its precision (float64 or longdouble).  The partial sums are one
+    running sum, which up to 7 terms adds in the order of the per-n
+    ``sum``; beyond that numpy's pairwise ``sum`` may differ from it by an
+    ulp (no caller passes more, since the random suite stops at order 8).
+    Every divisor [n] - 1 up to n = m+1 must be away from 0.  A negative
+    sum (impossible for genuine class members) is clamped to 0.
     """
-    if n < 2:
-        raise OutOfRange(f"n = {n} must be >= 2")
     abs_a = np.asarray(abs_a)
     abs_a = abs_a.astype(np.promote_types(abs_a.dtype, float), copy=False)
-    if abs_a.ndim == 0 or abs_a.shape[-1] != n - 1:
-        raise OutOfRange(f"abs_a must hold n-1 = {n - 1} moduli, got shape {abs_a.shape}")
+    if abs_a.ndim == 0 or abs_a.shape[-1] == 0:
+        raise OutOfRange(f"abs_a must hold at least |a_1|, got shape {abs_a.shape}")
     first = abs_a[..., 0]
     if not np.all(np.abs(first - 1.0) <= 1e-12):
         raise OutOfRange(f"abs_a[0] = {np.ravel(first)} must be 1 (a1 = 1)")
-    d, c = parseval_weights(params, n, np.result_type(abs_a.dtype, complex).type)
-    acc = ((d[:-1] - c[:-1]) * abs_a**2).sum(axis=-1)
-    rhs = np.sqrt(np.maximum(acc, 0.0)) / np.sqrt(c[-1])
-    return float(rhs) if rhs.ndim == 0 else rhs
+    d, c = parseval_weights(params, abs_a.shape[-1] + 1,
+                            np.result_type(abs_a.dtype, complex).type)
+    acc = np.cumsum((d[:-1] - c[:-1]) * abs_a**2, axis=-1)
+    return np.sqrt(np.maximum(acc, 0.0)) / np.sqrt(c[1:])
 
 
 def cubic_bound_region(mu: float, nu: float) -> bool:

@@ -46,6 +46,7 @@ from .search import (
     SUITE_MAX_ORDER,
     GridSpec,
     VerificationReport,
+    check_suite_inputs,
     random_schwarz_suite,
     sharpness_report,
 )
@@ -62,11 +63,7 @@ from .schwarz import canonical_schwarz
 #: fixed CSV schema for every report-shaped output
 REPORT_COLUMNS = ("functional", "q", "case", "bound", "achieved", "gap", "verdict")
 
-_GRIDS = {
-    "coarse": (GridSpec.coarse(), 2),
-    "default": (GridSpec(), 3),
-    "fine": (GridSpec.fine(), 3),
-}
+_GRIDS = {"coarse": GridSpec.coarse(), "default": GridSpec(), "fine": GridSpec.fine()}
 
 
 def _fmt(value) -> str:
@@ -123,7 +120,7 @@ def _report_rows(report: VerificationReport):
 # verbs
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple:
     rows = []
     for q in args.q or [0.5]:
         params = ClassParams(complex(q, 0.0))
@@ -136,58 +133,42 @@ def _cmd_bounds(args) -> int:
                 rows.append(
                     (fid.value, complex(q), case.value if case else None, value, None, None, None)
                 )
-    if args.format == "json":
-        payload = [
-            {
-                "functional": r[0],
-                "q": r[1].real,
-                "case": r[2],
-                "bound": r[3],
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_csv(REPORT_COLUMNS, rows), args.out)
-    return 0
+    payload = [
+        {"functional": r[0], "q": r[1].real, "case": r[2], "bound": r[3]} for r in rows
+    ]
+    return 0, payload, REPORT_COLUMNS, rows
 
 
-def _extremal_series(params: ClassParams, order: int, method: str) -> StarlikeFunction:
-    if method == "recursion":
-        omega = canonical_schwarz("identity", order)
-        return coeffs_from_schwarz(omega, params, order)
-    if method == "product":
-        return extremal_product(params, order)
-    if method == "formula":
-        return extremal_by_formula(params, order)
-    raise QStarError(f"unknown method {method!r}")
+#: the three routes to the extremal's coefficients; each looks its function up
+#: when called, so a wrapper installed on this module sees the call
+_EXTREMAL_ROUTES = {
+    "recursion": lambda p, n: coeffs_from_schwarz(canonical_schwarz("identity", n), p, n),
+    "product": lambda p, n: extremal_product(p, n),
+    "formula": lambda p, n: extremal_by_formula(p, n),
+}
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args) -> tuple:
     params = _parse_zeta(args)
     n = args.n
-    routes = ("recursion", "product", "formula") if args.self_check else (args.method,)
-    funcs = {m: _extremal_series(params, n, m).coeffs.tolist() for m in routes}
+    routes = tuple(_EXTREMAL_ROUTES) if args.self_check else (args.method,)
+    funcs = {m: _EXTREMAL_ROUTES[m](params, n).coeffs.tolist() for m in routes}
     if args.self_check:
         for k in range(1, n + 1):
             vals = [c[k] for c in funcs.values()]
             scale = max(max(abs(v) for v in vals), 1.0)
             if max(abs(vals[0] - vals[1]), abs(vals[0] - vals[2])) > 1e-9 * scale:
                 sys.stderr.write(f"self-check failed at n={k}: {vals}\n")
-                return 1
+                return 1, None, None, None
     coeffs = funcs[args.method][1:]
-    if args.format == "json":
-        payload = {
-            "zeta": [params.zeta.real, params.zeta.imag],
-            "alpha": params.alpha,
-            "method": args.method,
-            "coefficients": [[c.real, c.imag] for c in coeffs],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = ((k, c.real, c.imag) for k, c in enumerate(coeffs, start=1))
-        _emit(_csv(("n", "re", "im"), rows), args.out)
-    return 0
+    payload = {
+        "zeta": [params.zeta.real, params.zeta.imag],
+        "alpha": params.alpha,
+        "method": args.method,
+        "coefficients": [[c.real, c.imag] for c in coeffs],
+    }
+    rows = ((k, c.real, c.imag) for k, c in enumerate(coeffs, start=1))
+    return 0, payload, ("n", "re", "im"), rows
 
 
 _SUITES = {
@@ -198,40 +179,35 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     if not 2 <= args.order <= SUITE_MAX_ORDER:
         raise QStarError(f"--order = {args.order} outside 2..{SUITE_MAX_ORDER}")
-    grid, levels = _GRIDS[args.grid]
+    check_suite_inputs(args.count, args.seed, args.order)
     qs = args.q or [0.5]
     reports = []
     if args.suite == "parseval":
         params = _parse_zeta(args)
         reports.append(
-            random_schwarz_suite(params, seed=args.seed, count=args.count,
-                                 depth=5, order=args.order)
+            random_schwarz_suite(params, seed=args.seed, count=args.count, order=args.order)
         )
     else:
         if args.zeta is not None or args.alpha is not None:
             raise QStarError(f"--suite {args.suite} runs at real q and alpha = 0: "
                              "give --q only")
         reports.append(
-            sharpness_report(qs, _SUITES[args.suite], grid=grid,
-                             refinement_levels=levels, seed=args.seed)
+            sharpness_report(qs, _SUITES[args.suite], grid=_GRIDS[args.grid], seed=args.seed)
         )
     if args.suite == "all":
         for q in qs:
             reports.append(
                 random_schwarz_suite(ClassParams(complex(q, 0.0)), seed=args.seed,
-                                     count=args.count, depth=5, order=args.order)
+                                     count=args.count, order=args.order)
             )
     merged = VerificationReport(
         tuple(it for rep in reports for it in rep.items), args.seed
     )
-    if args.format == "json":
-        _emit(json.dumps(merged.to_json_dict(), indent=2) + "\n", args.out)
-    else:
-        _emit(_csv(REPORT_COLUMNS, _report_rows(merged)), args.out)
-    return 1 if merged.has_violation else 0
+    return (1 if merged.has_violation else 0, merged.to_json_dict(), REPORT_COLUMNS,
+            _report_rows(merged))
 
 
 def _read_coeffs(path) -> list:
@@ -248,7 +224,7 @@ def _read_coeffs(path) -> list:
     raise QStarError("coefficient file must list numbers or [re, im] pairs")
 
 
-def _cmd_membership(args) -> int:
+def _cmd_membership(args) -> tuple:
     params = _parse_zeta(args)
     coeffs = _read_coeffs(args.input)
     if not coeffs or coeffs[0] != 1:
@@ -256,36 +232,27 @@ def _cmd_membership(args) -> int:
     f = StarlikeFunction.from_coeffs(coeffs, params)
     margin = membership_margin(f, r_max=args.rmax)
     verdict = "member" if margin >= -1e-6 else "nonmember"
-    if args.format == "json":
-        payload = {
-            "zeta": [params.zeta.real, params.zeta.imag],
-            "alpha": params.alpha,
-            "r_max": args.rmax,
-            "margin": margin,
-            "verdict": verdict,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = [("membership", params.zeta, None, 0.0, margin, margin, verdict)]
-        _emit(_csv(REPORT_COLUMNS, rows), args.out)
-    return 0
+    payload = {
+        "zeta": [params.zeta.real, params.zeta.imag],
+        "alpha": params.alpha,
+        "r_max": args.rmax,
+        "margin": margin,
+        "verdict": verdict,
+    }
+    rows = [("membership", params.zeta, None, 0.0, margin, margin, verdict)]
+    return 0, payload, REPORT_COLUMNS, rows
 
 
-def _cmd_y(args) -> int:
+def _cmd_y(args) -> tuple:
     try:
         closed = disk_quadratic_max_closed(args.a, args.b, args.c)
     except PreconditionViolated:
         closed = None
     grid = disk_quadratic_max_grid(args.a, args.b, args.c, args.radial, args.angular)
-    if args.format == "json":
-        payload = {"a": args.a, "b": args.b, "c": args.c,
-                   "y_closed": closed, "y_grid": grid}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = [("y_closed", args.a, args.b, args.c, closed)] if closed is not None else []
-        rows.append(("y_grid", args.a, args.b, args.c, grid))
-        _emit(_csv(("method", "a", "b", "c", "value"), rows), args.out)
-    return 0
+    payload = {"a": args.a, "b": args.b, "c": args.c, "y_closed": closed, "y_grid": grid}
+    rows = [("y_closed", args.a, args.b, args.c, closed)] if closed is not None else []
+    rows.append(("y_grid", args.a, args.b, args.c, grid))
+    return 0, payload, ("method", "a", "b", "c", "value"), rows
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +302,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="extremal coefficients a_1..a_n")
     _add_class(p)
     p.add_argument("--n", type=int, default=32, action=_Once)
-    p.add_argument("--method", choices=("recursion", "product", "formula"),
+    p.add_argument("--method", choices=tuple(_EXTREMAL_ROUTES),
                    default="recursion", action=_Once)
     p.add_argument("--self-check", action="store_true", dest="self_check")
     _add_shared(p)
@@ -372,10 +339,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments, run the verb and write its output in the --format to
+    --out; returns the process exit code.
+
+    Every verb returns (exit code, JSON payload, CSV header, CSV rows); a
+    verb that has nothing to report (a failed --self-check) returns no
+    payload, and nothing is written.
+    """
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code, payload, header, rows = args.func(args)
+        if payload is not None:
+            text = (json.dumps(payload, indent=2) + "\n" if args.format == "json"
+                    else _csv(header, rows))
+            _emit(text, args.out)
+        return code
     except SystemExit as exc:  # argparse: a usage error, --help or --version
         return int(exc.code or 0)
     except (QStarError, OSError) as exc:

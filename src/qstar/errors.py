@@ -49,10 +49,6 @@ class UnknownId(QStarError):
     """An identifier does not name any known functional."""
 
 
-# Grid search raises the same error under the name the search module uses.
-UnknownFunctional = UnknownId
-
-
 class MissingCaseFlag(QStarError):
     """A case-split bound was queried without saying which case."""
 

@@ -8,7 +8,8 @@ mapping each triple through :func:`qstar.schwarz.schwarz_b2b3` and the
 coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, the one map
 from Schwarz to starlike coefficients) to (a2, a3, a4) and evaluating the
 chosen functional.  It grids (b1, x) and refines that grid around the
-incumbent; y is not gridded:
+incumbent, as many times as its :class:`GridSpec` preset's ``levels``; y is
+not gridded:
 
 * b3, hence a4, is affine in y.  A functional affine in a4 is A + B y on each
   (b1, x) point, so its maximum over |y| <= 1 is |A| + |B| exactly (the
@@ -47,13 +48,13 @@ functional that ignores y reports y = 0.
 Every sample draws from its own counter-based Philox stream, keyed by the
 seed at counter 1024 * (sample index), and reads it as one block: the
 uniforms in [-1, 1) that ``Generator.uniform`` makes of consecutive doubles,
-paired into points u + iv, of which the first ``depth`` inside the closed
-unit disk are the sample's tuple -- the same points as drawing pair by pair
-and rejecting those outside, bit for bit.  Each check keeps its worst sample
-as a left fold over samples in index order (lowest gap on the verdict's
-scale, the first on a tie, the first NaN gap over any number), and a batch
-enters the fold with the incumbent as its first row.  So any split into
-batches, or any parallel schedule of them, and any rerun reproduces the
+paired into points u + iv, of which the first ``SUITE_DEPTH`` inside the
+closed unit disk are the sample's tuple -- the same points as drawing pair
+by pair and rejecting those outside, bit for bit.  Each check keeps its
+worst sample as a left fold over samples in index order (lowest gap on the
+verdict's scale, the first on a tie, the first NaN gap over any number), and
+a batch enters the fold with the incumbent as its first row.  So any split
+into batches, or any parallel schedule of them, and any rerun reproduces the
 serial report bit for bit.
 """
 
@@ -76,7 +77,7 @@ from .bounds import (
     parseval_weights,
     product_bound_applies,
 )
-from .errors import DegenerateDivisor, OutOfRange, UnknownFunctional
+from .errors import DegenerateDivisor, OutOfRange
 from .functionals import (
     A3_DEPENDENT,
     A4_AFFINE,
@@ -125,26 +126,29 @@ GRID_IDS = (
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid sizes for the (b1, x) search lattice and the arg y sweep.
+    """Grid sizes for the (b1, x) search lattice and the arg y sweep, and the
+    number of refinement ``levels`` after the first grid.
 
     The level-0 b1 grid spans its range with both endpoints on the lattice,
     and the x lattice contains |x| = 0 and |x| = 1 exactly.  ``y_angles``
     points of the circle |y| = 1 are swept for the functionals quadratic in
-    a4; no other functional grids y.
+    a4; no other functional grids y.  The presets are ``coarse()`` (two
+    refinement levels), the default and ``fine()`` (three each).
     """
 
     b1_points: int = 51
     x_radii: int = 21
     x_angles: int = 36
     y_angles: int = 36
+    levels: int = 3
 
     @classmethod
     def coarse(cls):
-        return cls(26, 11, 18, 18)
+        return cls(26, 11, 18, 18, 2)
 
     @classmethod
     def fine(cls):
-        return cls(101, 31, 72, 72)
+        return cls(101, 31, 72, 72, 3)
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,6 @@ class SearchSpec:
     functional: FunctionalId
     q: float
     grid: GridSpec = field(default_factory=GridSpec)
-    refinement_levels: int = 3
     b1_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
@@ -306,16 +309,15 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
 
     The search grids (b1, x) and handles y as the module docstring states:
     exactly (|A| + |B|) for a functional affine in a4, by an arg y sweep on
-    |y| = 1 for one quadratic in a4.  Each refinement level shrinks every
-    gridded range (b1, |x|, arg x, and arg y on the sweep) by a factor of 5
-    around the incumbent and re-grids at the same resolution.  Ties break
+    |y| = 1 for one quadratic in a4.  Each of the grid's ``levels`` of
+    refinement shrinks every gridded range (b1, |x|, arg x, and arg y on the
+    sweep) by a factor of 5 around the incumbent and re-grids at the same
+    resolution.  Ties break
     toward the lexicographically smallest (b1, |x|, arg x, |y|, arg y); axes
     the functional provably ignores collapse to their smallest grid point,
     which is what the full-grid tie-break would select anyway.
     """
     fid = spec.functional
-    if fid not in RAW_FORMULAS:
-        raise UnknownFunctional(f"no formula for {fid!r}")
     g = spec.grid
     q = spec.q
     needs_x = fid in A3_DEPENDENT
@@ -330,7 +332,7 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
     best_key = None  # (b1, rx, ax, ry, ay)
     evaluations = 0
 
-    for _level in range(spec.refinement_levels + 1):
+    for _level in range(g.levels + 1):
         b1s = _axis(b1_lo, b1_hi, g.b1_points)
         rxs = _axis(rx_lo, rx_hi, g.x_radii if needs_x else 1)
         axs = _axis(ax_lo, ax_hi, g.x_angles if needs_x else 1)
@@ -396,14 +398,14 @@ def _case_for(spec: SearchSpec) -> CaseFlag | None:
 # rotated-extremal attainment (toeplitz family)
 
 
-def rotated_extremal_values(q: float, theta: float = math.pi / 2.0) -> tuple:
+def rotated_extremal_values(q: float) -> tuple:
     """(a2, a3, a4) of the rotated extremal: the member generated by the
-    Schwarz function w(z) = e^(i theta) z, whose coefficients are the
-    extremal's a_n times e^(i (n-1) theta).
+    Schwarz function w(z) = e^(i theta) z at theta = pi/2, whose coefficients
+    are the extremal's a_n times e^(i (n-1) theta).
 
-    With the positive extremal coefficients and theta = pi/2 the rotation
-    sends (a2, a3, a4) to (i a2, -a3, -i a4), which aligns the two terms of
-    each two-by-two Toeplitz determinant:
+    With the positive extremal coefficients the rotation sends (a2, a3, a4)
+    to (i a2, -a3, -i a4), which aligns the two terms of each two-by-two
+    Toeplitz determinant:
 
         |1 - (i a2)^2|        = 1 + a2^2
         |(i a2)^2 - (-a3)^2|  = a2^2 + a3^2
@@ -414,7 +416,8 @@ def rotated_extremal_values(q: float, theta: float = math.pi / 2.0) -> tuple:
     attainment witness for the whole family (the unrotated one is not:
     |1 - a2^2| < 1 + a2^2 for real a2).
     """
-    a = recursion_coeffs((0.0, cmath.rect(1.0, theta), 0.0, 0.0), ClassParams(q), 4)
+    # rect, not 1j: the reported Toeplitz values depend on its real part, 6e-17
+    a = recursion_coeffs((0.0, cmath.rect(1.0, math.pi / 2.0), 0.0, 0.0), ClassParams(q), 4)
     return tuple(complex(v) for v in a[2:])
 
 
@@ -434,6 +437,9 @@ _REFINE_TOL = 1e-6
 #: coefficients of small |zeta| overflow double precision and read as
 #: violations
 SUITE_MAX_ORDER = 8
+
+#: Schur parameters drawn per random sample
+SUITE_DEPTH = 5
 
 #: the suite's checks, in report order; product is skipped without its hypothesis
 _CHECKS = ("chain", "parseval", "product")
@@ -505,8 +511,7 @@ def _suite_sides(b, params, order, prod, dtype):
     margin = (rhs - lhs).astype(float)
     lhs = lhs.astype(float)
     an = abs_a[:, 1:].astype(float)
-    prhs = np.stack([parseval_rhs(params, abs_a[:, :n - 1], n)
-                     for n in range(2, order + 1)], axis=1).astype(float)
+    prhs = parseval_rhs(params, abs_a[:, :-1]).astype(float)
     gap, side, other = [margin, prhs - an], [lhs + margin, prhs], [lhs, an]
     if prod is not None:
         gap.append(prod - an)
@@ -522,18 +527,27 @@ def _worst(gap, bound):
     return np.argmin(gap / np.fmax(np.abs(bound), 1.0), axis=0)
 
 
+def check_suite_inputs(count: int, seed: int, order: int) -> None:
+    """Raise OutOfRange unless :func:`random_schwarz_suite` takes these."""
+    if count < 0:
+        raise OutOfRange(f"count = {count} must be >= 0")
+    if not 0 <= seed < 1 << 128:
+        raise OutOfRange(f"seed = {seed} outside [0, 2**128)")
+    if not 2 <= order <= SUITE_MAX_ORDER:
+        raise OutOfRange(f"order = {order} outside 2..{SUITE_MAX_ORDER}")
+
+
 def random_schwarz_suite(
     params: ClassParams,
     seed: int = 0,
     count: int = 10000,
-    depth: int = 5,
     order: int = 8,
 ) -> VerificationReport:
     """Check the complex-parameter coefficient inequalities on random members.
 
-    Draws ``count`` Schur tuples of length ``depth`` (after the forced samples
-    w = 0 and w = z), builds each member through the coefficient recursion,
-    and tests for every 2 <= n <= order, where order lies in
+    Draws ``count`` Schur tuples of length SUITE_DEPTH (after the forced
+    samples w = 0 and w = z), builds each member through the coefficient
+    recursion, and tests for every 2 <= n <= order, where order lies in
     2..SUITE_MAX_ORDER:
 
       chain[n]     sum_{k<=n} |[k]-1|^2 |a_k|^2
@@ -557,12 +571,7 @@ def random_schwarz_suite(
     degeneracy depends only on zeta) as skipped.  A non-finite gap is a
     VIOLATION.
     """
-    if count < 0:
-        raise OutOfRange(f"count = {count} must be >= 0")
-    if not 0 <= seed < 1 << 128:
-        raise OutOfRange(f"seed = {seed} outside [0, 2**128)")
-    if not 2 <= order <= SUITE_MAX_ORDER:
-        raise OutOfRange(f"order = {order} outside 2..{SUITE_MAX_ORDER}")
+    check_suite_inputs(count, seed, order)
     zeta, alpha = params.zeta, params.alpha
     try:
         check_divisors(zeta, q_numbers(zeta, order))
@@ -578,9 +587,9 @@ def random_schwarz_suite(
     for start in range(0, count + 2 if live else 0, _CHUNK_SAMPLES):
         # row 0 is w = 0, row 1 is w = z, row r >= 2 draws sample r - 2
         rows = np.arange(start, min(start + _CHUNK_SAMPLES, count + 2))
-        gammas = np.zeros((len(rows), depth), dtype=complex)
+        gammas = np.zeros((len(rows), SUITE_DEPTH), dtype=complex)
         gammas[rows == 1, 0] = 1.0
-        gammas[rows >= 2] = _sample_gammas(seed, rows[rows >= 2] - 2, depth)
+        gammas[rows >= 2] = _sample_gammas(seed, rows[rows >= 2] - 2, SUITE_DEPTH)
         b = schur_rows(gammas, order)
         gap, side, other = _suite_sides(b, params, order, prod, complex)
         near = (gap < _REFINE_TOL * (1.0 + side)).any(axis=(1, 2))
@@ -618,7 +627,6 @@ def sharpness_report(
     q_list,
     functionals=None,
     grid: GridSpec | None = None,
-    refinement_levels: int = 3,
     seed: int = 0,
 ) -> VerificationReport:
     """Verify bound attainment for each (q, functional) pair.
@@ -637,10 +645,9 @@ def sharpness_report(
     items = []
     for q in q_list:
         for fid in functionals:
-            items.append(_sharpness_item(SearchSpec(fid, q, grid, refinement_levels)))
+            items.append(_sharpness_item(SearchSpec(fid, q, grid)))
             if fid in CASE_SPLIT_IDS:
-                items.append(_sharpness_item(
-                    SearchSpec(fid, q, grid, refinement_levels, b1_range=(0.0, 0.0))))
+                items.append(_sharpness_item(SearchSpec(fid, q, grid, b1_range=(0.0, 0.0))))
     return VerificationReport(tuple(items), seed)
 
 
@@ -679,6 +686,8 @@ __all__ = [
     "ATTAIN_TOL",
     "Q_MIN",
     "SUITE_MAX_ORDER",
+    "SUITE_DEPTH",
+    "check_suite_inputs",
     "ROTATED_IDS",
     "GRID_IDS",
 ]

@@ -106,13 +106,13 @@ def q_numbers(zeta, order: int) -> list:
     return out
 
 
-def check_divisors(zeta, qn: list, first: int = 2) -> list:
+def check_divisors(zeta, qn: list) -> list:
     """The divisors ``[1] - 1 .. [N] - 1`` for ``qn = [1..N]``, formed as
-    ``zeta * [n-1]``, or ``DegenerateDivisor(n)`` at the first n in first..N
+    ``zeta * [n-1]``, or ``DegenerateDivisor(n)`` at the first n in 2..N
     with ``|[n] - 1| <= DEGENERATE_TOL``."""
     zeta = complex(zeta)
     dv = [0j] + [zeta * w for w in qn[:-1]]
-    for n in range(first, len(qn) + 1):
+    for n in range(2, len(qn) + 1):
         if abs(dv[n - 1]) <= DEGENERATE_TOL:
             raise DegenerateDivisor(n)
     return dv

@@ -248,9 +248,7 @@ def test_criterion_8_complex_parameter_suite():
     for zeta in (0.6 * cmath.exp(1j * math.pi / 4), 0.9j, -0.5):
         for alpha in (0.0, 0.25):
             params = ClassParams(zeta, alpha)
-            rep = random_schwarz_suite(
-                params, seed=2026, count=10000, depth=5, order=8
-            )
+            rep = random_schwarz_suite(params, seed=2026, count=10000, order=8)
             violations += sum(1 for it in rep.items if it.verdict == "VIOLATION")
             if zeta == -0.5 and alpha == 0.0:
                 # the forced w = z sample attains the product bound exactly

@@ -24,9 +24,14 @@ from qstar import (
     product_bound_applies,
     schwarz_cubic_functional,
 )
+from qstar.bounds import CASE_SPLIT_IDS
+from qstar.functionals import RAW_FORMULAS
+from qstar.schwarz import schur_rows
+from qstar.search import Q_MIN
 from qstar.series import check_divisors, q_numbers
+from qstar.starlike import recursion_coeffs
 
-from _oracles import disk_quadratic_max_full_grid
+from _oracles import disk_quadratic_max_full_grid, parseval_rhs_per_n
 
 Q_HALF = ClassParams(0.5)
 
@@ -57,6 +62,15 @@ def test_bound_examples():
         1600.0 / 9.0 + (880.0 / 21.0) ** 2, rel=1e-14
     )
     assert bound(FunctionalId.T1_3, 0.5) == pytest.approx(2537.0 / 9.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("fid", list(FunctionalId))
+def test_every_functional_has_a_formula_and_a_finite_bound_per_case(fid):
+    assert fid in RAW_FORMULAS
+    cases = (CaseFlag.A2_ZERO, CaseFlag.A2_NONZERO) if fid in CASE_SPLIT_IDS else (None,)
+    for q in (Q_MIN, 0.5, 0.999):
+        for case in cases:
+            assert math.isfinite(bound(fid, q, case)) and bound(fid, q, case) > 0.0
 
 
 def test_t2_3_components_identity():
@@ -154,45 +168,82 @@ def test_an_product_is_modulus_of_formula(zeta, alpha):
 def test_parseval_rhs_n2():
     for zeta, alpha in ((0.5, 0.0), (0.9j, 0.25), (0.6 * cmath.exp(1j), 0.1)):
         params = ClassParams(zeta, alpha)
-        got = parseval_rhs(params, [1.0], 2)
-        assert got == pytest.approx((2 - 2 * alpha) / abs(complex(zeta)), rel=1e-12)
-    assert parseval_rhs(Q_HALF, [1.0], 2) == pytest.approx(4.0)
+        got = parseval_rhs(params, [1.0])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx((2 - 2 * alpha) / abs(complex(zeta)), rel=1e-12)
+    assert parseval_rhs(Q_HALF, [1.0])[0] == pytest.approx(4.0)
 
 
 def test_parseval_rhs_zero_tail():
     params = ClassParams(0.9j)
-    got = parseval_rhs(params, [1.0, 0.0], 3)
+    got = parseval_rhs(params, [1.0, 0.0])[-1]
     q3 = 1 + 0.9j + (0.9j) ** 2
     expect = 2.0 / abs(q3 - 1)  # only the k = 1 term survives
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_parseval_rhs_on_rows_matches_the_scalar_sum():
-    # rows of moduli give one value per row, in their own precision; the
-    # reference is the scalar sum written out
+    # rows of moduli give the bound on every |a_n| of every row, in their own
+    # precision; the reference is the scalar sum written out
     params = ClassParams(0.6 * cmath.exp(1j), 0.1)
     rng = np.random.default_rng(4)
     rows = np.hstack([np.ones((50, 1)), rng.uniform(0.0, 3.0, size=(50, 5))])
     qn = q_numbers(params.zeta, 7)
     dv = check_divisors(params.zeta, qn)
     for dtype in (np.float64, np.longdouble):
-        got = parseval_rhs(params, rows.astype(dtype), 7)
-        assert got.shape == (50,) and got.dtype == dtype
-        for row, value in zip(rows, got):
-            acc = sum((abs(0.8 + w) ** 2 - abs(d) ** 2) * a**2
-                      for w, d, a in zip(qn, dv, row))
-            assert float(value) == pytest.approx(math.sqrt(max(acc, 0.0)) / abs(dv[6]),
-                                                 rel=1e-14)
-            assert parseval_rhs(params, row, 7) == pytest.approx(float(value), rel=1e-15)
+        got = parseval_rhs(params, rows.astype(dtype))
+        assert got.shape == (50, 6) and got.dtype == dtype
+        for row, values in zip(rows.astype(dtype), got):
+            for n, value in enumerate(values, start=2):
+                acc = sum((abs(0.8 + w) ** 2 - abs(d) ** 2) * a**2
+                          for w, d, a in zip(qn, dv, row[:n - 1]))
+                assert float(value) == pytest.approx(
+                    math.sqrt(max(acc, 0.0)) / abs(dv[n - 1]), rel=1e-14)
+            assert np.array_equal(parseval_rhs(params, row), values)
+
+
+#: the criterion-8 classes of the random suite, and |zeta| = 0.01
+_PARSEVAL_CLASSES = [
+    (zeta, alpha)
+    for zeta in (0.6 * cmath.exp(1j * math.pi / 4), 0.9j, -0.5, 0.01, 0.01j)
+    for alpha in (0.0, 0.25)
+]
+
+
+@pytest.mark.parametrize("zeta, alpha", _PARSEVAL_CLASSES)
+def test_parseval_rhs_running_sum_equals_the_per_n_sum(zeta, alpha):
+    # one running sum over |a_1| .. |a_m| gives, bit for bit, what one sum
+    # per n gives, for every m the random suite reaches (1..7), on genuine
+    # members (w = z and random Schur tuples) and on arbitrary moduli
+    params = ClassParams(zeta, alpha)
+    rng = np.random.default_rng(8)
+    gammas = np.sqrt(rng.uniform(size=(60, 5))) * np.exp(2j * np.pi * rng.uniform(size=(60, 5)))
+    gammas[0] = (1.0, 0.0, 0.0, 0.0, 0.0)
+    for dtype in (complex, np.clongdouble):
+        a = recursion_coeffs(schur_rows(gammas, 8).T, params, 8, dtype)
+        members = np.abs(np.stack(np.broadcast_arrays(*a[1:]), axis=1))
+        scale = members.max(axis=0)
+        free = np.hstack([np.ones((40, 1), members.dtype),
+                          rng.uniform(size=(40, 7)).astype(members.dtype) * scale[1:]])
+        for rows in (members, free):
+            for m in range(1, 8):
+                got = parseval_rhs(params, rows[:, :m])
+                want = np.stack([parseval_rhs_per_n(zeta, alpha, rows, n)
+                                 for n in range(2, m + 2)], axis=1)
+                assert got.dtype == want.dtype == rows.dtype
+                assert np.array_equal(got, want), (m, dtype)
 
 
 def test_parseval_rhs_validation():
     with pytest.raises(OutOfRange):
-        parseval_rhs(Q_HALF, [1.0, 1.0], 2)
+        parseval_rhs(Q_HALF, [])
     with pytest.raises(OutOfRange):
-        parseval_rhs(Q_HALF, [0.9], 2)
-    with pytest.raises(DegenerateDivisor):
-        parseval_rhs(ClassParams(-1.0), [1.0, 1.0], 3)
+        parseval_rhs(Q_HALF, [0.9])
+    # zeta = -1: [2] - 1 = -1, [3] - 1 = 0; every divisor up to n is checked
+    assert parseval_rhs(ClassParams(-1.0), [1.0])[0] == pytest.approx(2.0)
+    with pytest.raises(DegenerateDivisor) as exc:
+        parseval_rhs(ClassParams(-1.0), [1.0, 1.0, 1.0])
+    assert exc.value.n == 3
 
 
 # ----------------------------------------------------------------- cubic lemma

@@ -260,6 +260,12 @@ def test_y_verb_skips_closed_form_when_ac_negative(capsys):
         ("bounds", "--q", "1e-45", "--format", "json"),  # a bound overflows to inf
         ("extremal", "--q", "1e-5", "--n", "64"),  # the recursion overflows
         ("verify", "--suite", "parseval", "--q", "0.5", "--order", "9"),
+        # --count and --seed are checked before any suite runs, grid suites too
+        *[("verify", "--suite", suite, "--q", "0.5", flag, value)
+          for suite in ("hankel", "initial", "toeplitz", "all")
+          for flag, value in (("--count", "-1"), ("--seed", "-5"),
+                              ("--seed", str(1 << 128)))],
+        ("verify", "--suite", "parseval", "--q", "0.5", "--seed", "-5"),
         # a class flag the verb or suite does not read
         ("verify", "--suite", "hankel", "--zeta", "0.3,0"),
         ("verify", "--suite", "all", "--q", "0.5", "--zeta", "0.3,0", "--alpha", "0.5"),
@@ -477,6 +483,51 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("functional,q,case,bound")
+
+
+_MEMBER_FILE = "[1, 0.5, [0.1, 0.2]]"
+
+#: one passing call of every verb
+_EVERY_VERB = [
+    ("bounds", "--q", "0.3", "--q", "0.7"),
+    ("extremal", "--zeta", "0.3,0.4", "--alpha", "0.25", "--n", "6", "--self-check"),
+    ("verify", "--suite", "toeplitz", "--grid", "coarse", "--q", "0.5"),
+    ("verify", "--suite", "parseval", "--zeta=-0.5,0", "--count", "20", "--order", "5"),
+    ("membership", "--q", "0.5", "--input", _MEMBER_FILE),
+    ("y", "--a", "0.5", "--b", "-1", "--c", "0.25"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _EVERY_VERB, ids=lambda argv: argv[0])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    if argv[-1] == _MEMBER_FILE:
+        path = tmp_path / "coeffs.json"
+        path.write_text(_MEMBER_FILE)
+        argv = (*argv[:-1], str(path))
+    argv = (*argv, "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    target = tmp_path / "out.txt"
+    code_to_file, out_to_file, err_to_file = run_cli(capsys, *argv, "--out", str(target))
+    assert code == code_to_file == 0 and out and err == err_to_file == ""
+    assert out_to_file == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_failed_self_check_writes_nothing(tmp_path, capsys, monkeypatch):
+    from qstar import cli
+
+    wrong = cli.extremal_by_formula(qstar.ClassParams(0.5), 4).coeffs.copy()
+    wrong[3] *= 2.0  # a route that disagrees from a_3 on
+    monkeypatch.setattr(cli, "extremal_by_formula",
+                        lambda params, n: qstar.StarlikeFunction.from_coeffs(wrong[1:], params))
+    target = tmp_path / "out.txt"
+    for extra in ((), ("--out", str(target))):
+        code, out, err = run_cli(capsys, "extremal", "--q", "0.5", "--n", "4",
+                                 "--self-check", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("self-check failed at n=3: ")
+    assert not target.exists()
 
 
 def test_module_entry_point():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ COARSE = GridSpec.coarse()
 
 
 def coarse_spec(fid, q, **kw):
-    return SearchSpec(fid, q, grid=COARSE, refinement_levels=2, **kw)
+    return SearchSpec(fid, q, grid=COARSE, **kw)
 
 
 # ----------------------------------------------------------------- grid search
@@ -183,7 +184,7 @@ def test_search_spec_validation():
         SearchSpec(FunctionalId.ABS_A2, 1.5)
     with pytest.raises(qstar.OutOfRange):
         SearchSpec(FunctionalId.H2_2, 0.005)  # below Q_MIN, rounding swamps H2(2)
-    with pytest.raises(qstar.UnknownFunctional):
+    with pytest.raises(qstar.UnknownId):
         SearchSpec("nope", 0.5)
 
 
@@ -236,7 +237,6 @@ def test_sharpness_report_structure_and_verdicts():
         [0.5],
         [FunctionalId.ABS_A3, FunctionalId.H2_2, FunctionalId.T1_2, FunctionalId.T1_3],
         grid=COARSE,
-        refinement_levels=2,
         seed=7,
     )
     by_name = {it.name: it for it in rep.items}
@@ -256,7 +256,7 @@ def test_sharpness_report_q_scan_has_no_rounding_violation():
     # the rotated extremal's gap by 1e-4; every bound is a theorem, and all
     # but the unreached a2 = 0 case of t2_3 are attained
     qs = [0.02 + 0.04 * i for i in range(25)]
-    rep = sharpness_report(qs, grid=COARSE, refinement_levels=2)
+    rep = sharpness_report(qs, grid=COARSE)
     assert len(rep.items) == 25 * 13
     for it in rep.items:
         expected = "consistent" if it.name == "t2_3[b1=0]" else "attained"
@@ -265,8 +265,9 @@ def test_sharpness_report_q_scan_has_no_rounding_violation():
 
 def test_sharpness_report_deterministic():
     args = ([0.6], [FunctionalId.ABS_A3, FunctionalId.T2_2])
-    r1 = sharpness_report(*args, grid=COARSE, refinement_levels=1)
-    r2 = sharpness_report(*args, grid=COARSE, refinement_levels=1)
+    grid = dataclasses.replace(COARSE, levels=1)
+    r1 = sharpness_report(*args, grid=grid)
+    r2 = sharpness_report(*args, grid=grid)
     assert r1 == r2
 
 
@@ -275,7 +276,7 @@ def test_sharpness_report_deterministic():
 
 def test_random_suite_no_violations_smoke():
     params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
-    rep = random_schwarz_suite(params, seed=3, count=400, depth=5, order=8)
+    rep = random_schwarz_suite(params, seed=3, count=400, order=8)
     assert not rep.has_violation
     verdicts = {it.verdict for it in rep.items}
     assert "skipped" not in verdicts
@@ -283,7 +284,7 @@ def test_random_suite_no_violations_smoke():
 
 def test_random_suite_product_equality_for_forced_identity():
     # w = z attains the product bound with equality; real zeta, alpha = 0
-    rep = random_schwarz_suite(ClassParams(0.5), seed=1, count=50, depth=4, order=8)
+    rep = random_schwarz_suite(ClassParams(0.5), seed=1, count=50, order=8)
     for it in rep.items:
         if it.name.startswith("product"):
             assert abs(it.gap) <= 1e-9
@@ -316,7 +317,7 @@ def test_random_suite_rejects_an_order_outside_its_range(order):
     # at zeta = 1e-5 and order 32 the double-precision sides overflow into
     # false VIOLATIONs (-inf, nan and inf gaps)
     with pytest.raises(OutOfRange):
-        random_schwarz_suite(ClassParams(1e-5), seed=0, count=20, depth=5, order=order)
+        random_schwarz_suite(ClassParams(1e-5), seed=0, count=20, order=order)
 
 
 @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])

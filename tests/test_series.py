@@ -98,7 +98,6 @@ def test_check_divisors_first_degenerate_index():
         check_divisors(-1.0, qn)
     assert exc.value.n == 3
     assert check_divisors(-1.0, qn[:2]) == [0j, -1.0]
-    assert check_divisors(-1.0, qn[:4], first=4) == [0j, -1.0, 0j, -1.0]
     # zeta = i: [2] - 1 = i, [3] - 1 = -1 + i, [4] - 1 = -1, [5] - 1 = 0
     with pytest.raises(DegenerateDivisor) as exc:
         check_divisors(1j, q_numbers(1j, 8))
