@@ -261,16 +261,29 @@ def disk_quadratic_max_closed(a: float, b: float, c: float) -> float:
     return _finite(1.0 + abs(a) + b * b / (4.0 * (1.0 - abs(c))))
 
 
-def _peak_angles(a: float, b: float, c: float, radii, angular: int):
-    """Indices into the angular grid, one row per radius, that hold the
-    row's largest |a + b z + c z^2| (see :func:`disk_quadratic_max_grid`)."""
-    scale = max(abs(a), abs(b), abs(c)) or 1.0
+def _peak_cos(a, b, c, radii):
+    """t = cos(theta) where |a + b z + c z^2| peaks on each circle |z| = r.
+
+    For real a, b, c (scalars, or arrays that broadcast against ``radii``),
+    |a + b z + c z^2|^2 = const + B t + 2 C t^2 with B = 2 b r (a + c r^2)
+    and C = 2 a c r^2.  The result is the vertex -B / (4 C) clipped to
+    [-1, 1] where C < 0, and 1 elsewhere; the circle's maximum lies there or
+    at t = -1.
+    """
+    scale = np.maximum(np.maximum(abs(a), abs(b)), abs(c))
+    scale = scale + (scale == 0.0)  # 1 where a = b = c = 0
     a, b, c = a / scale, b / scale, c / scale  # the vertex is scale-free; nothing overflows
     lin = 2.0 * b * radii * (a + c * radii * radii)
     quad = 2.0 * a * c * radii * radii
     with np.errstate(divide="ignore", over="ignore"):  # a huge vertex clips to -1 or 1
-        vertex = np.divide(-lin, 4.0 * quad, out=np.ones_like(radii), where=quad < 0.0)
-    nearest = np.rint(np.arccos(np.clip(vertex, -1.0, 1.0)) * (angular / (2.0 * np.pi)))
+        vertex = np.divide(-lin, 4.0 * quad, out=np.ones_like(lin), where=quad < 0.0)
+    return np.clip(vertex, -1.0, 1.0)
+
+
+def _peak_angles(a: float, b: float, c: float, radii, angular: int):
+    """Indices into the angular grid, one row per radius, that hold the
+    row's largest |a + b z + c z^2| (see :func:`disk_quadratic_max_grid`)."""
+    nearest = np.rint(np.arccos(_peak_cos(a, b, c, radii)) * (angular / (2.0 * np.pi)))
     k = nearest.astype(int)[:, None]
     half = angular // 2
     centres = np.hstack(np.broadcast_arrays(k, -k, 0, half, angular - half))

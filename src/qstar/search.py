@@ -7,18 +7,27 @@ Schwarz coefficients -- real b1 in [0, 1] and disk parameters x, y -- by
 mapping each triple through :func:`qstar.schwarz.schwarz_b2b3` and the
 coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, the one map
 from Schwarz to starlike coefficients) to (a2, a3, a4) and evaluating the
-chosen functional.  It grids (b1, x) and refines that grid around the
-incumbent, as many times as its :class:`GridSpec` preset's ``levels``; y is
-not gridded:
+chosen functional.  It grids (b1, |x|) and refines that grid around the
+incumbent, as many times as its :class:`GridSpec` preset's ``levels``.
+b3, hence a4, is affine in y, and at real q every functional is a
+polynomial in x and y with real coefficients that depend on b1 only.  So
+the search removes what the maths removes exactly:
 
-* b3, hence a4, is affine in y.  A functional affine in a4 is A + B y on each
-  (b1, x) point, so its maximum over |y| <= 1 is |A| + |B| exactly (the
-  triangle-inequality step of the paper's proofs); the search reads A and B
-  off y = 0 and y = 1.
-* A functional quadratic in a4 is a polynomial in y, so by the maximum-modulus
-  principle its maximum over the disk lies on |y| = 1; the search sweeps
-  arg y on that circle only.
-* The other functionals do not read y at all, and their map stops at a3.
+* The circle step, for every functional that is not quadratic in a4 on the
+  searched b1 range (all but t3_2, and t2_3 off the a2 = 0 slice, where
+  t2_3 = 2 a3^2 a4).  The functional is P(x) + Q (1 - |x|^2) y with P a
+  quadratic in x and |Q| constant on each circle |x| = r.  Its maximum over
+  |y| <= 1 is |P| + |Q| (1 - r^2) exactly (the triangle-inequality step of
+  the paper's proofs), which the search reads as |A| + |B| off y = 0 and
+  y = 1; a functional that does not read a4 stops its map at a3.  |P|^2 is
+  a quadratic in cos(arg x) on the circle, so its maximum over arg x lies
+  at arg x = 0, pi, or the vertex, whose coefficients the search reads off
+  P at x = 0, 1, -1 (:func:`qstar.bounds._peak_cos`, the vertex formula
+  that ``disk_quadratic_max_grid`` uses too).  Only those three angles are
+  evaluated; the vertex only decides where to look.
+* The ring, for a functional quadratic in a4: a polynomial in y, so by the
+  maximum-modulus principle its maximum over the disk lies on |y| = 1.  The
+  search grids arg x and sweeps arg y on that circle, and refines both.
 
 Every evaluated point, and every reported witness, is a genuine class
 member, so a search value above the catalog bound (a negative gap) falsifies
@@ -40,10 +49,11 @@ like q^-7 and the suite's sides reach 1e13 and more at small |zeta|.
 Determinism contract: grid cells and random samples are independent work
 items.  Grid reductions break ties lexicographically on
 (b1, |x|, arg x, |y|, arg y) (the first flat C-order maximum on ascending
-axes).  On the |y| = 1 sweep the eliminated radius is 1; for a functional
-affine in a4, (|y|, arg y) is the witness of |A| + |B| -- radius 1 and
-arg y = arg A - arg B, or y = 0 when B == 0 -- a function of (b1, x); a
-functional that ignores y reports y = 0.
+axes).  On the circle step the arg x axis of each (b1, |x|) circle is its
+three candidates in ascending order, 0 <= arccos(vertex) <= pi, and the
+witness (|y|, arg y) of |A| + |B| is radius 1 and arg y = arg A - arg B, or
+y = 0 when B == 0 -- a function of (b1, x); a functional that ignores y
+reports y = 0.  On the ring the eliminated radius of y is 1.
 
 Every sample draws from its own counter-based Philox stream, keyed by the
 seed at counter 1024 * (sample index), and reads it as one block: the
@@ -62,6 +72,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +87,7 @@ from .bounds import (
     parseval_rhs,
     parseval_weights,
     product_bound_applies,
+    _peak_cos,
 )
 from .errors import DegenerateDivisor, OutOfRange
 from .functionals import (
@@ -126,14 +138,18 @@ GRID_IDS = (
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid sizes for the (b1, x) search lattice and the arg y sweep, and the
-    number of refinement ``levels`` after the first grid.
+    """Grid sizes for the (b1, |x|) search lattice, the arg x and arg y
+    lattices of the ring, and the number of refinement ``levels`` after the
+    first grid.
 
     The level-0 b1 grid spans its range with both endpoints on the lattice,
-    and the x lattice contains |x| = 0 and |x| = 1 exactly.  ``y_angles``
-    points of the circle |y| = 1 are swept for the functionals quadratic in
-    a4; no other functional grids y.  The presets are ``coarse()`` (two
-    refinement levels), the default and ``fine()`` (three each).
+    and the |x| lattice contains |x| = 0 and |x| = 1 exactly, so both need
+    at least 2 points.  ``x_angles`` and ``y_angles`` size the ring only, the
+    search of a functional quadratic in a4 (t3_2, and t2_3 off the a2 = 0
+    slice): every other functional takes arg x at three candidate angles per
+    circle and does not grid y.  The presets are ``coarse()`` (two
+    refinement levels), the default and ``fine()`` (three each).  A size
+    that is not an integer, or is below its minimum, raises OutOfRange.
     """
 
     b1_points: int = 51
@@ -141,6 +157,16 @@ class GridSpec:
     x_angles: int = 36
     y_angles: int = 36
     levels: int = 3
+
+    def __post_init__(self):
+        minimum = {"b1_points": 2, "x_radii": 2, "x_angles": 1, "y_angles": 1, "levels": 0}
+        for name, least in minimum.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise OutOfRange(f"{name} = {value!r} is not an integer")
+            if value < least:
+                raise OutOfRange(f"{name} = {value} must be >= {least}")
+            object.__setattr__(self, name, int(value))
 
     @classmethod
     def coarse(cls):
@@ -181,7 +207,7 @@ class SearchResult:
     argmax: tuple  # (b1, x, y) with complex x, y
     bound: float
     gap: float  # bound - max_value; >= VIOLATION_TOL * max(1, |bound|) on a sound run
-    evaluations: int  # (b1, x) points, or (b1, x, arg y) on the |y| = 1 sweep
+    evaluations: int  # (b1, x) points, or (b1, x, arg y) on the ring; not P's reads
 
 
 @dataclass(frozen=True)
@@ -285,83 +311,108 @@ _Y_ENDS = np.array([0.0, 1.0])
 _CHUNK_POINTS = 1 << 16
 
 
-def _y_max(fid, q, b1, x, ays):
+def _y_max(fid, q, b1, x, ays=None):
     """|functional| maximized over |y| <= 1 at each (b1, x) pair.
 
-    ``b1`` has shape (nb, 1, 1, 1) and ``x`` (1, rx, ax, 1).  Returns
-    ``(vals, witness)``: vals broadcasts to (nb, rx, ax, len(ays)) for a
-    functional quadratic in a4, swept at y = exp(i ays), and to
-    (nb, rx, ax, 1) otherwise; ``witness(index)`` is the (|y|, arg y) behind
-    vals[index].
+    ``b1`` and ``x`` broadcast to (nb, rx, ax, 1).  With ``ays`` the functional
+    is taken as quadratic in a4 and swept at y = exp(i ays), and vals
+    broadcasts to (nb, rx, ax, len(ays)); without it a functional that reads
+    a4 is affine in it (the |A| + |B| step), and vals broadcasts to
+    (nb, rx, ax, 1).  Returns ``(vals, witness)``; ``witness(index)`` is the
+    (|y|, arg y) behind vals[index].
     """
-    if fid in A4_AFFINE:
+    if ays is not None:
+        vals = np.abs(_functional_values(fid, q, b1, x, np.exp(1j * ays)))
+        return vals, lambda i: (1.0, float(ays[i[3]]))
+    if fid in A4_DEPENDENT:
         p = _functional_values(fid, q, b1, x, _Y_ENDS)
         a, b = p[..., :1], p[..., 1:] - p[..., :1]
         return np.abs(a) + np.abs(b), lambda i: _affine_witness(a[i], b[i])
-    if fid in A4_DEPENDENT:
-        vals = np.abs(_functional_values(fid, q, b1, x, np.exp(1j * ays)))
-        return vals, lambda i: (1.0, float(ays[i[3]]))
     return np.abs(_functional_values(fid, q, b1, x)), lambda i: (0.0, 0.0)
+
+
+#: x = 0, 1 and -1, where the circle step reads P(x) = p0 + p1 x + p2 x^2
+_X_ENDS = np.array([0.0, 1.0, -1.0])
+
+
+def _circle_angles(fid, q, b1, radii):
+    """The circle step's candidate arg x (see the module docstring): 0, the
+    vertex angle of |P| and pi on each (b1, |x|) circle, ascending, shape
+    (nb, rx, 3, 1) for ``b1`` of shape (nb, 1, 1, 1).  P is read off
+    x = 0, 1, -1 at y = 0."""
+    y = 0.0 if fid in A4_DEPENDENT else None
+    p = _functional_values(fid, q, b1, _X_ENDS, y).real
+    p0, p_plus, p_minus = p[..., :1], p[..., 1:2], p[..., 2:]
+    t = _peak_cos(p0, (p_plus - p_minus) / 2.0, (p_plus + p_minus) / 2.0 - p0,
+                  radii[:, None, None])
+    ends = np.zeros_like(t)
+    return np.concatenate([ends, np.arccos(t), ends + math.pi], axis=2)
 
 
 def maximize_functional(spec: SearchSpec) -> SearchResult:
     """Maximize |functional| over the (b1, x, y) family, with refinement.
 
-    The search grids (b1, x) and handles y as the module docstring states:
-    exactly (|A| + |B|) for a functional affine in a4, by an arg y sweep on
-    |y| = 1 for one quadratic in a4.  Each of the grid's ``levels`` of
-    refinement shrinks every gridded range (b1, |x|, arg x, and arg y on the
-    sweep) by a factor of 5 around the incumbent and re-grids at the same
-    resolution.  Ties break
-    toward the lexicographically smallest (b1, |x|, arg x, |y|, arg y); axes
-    the functional provably ignores collapse to their smallest grid point,
-    which is what the full-grid tie-break would select anyway.
+    The search grids (b1, |x|) and handles arg x and y as the module
+    docstring states.  On the circle step arg x takes its three candidate
+    angles on each circle, and y is eliminated exactly (|A| + |B|); on the
+    ring, for a functional quadratic in a4, arg x is gridded too and arg y is
+    swept on |y| = 1.  Each of the grid's ``levels`` of refinement shrinks
+    every gridded range (b1 and |x|, and arg x and arg y on the ring) by a
+    factor of 5 around the incumbent and re-grids at the same resolution.
+    Ties break toward the lexicographically smallest
+    (b1, |x|, arg x, |y|, arg y); axes the functional provably ignores
+    collapse to their smallest grid point, which is what the full-grid
+    tie-break would select anyway.
     """
-    fid = spec.functional
-    g = spec.grid
-    q = spec.q
+    fid, g, q = spec.functional, spec.grid, spec.q
     needs_x = fid in A3_DEPENDENT
-    ring = fid in A4_DEPENDENT and fid not in A4_AFFINE
+    case = _case_for(spec)
+    # quadratic in a4, but t2_3 = 2 a3^2 a4 is affine in it where a2 = 0
+    ring = fid in A4_DEPENDENT - A4_AFFINE and case is not CaseFlag.A2_ZERO
 
-    b1_lo, b1_hi = spec.b1_range
-    rx_lo, rx_hi = 0.0, 1.0
-    ax_lo, ax_hi = 0.0, 2.0 * math.pi * (g.x_angles - 1) / max(g.x_angles, 1)
-    ay_lo, ay_hi = 0.0, 2.0 * math.pi * (g.y_angles - 1) / max(g.y_angles, 1)
+    windows = [spec.b1_range, (0.0, 1.0)]  # b1, |x|, and arg x, arg y on the ring
+    clamps = list(windows)
+    sizes = [g.b1_points, g.x_radii if needs_x else 1]
+    if ring:
+        windows += [(0.0, 2.0 * math.pi * (n - 1) / n) for n in (g.x_angles, g.y_angles)]
+        clamps += [None, None]
+        sizes += [g.x_angles, g.y_angles]
 
     best_val = -1.0
     best_key = None  # (b1, rx, ax, ry, ay)
     evaluations = 0
 
     for _level in range(g.levels + 1):
-        b1s = _axis(b1_lo, b1_hi, g.b1_points)
-        rxs = _axis(rx_lo, rx_hi, g.x_radii if needs_x else 1)
-        axs = _axis(ax_lo, ax_hi, g.x_angles if needs_x else 1)
-        ays = _axis(ay_lo, ay_hi, g.y_angles if ring else 1)
-        x = (rxs[:, None] * np.exp(1j * axs)[None, :])[None, :, :, None]
-        per_b1 = len(rxs) * len(axs) * len(ays)
+        b1s, rxs, *angles = (_axis(lo, hi, n) for (lo, hi), n in zip(windows, sizes))
+        ays = angles[1] if ring else None
+        per_b1 = len(rxs) * (len(angles[0]) * len(ays) if ring else 3 if needs_x else 1)
         step = max(1, _CHUNK_POINTS // per_b1)
         for start in range(0, len(b1s), step):
             b1 = b1s[start:start + step, None, None, None]
+            if ring:
+                axs = angles[0][None, None, :, None]
+            elif needs_x:
+                axs = _circle_angles(fid, q, b1, rxs)
+            else:
+                axs = np.zeros((1, 1, 1, 1))
+            x = rxs[None, :, None, None] * np.exp(1j * axs)
             vals, witness = _y_max(fid, q, b1, x, ays)
-            vals = np.broadcast_to(vals, (len(b1), len(rxs), len(axs), len(ays)))
+            shape = (len(b1), len(rxs), axs.shape[2], len(ays) if ring else 1)
+            vals = np.broadcast_to(vals, shape)
             evaluations += vals.size
             flat = int(np.argmax(vals))
             v = float(vals.flat[flat])
-            idx = np.unravel_index(flat, vals.shape)
-            key = (
-                float(b1.flat[idx[0]]), float(rxs[idx[1]]), float(axs[idx[2]])
-            ) + witness(idx)
+            idx = np.unravel_index(flat, shape)
+            ax = np.broadcast_to(axs, shape[:3] + (1,))[idx[:3] + (0,)]
+            key = (float(b1.flat[idx[0]]), float(rxs[idx[1]]), float(ax)) + witness(idx)
             if v > best_val or (v == best_val and (best_key is None or key < best_key)):
                 best_val = v
                 best_key = key
-        b1c, rxc, axc, _, ayc = best_key
-        b1_lo, b1_hi = _shrink(b1c, b1_lo, b1_hi, clamp=spec.b1_range)
-        rx_lo, rx_hi = _shrink(rxc, rx_lo, rx_hi, clamp=(0.0, 1.0))
-        ax_lo, ax_hi = _shrink(axc, ax_lo, ax_hi, clamp=None)
-        if ring:
-            ay_lo, ay_hi = _shrink(ayc, ay_lo, ay_hi, clamp=None)
+        centres = best_key[:3] + best_key[4:]  # b1, |x|, arg x, arg y
+        windows = [_shrink(c, lo, hi, clamp)
+                   for c, (lo, hi), clamp in zip(centres, windows, clamps)]
 
-    bound = bound_value(BoundQuery(fid, ClassParams(q), case_flag=_case_for(spec)))
+    bound = bound_value(BoundQuery(fid, ClassParams(q), case_flag=case))
     b1c, rxc, axc, ryc, ayc = best_key
     argmax = (
         b1c,

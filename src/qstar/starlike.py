@@ -179,6 +179,21 @@ def extremal_by_formula(params: ClassParams, order: int) -> StarlikeFunction:
     return StarlikeFunction(coeffs, params)
 
 
+def _horner(coeffs, z):
+    """Each row of ``coeffs`` (lowest degree first) at every point of ``z``,
+    shape (rows, len(z)).
+
+    The arithmetic of ``np.polynomial.polynomial.polyval`` on each row, bit
+    for bit, run in place on one accumulator: no array is allocated per
+    coefficient.
+    """
+    acc = z * 0 + coeffs[:, -1:]
+    for c in coeffs[:, -2::-1].T:
+        acc *= z
+        acc += c[:, None]
+    return acc
+
+
 def membership_margin(
     f: StarlikeFunction,
     r_max: float = 0.95,
@@ -210,10 +225,9 @@ def membership_margin(
     radii = np.linspace(r_max / radial_steps, r_max, radial_steps)
     angles = 2.0 * np.pi * np.arange(angular_steps) / angular_steps
     z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    pv = np.polynomial.polynomial.polyval
     with np.errstate(all="ignore"):  # an overflow surfaces as a non-finite margin
-        top = pv(z, qn * a)  # qn * a: the coefficients of (z D_zeta f)/z
-        bot = pv(z, a)
+        # qn * a: the coefficients of (z D_zeta f)/z
+        top, bot = _horner(np.stack([qn * a, a]), z)
         bad = np.abs(bot) <= 1e-12
         if bad.any():
             raise DenominatorVanished(complex(z[np.argmax(bad)]))

@@ -2,9 +2,14 @@
 
 Everything here is deliberately primitive: exact-rational series arithmetic
 on coefficient lists, permutation-expansion determinants, direct
-substitution formulas, and a disk maximum over every point of its grid.
-None of it shares code paths with the package.
+substitution formulas, a disk maximum over every point of its grid, and
+the (b1, x) lattice search of the sharpness engine before it took arg x at
+three candidate angles per circle.  None of it shares code paths with the
+package; the lattice search takes the package's pointwise evaluator as an
+argument, so that both searches compare the same arithmetic.
 """
+
+import math
 
 from fractions import Fraction
 from itertools import permutations
@@ -177,3 +182,48 @@ def parseval_rhs_per_n(zeta, alpha, abs_a, n):
     c = np.abs(np.asarray(dv, dtype=cdtype)) ** 2
     acc = ((d[:-1] - c[:-1]) * abs_a**2).sum(axis=-1)
     return np.sqrt(np.maximum(acc, 0.0)) / np.sqrt(c[-1])
+
+
+def lattice_search_max(y_max, grid, b1_range, needs_x, ring):
+    """max |functional| of the refined (b1, |x|, arg x, arg y) lattice search.
+
+    ``y_max(b1, x, ays)`` is the functional maximized over |y| <= 1 at each
+    (b1, x), swept on |y| = 1 at the angles ``ays`` when ``ring`` (else
+    ``ays`` is None); it returns (values, witness) like ``search._y_max``.
+    Each of ``grid.levels`` refinements shrinks every gridded range by a
+    factor of 5 around the incumbent, whose ties break toward the smallest
+    (b1, |x|, arg x, arg y).  ``needs_x`` false collapses x to 0.
+    """
+
+    def axis(lo, hi, n):
+        return np.array([lo]) if n <= 1 or hi <= lo else np.linspace(lo, hi, n)
+
+    def shrink(centre, lo, hi, clamp):
+        width = (hi - lo) / 5.0
+        lo, hi = centre - width / 2.0, centre + width / 2.0
+        return (lo, hi) if clamp is None else (max(clamp[0], lo), min(clamp[1], hi))
+
+    ranges = [tuple(b1_range), (0.0, 1.0),
+              (0.0, 2.0 * math.pi * (grid.x_angles - 1) / grid.x_angles),
+              (0.0, 2.0 * math.pi * (grid.y_angles - 1) / grid.y_angles)]
+    sizes = [grid.b1_points, grid.x_radii if needs_x else 1,
+             grid.x_angles if needs_x else 1, grid.y_angles if ring else 1]
+    clamps = [tuple(b1_range), (0.0, 1.0), None, None]
+    best_val, best_key = -1.0, None
+    for _ in range(grid.levels + 1):
+        b1s, rxs, axs, ays = (axis(lo, hi, n) for (lo, hi), n in zip(ranges, sizes))
+        x = (rxs[:, None] * np.exp(1j * axs)[None, :])[None, :, :, None]
+        for b1 in b1s:
+            vals, _ = y_max(np.full((1, 1, 1, 1), b1), x, ays if ring else None)
+            vals = np.broadcast_to(vals, (1, len(rxs), len(axs), len(ays)))
+            flat = int(np.argmax(vals))
+            i = np.unravel_index(flat, vals.shape)
+            key = (float(b1), float(rxs[i[1]]), float(axs[i[2]]), float(ays[i[3]]))
+            v = float(vals.flat[flat])
+            if v > best_val or (v == best_val and key < best_key):
+                best_val, best_key = v, key
+        ranges = [shrink(c, lo, hi, clamp)
+                  for c, (lo, hi), clamp in zip(best_key, ranges, clamps)]
+        if not ring:
+            ranges[3] = (0.0, 0.0)
+    return best_val

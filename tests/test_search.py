@@ -22,10 +22,10 @@ from qstar import (
 )
 from qstar import search
 from qstar.errors import OutOfRange
-from qstar.functionals import RAW_FORMULAS
-from qstar.search import _sample_gammas, _verdict, _worst, _y_max
+from qstar.functionals import A3_DEPENDENT, RAW_FORMULAS
+from qstar.search import _circle_angles, _sample_gammas, _verdict, _worst, _y_max
 
-from _oracles import initial_coeffs_closed
+from _oracles import initial_coeffs_closed, lattice_search_max
 
 COARSE = GridSpec.coarse()
 
@@ -123,10 +123,11 @@ def test_y_elimination_dominates_a_y_lattice(fid):
     sweep = 2.0 * np.pi * np.arange(36) / 36
     points = [(b1, x) for b1 in (0.0, 0.3, 0.75, 1.0)
               for x in (0.0, 0.5, -0.8 + 0.3j, 0.6j, cmath.exp(2j))]
+    ring = fid in (FunctionalId.T3_2, FunctionalId.T2_3)
     for q in (0.4, 0.5, 0.8):
         for b1, x in points:
             vals, _ = _y_max(fid, q, np.full((1, 1, 1, 1), b1),
-                             np.full((1, 1, 1, 1), x), sweep)
+                             np.full((1, 1, 1, 1), x), sweep if ring else None)
             b2, b3 = schwarz_b2b3(b1, x, lattice)
             brute = np.max(np.abs(RAW_FORMULAS[fid](*initial_coeffs_closed(b1, b2, b3, q))))
             assert np.max(vals) >= brute - 1e-12 * max(1.0, brute)
@@ -134,7 +135,8 @@ def test_y_elimination_dominates_a_y_lattice(fid):
 
 @pytest.mark.parametrize("fid, b1_range", [
     (FunctionalId.H2_2, (0.0, 1.0)),  # affine in a4: |A| + |B|
-    (FunctionalId.T2_3, (0.0, 0.0)),  # swept on |y| = 1
+    (FunctionalId.T2_3, (0.0, 0.0)),  # affine in a4 where a2 = 0
+    (FunctionalId.T3_2, (0.0, 1.0)),  # swept on |y| = 1
     (FunctionalId.ABS_A2, (0.0, 1.0)),  # ignores x and y
 ])
 def test_search_is_independent_of_the_chunk_size(monkeypatch, fid, b1_range):
@@ -165,10 +167,87 @@ def test_grid_map_matches_the_closed_forms(monkeypatch, q):
 
 
 def test_search_evaluation_counts():
-    # (b1, x) points for a functional affine in a4; (b1, x, arg y) on the ring
-    assert maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5)).evaluations == 154224
+    # (b1, |x|) points times the three candidate angles of the circle step:
+    # 51 * 21 * 3 and 1 * 21 * 3 per level, 4 levels; (b1, x, arg y) on the
+    # ring: 51 * 21 * 36 * 36 per level
+    assert maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5)).evaluations == 12852
     res = maximize_functional(SearchSpec(FunctionalId.T2_3, 0.5, b1_range=(0.0, 0.0)))
-    assert res.evaluations == 108864
+    assert res.evaluations == 252
+    assert maximize_functional(coarse_spec(FunctionalId.T3_2, 0.5)).evaluations == 3 * 26 * 11 * 18 * 18
+
+
+# ----------------------------------------------------------------- arg x
+
+#: the functionals quadratic in a4: t2_3 = 2 a3^2 a4 is affine in it at a2 = 0
+QUADRATIC_IN_A4 = (FunctionalId.T3_2, FunctionalId.T2_3)
+
+#: every (functional, b1 range) whose search takes arg x at three angles
+CIRCLE_STEPS = [
+    (fid, b1_range)
+    for fid in sorted(A3_DEPENDENT)
+    for b1_range in ((0.0, 1.0), (0.0, 0.0))
+    if fid not in QUADRATIC_IN_A4 or (fid, b1_range) == (FunctionalId.T2_3, (0.0, 0.0))
+]
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("fid, b1_range", CIRCLE_STEPS)
+def test_circle_candidates_dominate_a_fine_arg_x_sweep(fid, b1_range, q):
+    # at random (b1, |x|), the three candidate angles of each circle reach
+    # the maximum of a 3601-angle sweep of the same circle
+    rng = np.random.default_rng(5)
+    nb = 1 if b1_range == (0.0, 0.0) else 12
+    b1 = rng.uniform(*b1_range, (nb, 1, 1, 1))
+    radii = rng.uniform(0.0, 1.0, 8)
+    x = radii[None, :, None, None] * np.exp(1j * _circle_angles(fid, q, b1, radii))
+    best = np.max(_y_max(fid, q, b1, x)[0], axis=2)
+    theta = np.linspace(0.0, 2.0 * np.pi, 3601)
+    x = radii[None, :, None, None] * np.exp(1j * theta)[None, None, :, None]
+    sweep = np.max(_y_max(fid, q, b1, x)[0], axis=2)
+    assert np.all(best >= sweep * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("fid, b1_range", CIRCLE_STEPS + [
+    (fid, (0.2, 0.7)) for fid in sorted(A3_DEPENDENT) if fid not in QUADRATIC_IN_A4])
+def test_circle_step_is_never_below_the_lattice_search(fid, b1_range):
+    # the lattice of 18 arg x per circle that the search ran before (with an
+    # arg y sweep for t2_3 on the a2 = 0 slice too): the circle step reaches
+    # at least its maximum on the coarse grid
+    ring = fid in QUADRATIC_IN_A4
+    for q in (0.01, 0.5, 0.8, 0.99):
+        def y_max(b1, x, ays):
+            return _y_max(fid, q, b1, x, ays)
+
+        lattice = lattice_search_max(y_max, COARSE, b1_range, True, ring)
+        res = maximize_functional(coarse_spec(fid, q, b1_range=b1_range))
+        assert res.max_value >= lattice * (1.0 - 1e-15), (q, res.max_value, lattice)
+
+
+@pytest.mark.parametrize("b1_range", [(0.0, 1.0), (0.2, 0.7)])
+@pytest.mark.parametrize("fid", QUADRATIC_IN_A4)
+def test_ring_search_is_the_lattice_search(fid, b1_range):
+    def y_max(b1, x, ays):
+        return _y_max(fid, 0.5, b1, x, ays)
+
+    lattice = lattice_search_max(y_max, COARSE, b1_range, True, True)
+    assert maximize_functional(coarse_spec(fid, 0.5, b1_range=b1_range)).max_value == lattice
+
+
+@pytest.mark.parametrize("field, value", [
+    ("b1_points", 2.0), ("x_radii", "21"), ("levels", True), ("y_angles", None),
+    ("b1_points", 1), ("b1_points", 0), ("x_radii", 1), ("x_radii", -3),
+    ("x_angles", 0), ("y_angles", 0), ("levels", -1),
+])
+def test_grid_spec_rejects_a_size_that_breaks_the_search(field, value):
+    with pytest.raises(OutOfRange):
+        GridSpec(**{field: value})
+
+
+def test_grid_spec_accepts_its_minimum_sizes():
+    grid = GridSpec(np.int64(2), 2, 1, 1, 0)
+    assert type(grid.b1_points) is int
+    res = maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5, grid))
+    assert res.argmax[0] == 1.0 and res.evaluations == 2 * 2 * 3
 
 
 @pytest.mark.parametrize("fid", [FunctionalId.H2_2, FunctionalId.T2_3])

@@ -358,6 +358,40 @@ def test_membership_denominator_vanished():
         membership_margin(f, r_max=0.96, radial_steps=48, angular_steps=360)
 
 
+def _polar_grid(r_max, radial=48, angular=360):
+    # the points membership_margin samples
+    radii = np.linspace(r_max / radial, r_max, radial)
+    angles = 2.0 * np.pi * np.arange(angular) / angular
+    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+
+def _assert_horner_is_polyval(rows, z):
+    got = starlike._horner(rows, z)
+    assert got.shape == (len(rows), len(z))
+    for row, values in zip(rows, got):
+        want = np.polynomial.polynomial.polyval(z, row)
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
+
+def test_horner_is_polyval_bitwise_on_random_rows():
+    rng = np.random.default_rng(9)
+    z = _polar_grid(0.95, 12, 90)
+    for n in (1, 2, 3, 8, 33, 64):
+        rows = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        _assert_horner_is_polyval(rows * 10.0 ** rng.uniform(-8, 8, (3, 1)), z)
+
+
+def test_horner_is_polyval_bitwise_on_the_criterion_9_inputs():
+    # the order-64 extremals at half their radius of convergence, and the
+    # perturbed polynomial z + 10 z^2 at r_max = 0.95
+    cases = [(extremal_product(ClassParams(q), 64), q / (2.0 - q) / 2.0) for q in (0.5, 0.8)]
+    cases.append((StarlikeFunction.from_coeffs([1, 10.0], Q_HALF), 0.95))
+    for f, r_max in cases:
+        a = f.coeffs[1:]
+        qn = np.asarray(q_numbers(f.params.zeta, f.order), dtype=complex)
+        _assert_horner_is_polyval(np.stack([qn * a, a]), _polar_grid(r_max))
+
+
 def test_membership_input_validation():
     f = StarlikeFunction.from_coeffs([1], Q_HALF)
     with pytest.raises(OutOfRange):
