@@ -9,11 +9,13 @@ membership  grid margin of Re(z D_zeta f / f) - alpha for a coefficient file
 y           the disk maximum |a + b z + c z^2| + 1 - |z|^2, closed and grid
 
 Shared flags: --format {csv,json} (default csv), --out (default stdout).
-extremal takes its order as --n (default 32); verify takes --seed (default 0)
-and the randomized suite's --order (2..8, default 8).  Complex parameters are
-given as --zeta re,im with --alpha (default 0); --q x is shorthand for
---zeta x,0 --alpha 0 and combines with neither.  The grid suites take --q only
-(repeatable); every other verb and suite takes one class.
+extremal takes its order as --n (default 32).  verify takes --seed (default
+0) for every suite, the grid suites' --grid preset and the randomized suite's
+--count and --order (2..8, default 8); all reads all three, and a suite given
+a flag it does not read exits 2.  Complex parameters are given as --zeta
+re,im with --alpha (default 0); --q x is shorthand for --zeta x,0 --alpha 0
+and combines with neither.  The grid suites take --q only (repeatable);
+every other verb and suite takes one class.
 
 Exit codes: 0 success, 1 any verification verdict VIOLATION (or a failed
 --self-check), 2 usage or domain errors.  Output is byte-stable for fixed
@@ -179,9 +181,22 @@ _SUITES = {
 }
 
 
+#: the verify flags that only some suites read, and those suites; the grid
+#: suites run at real q and alpha = 0
+_SUITE_FLAGS = {
+    "grid": tuple(_SUITES),
+    "count": ("parseval", "all"),
+    "order": ("parseval", "all"),
+    "zeta": ("parseval",),
+    "alpha": ("parseval",),
+}
+
+
 def _cmd_verify(args) -> tuple:
-    if not 2 <= args.order <= SUITE_MAX_ORDER:
-        raise QStarError(f"--order = {args.order} outside 2..{SUITE_MAX_ORDER}")
+    given = vars(args).get("_once_seen", ())
+    for flag, suites in _SUITE_FLAGS.items():
+        if flag in given and args.suite not in suites:
+            raise QStarError(f"--suite {args.suite} does not read --{flag}")
     check_suite_inputs(args.count, args.seed, args.order)
     qs = args.q or [0.5]
     reports = []
@@ -191,9 +206,6 @@ def _cmd_verify(args) -> tuple:
             random_schwarz_suite(params, seed=args.seed, count=args.count, order=args.order)
         )
     else:
-        if args.zeta is not None or args.alpha is not None:
-            raise QStarError(f"--suite {args.suite} runs at real q and alpha = 0: "
-                             "give --q only")
         reports.append(
             sharpness_report(qs, _SUITES[args.suite], grid=_GRIDS[args.grid], seed=args.seed)
         )

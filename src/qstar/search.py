@@ -11,23 +11,19 @@ chosen functional.  It grids (b1, |x|) and refines that grid around the
 incumbent, as many times as its :class:`GridSpec` preset's ``levels``.
 b3, hence a4, is affine in y, and at real q every functional is a
 polynomial in x and y with real coefficients that depend on b1 only.  So
-the search removes what the maths removes exactly:
-
-* The circle step, for every functional that is not quadratic in a4 on the
-  searched b1 range (all but t3_2, and t2_3 off the a2 = 0 slice, where
-  t2_3 = 2 a3^2 a4).  The functional is P(x) + Q (1 - |x|^2) y with P a
-  quadratic in x and |Q| constant on each circle |x| = r.  Its maximum over
-  |y| <= 1 is |P| + |Q| (1 - r^2) exactly (the triangle-inequality step of
-  the paper's proofs), which the search reads as |A| + |B| off y = 0 and
-  y = 1; a functional that does not read a4 stops its map at a3.  |P|^2 is
-  a quadratic in cos(arg x) on the circle, so its maximum over arg x lies
-  at arg x = 0, pi, or the vertex, whose coefficients the search reads off
-  P at x = 0, 1, -1 (:func:`qstar.bounds._peak_cos`, the vertex formula
-  that ``disk_quadratic_max_grid`` uses too).  Only those three angles are
-  evaluated; the vertex only decides where to look.
-* The ring, for a functional quadratic in a4: a polynomial in y, so by the
-  maximum-modulus principle its maximum over the disk lies on |y| = 1.  The
-  search grids arg x and sweeps arg y on that circle, and refines both.
+the search removes what the maths removes exactly, by one step on every
+functional that is not quadratic in a4 on the searched b1 range (all but
+t3_2, and t2_3 off the a2 = 0 slice, where t2_3 = 2 a3^2 a4; ``verify``
+checks those on the rotated extremal instead).  The functional is
+P(x) + Q (1 - |x|^2) y with P a quadratic in x and |Q| constant on each
+circle |x| = r.  Its maximum over |y| <= 1 is |P| + |Q| (1 - r^2) exactly
+(the triangle-inequality step of the paper's proofs), which the search reads
+as |A| + |B| off y = 0 and y = 1; a functional that does not read a4 stops
+its map at a3.  |P|^2 is a quadratic in cos(arg x) on the circle, so its
+maximum over arg x lies at arg x = 0, pi, or the vertex, whose coefficients
+the search reads off P at x = 0, 1, -1 (:func:`qstar.bounds._peak_cos`, the
+vertex formula that ``disk_quadratic_max_grid`` uses too).  Only those three
+angles are evaluated; the vertex only decides where to look.
 
 Every evaluated point, and every reported witness, is a genuine class
 member, so a search value above the catalog bound (a negative gap) falsifies
@@ -49,11 +45,10 @@ like q^-7 and the suite's sides reach 1e13 and more at small |zeta|.
 Determinism contract: grid cells and random samples are independent work
 items.  Grid reductions break ties lexicographically on
 (b1, |x|, arg x, |y|, arg y) (the first flat C-order maximum on ascending
-axes).  On the circle step the arg x axis of each (b1, |x|) circle is its
-three candidates in ascending order, 0 <= arccos(vertex) <= pi, and the
-witness (|y|, arg y) of |A| + |B| is radius 1 and arg y = arg A - arg B, or
-y = 0 when B == 0 -- a function of (b1, x); a functional that ignores y
-reports y = 0.  On the ring the eliminated radius of y is 1.
+axes).  The arg x axis of each (b1, |x|) circle is its three candidates in
+ascending order, 0 <= arccos(vertex) <= pi, and the witness (|y|, arg y) of
+|A| + |B| is radius 1 and arg y = arg A - arg B, or y = 0 when B == 0 -- a
+function of (b1, x); a functional that ignores y reports y = 0.
 
 Every sample draws from its own counter-based Philox stream, keyed by the
 seed at counter 1024 * (sample index), and reads it as one block: the
@@ -138,28 +133,24 @@ GRID_IDS = (
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid sizes for the (b1, |x|) search lattice, the arg x and arg y
-    lattices of the ring, and the number of refinement ``levels`` after the
-    first grid.
+    """Grid sizes for the (b1, |x|) search lattice, and the number of
+    refinement ``levels`` after the first grid.
 
     The level-0 b1 grid spans its range with both endpoints on the lattice,
     and the |x| lattice contains |x| = 0 and |x| = 1 exactly, so both need
-    at least 2 points.  ``x_angles`` and ``y_angles`` size the ring only, the
-    search of a functional quadratic in a4 (t3_2, and t2_3 off the a2 = 0
-    slice): every other functional takes arg x at three candidate angles per
-    circle and does not grid y.  The presets are ``coarse()`` (two
-    refinement levels), the default and ``fine()`` (three each).  A size
-    that is not an integer, or is below its minimum, raises OutOfRange.
+    at least 2 points.  Neither arg x nor y is gridded: the search takes arg
+    x at three candidate angles per circle and eliminates y exactly.  The
+    presets are ``coarse()`` (two refinement levels), the default and
+    ``fine()`` (three each).  A size that is not an integer, or is below its
+    minimum, raises OutOfRange.
     """
 
     b1_points: int = 51
     x_radii: int = 21
-    x_angles: int = 36
-    y_angles: int = 36
     levels: int = 3
 
     def __post_init__(self):
-        minimum = {"b1_points": 2, "x_radii": 2, "x_angles": 1, "y_angles": 1, "levels": 0}
+        minimum = {"b1_points": 2, "x_radii": 2, "levels": 0}
         for name, least in minimum.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -170,11 +161,11 @@ class GridSpec:
 
     @classmethod
     def coarse(cls):
-        return cls(26, 11, 18, 18, 2)
+        return cls(26, 11, 2)
 
     @classmethod
     def fine(cls):
-        return cls(101, 31, 72, 72, 3)
+        return cls(101, 31, 3)
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,10 @@ class SearchSpec:
     """One maximization task: functional, class parameter, grid, b1 range.
 
     The range (0, 0) is the a2 = 0 slice, which selects the a2_zero case of a
-    case-split bound; any other range selects a2_nonzero.
+    case-split bound; any other range selects a2_nonzero.  ``q`` is stored
+    as a float and ``b1_range`` as a tuple of two floats; a q or a bound
+    that is not a real number, or a range that is not a pair, raises
+    OutOfRange.
     """
 
     functional: FunctionalId
@@ -192,9 +186,17 @@ class SearchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "functional", as_functional_id(self.functional))
+        try:
+            lo, hi = self.b1_range
+        except (TypeError, ValueError):
+            raise OutOfRange(f"b1_range = {self.b1_range!r} is not a pair") from None
+        for name, value in (("q", self.q), ("b1_range[0]", lo), ("b1_range[1]", hi)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise OutOfRange(f"{name} = {value!r} is not a real number")
+        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "b1_range", (float(lo), float(hi)))
         if not Q_MIN <= self.q < 1.0:
             raise OutOfRange(f"q = {self.q} outside [{Q_MIN}, 1)")
-        lo, hi = self.b1_range
         if not 0.0 <= lo <= hi <= 1.0:
             raise OutOfRange(f"b1_range {self.b1_range} outside [0, 1]")
 
@@ -207,7 +209,7 @@ class SearchResult:
     argmax: tuple  # (b1, x, y) with complex x, y
     bound: float
     gap: float  # bound - max_value; >= VIOLATION_TOL * max(1, |bound|) on a sound run
-    evaluations: int  # (b1, x) points, or (b1, x, arg y) on the ring; not P's reads
+    evaluations: int  # (b1, x) points evaluated; not P's reads
 
 
 @dataclass(frozen=True)
@@ -311,19 +313,14 @@ _Y_ENDS = np.array([0.0, 1.0])
 _CHUNK_POINTS = 1 << 16
 
 
-def _y_max(fid, q, b1, x, ays=None):
+def _y_max(fid, q, b1, x):
     """|functional| maximized over |y| <= 1 at each (b1, x) pair.
 
-    ``b1`` and ``x`` broadcast to (nb, rx, ax, 1).  With ``ays`` the functional
-    is taken as quadratic in a4 and swept at y = exp(i ays), and vals
-    broadcasts to (nb, rx, ax, len(ays)); without it a functional that reads
-    a4 is affine in it (the |A| + |B| step), and vals broadcasts to
-    (nb, rx, ax, 1).  Returns ``(vals, witness)``; ``witness(index)`` is the
-    (|y|, arg y) behind vals[index].
+    ``b1`` and ``x`` broadcast to (nb, rx, ax, 1), and so do the values.  A
+    functional that reads a4 is taken as affine in it (the |A| + |B| step).
+    Returns ``(vals, witness)``; ``witness(index)`` is the (|y|, arg y)
+    behind vals[index].
     """
-    if ays is not None:
-        vals = np.abs(_functional_values(fid, q, b1, x, np.exp(1j * ays)))
-        return vals, lambda i: (1.0, float(ays[i[3]]))
     if fid in A4_DEPENDENT:
         p = _functional_values(fid, q, b1, x, _Y_ENDS)
         a, b = p[..., :1], p[..., 1:] - p[..., :1]
@@ -352,65 +349,55 @@ def _circle_angles(fid, q, b1, radii):
 def maximize_functional(spec: SearchSpec) -> SearchResult:
     """Maximize |functional| over the (b1, x, y) family, with refinement.
 
-    The search grids (b1, |x|) and handles arg x and y as the module
-    docstring states.  On the circle step arg x takes its three candidate
-    angles on each circle, and y is eliminated exactly (|A| + |B|); on the
-    ring, for a functional quadratic in a4, arg x is gridded too and arg y is
-    swept on |y| = 1.  Each of the grid's ``levels`` of refinement shrinks
-    every gridded range (b1 and |x|, and arg x and arg y on the ring) by a
-    factor of 5 around the incumbent and re-grids at the same resolution.
-    Ties break toward the lexicographically smallest
-    (b1, |x|, arg x, |y|, arg y); axes the functional provably ignores
-    collapse to their smallest grid point, which is what the full-grid
-    tie-break would select anyway.
+    The search grids (b1, |x|), takes arg x at its three candidate angles on
+    each circle and eliminates y exactly (|A| + |B|), as the module
+    docstring states.  Each of the grid's ``levels`` of refinement shrinks
+    the b1 and |x| ranges by a factor of 5 around the incumbent, clamped to
+    the starting ranges, and re-grids at the same resolution.  Ties break
+    toward the lexicographically smallest (b1, |x|, arg x, |y|, arg y); axes
+    the functional provably ignores collapse to their smallest grid point,
+    which is what the full-grid tie-break would select anyway.
+
+    A functional quadratic in a4 on the searched range (t3_2, and t2_3 off
+    the a2 = 0 slice) has no exact y step and raises OutOfRange.
     """
     fid, g, q = spec.functional, spec.grid, spec.q
     needs_x = fid in A3_DEPENDENT
     case = _case_for(spec)
     # quadratic in a4, but t2_3 = 2 a3^2 a4 is affine in it where a2 = 0
-    ring = fid in A4_DEPENDENT - A4_AFFINE and case is not CaseFlag.A2_ZERO
+    if fid in A4_DEPENDENT - A4_AFFINE and case is not CaseFlag.A2_ZERO:
+        raise OutOfRange(f"{fid.value} is quadratic in a4 for b1 in {spec.b1_range}, where the "
+                         "search has no exact y step; verify checks it on the rotated extremal")
 
-    windows = [spec.b1_range, (0.0, 1.0)]  # b1, |x|, and arg x, arg y on the ring
-    clamps = list(windows)
-    sizes = [g.b1_points, g.x_radii if needs_x else 1]
-    if ring:
-        windows += [(0.0, 2.0 * math.pi * (n - 1) / n) for n in (g.x_angles, g.y_angles)]
-        clamps += [None, None]
-        sizes += [g.x_angles, g.y_angles]
+    clamps = (spec.b1_range, (0.0, 1.0))  # b1, |x|
+    windows = clamps
+    sizes = (g.b1_points, g.x_radii if needs_x else 1)
 
     best_val = -1.0
     best_key = None  # (b1, rx, ax, ry, ay)
     evaluations = 0
 
     for _level in range(g.levels + 1):
-        b1s, rxs, *angles = (_axis(lo, hi, n) for (lo, hi), n in zip(windows, sizes))
-        ays = angles[1] if ring else None
-        per_b1 = len(rxs) * (len(angles[0]) * len(ays) if ring else 3 if needs_x else 1)
-        step = max(1, _CHUNK_POINTS // per_b1)
+        b1s, rxs = (_axis(lo, hi, n) for (lo, hi), n in zip(windows, sizes))
+        step = max(1, _CHUNK_POINTS // (len(rxs) * (3 if needs_x else 1)))
         for start in range(0, len(b1s), step):
             b1 = b1s[start:start + step, None, None, None]
-            if ring:
-                axs = angles[0][None, None, :, None]
-            elif needs_x:
-                axs = _circle_angles(fid, q, b1, rxs)
-            else:
-                axs = np.zeros((1, 1, 1, 1))
+            axs = _circle_angles(fid, q, b1, rxs) if needs_x else np.zeros((1, 1, 1, 1))
             x = rxs[None, :, None, None] * np.exp(1j * axs)
-            vals, witness = _y_max(fid, q, b1, x, ays)
-            shape = (len(b1), len(rxs), axs.shape[2], len(ays) if ring else 1)
+            vals, witness = _y_max(fid, q, b1, x)
+            shape = (len(b1), len(rxs), axs.shape[2], 1)
             vals = np.broadcast_to(vals, shape)
             evaluations += vals.size
             flat = int(np.argmax(vals))
             v = float(vals.flat[flat])
             idx = np.unravel_index(flat, shape)
-            ax = np.broadcast_to(axs, shape[:3] + (1,))[idx[:3] + (0,)]
+            ax = np.broadcast_to(axs, shape)[idx]
             key = (float(b1.flat[idx[0]]), float(rxs[idx[1]]), float(ax)) + witness(idx)
             if v > best_val or (v == best_val and (best_key is None or key < best_key)):
                 best_val = v
                 best_key = key
-        centres = best_key[:3] + best_key[4:]  # b1, |x|, arg x, arg y
         windows = [_shrink(c, lo, hi, clamp)
-                   for c, (lo, hi), clamp in zip(centres, windows, clamps)]
+                   for c, (lo, hi), clamp in zip(best_key, windows, clamps)]
 
     bound = bound_value(BoundQuery(fid, ClassParams(q), case_flag=case))
     b1c, rxc, axc, ryc, ayc = best_key
@@ -430,11 +417,7 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
 
 def _shrink(center, lo, hi, clamp):
     width = (hi - lo) / 5.0
-    nlo, nhi = center - width / 2.0, center + width / 2.0
-    if clamp is not None:
-        nlo = max(clamp[0], nlo)
-        nhi = min(clamp[1], nhi)
-    return nlo, nhi
+    return max(clamp[0], center - width / 2.0), min(clamp[1], center + width / 2.0)
 
 
 def _case_for(spec: SearchSpec) -> CaseFlag | None:

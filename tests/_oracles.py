@@ -184,15 +184,17 @@ def parseval_rhs_per_n(zeta, alpha, abs_a, n):
     return np.sqrt(np.maximum(acc, 0.0)) / np.sqrt(c[-1])
 
 
-def lattice_search_max(y_max, grid, b1_range, needs_x, ring):
+def lattice_search_max(y_max, grid, b1_range, angles, ring):
     """max |functional| of the refined (b1, |x|, arg x, arg y) lattice search.
 
     ``y_max(b1, x, ays)`` is the functional maximized over |y| <= 1 at each
     (b1, x), swept on |y| = 1 at the angles ``ays`` when ``ring`` (else
-    ``ays`` is None); it returns (values, witness) like ``search._y_max``.
-    Each of ``grid.levels`` refinements shrinks every gridded range by a
-    factor of 5 around the incumbent, whose ties break toward the smallest
-    (b1, |x|, arg x, arg y).  ``needs_x`` false collapses x to 0.
+    ``ays`` is None), as an array that broadcasts to
+    (1, |x| points, arg x points, arg y points).  Both angle axes take
+    ``angles`` points per turn; the b1 and |x| sizes and the number of
+    refinement levels are ``grid``'s.  Each of ``grid.levels`` refinements
+    shrinks every gridded range by a factor of 5 around the incumbent,
+    whose ties break toward the smallest (b1, |x|, arg x, arg y).
     """
 
     def axis(lo, hi, n):
@@ -203,18 +205,16 @@ def lattice_search_max(y_max, grid, b1_range, needs_x, ring):
         lo, hi = centre - width / 2.0, centre + width / 2.0
         return (lo, hi) if clamp is None else (max(clamp[0], lo), min(clamp[1], hi))
 
-    ranges = [tuple(b1_range), (0.0, 1.0),
-              (0.0, 2.0 * math.pi * (grid.x_angles - 1) / grid.x_angles),
-              (0.0, 2.0 * math.pi * (grid.y_angles - 1) / grid.y_angles)]
-    sizes = [grid.b1_points, grid.x_radii if needs_x else 1,
-             grid.x_angles if needs_x else 1, grid.y_angles if ring else 1]
+    turn = (0.0, 2.0 * math.pi * (angles - 1) / angles)
+    ranges = [tuple(b1_range), (0.0, 1.0), turn, turn]
+    sizes = [grid.b1_points, grid.x_radii, angles, angles if ring else 1]
     clamps = [tuple(b1_range), (0.0, 1.0), None, None]
     best_val, best_key = -1.0, None
     for _ in range(grid.levels + 1):
         b1s, rxs, axs, ays = (axis(lo, hi, n) for (lo, hi), n in zip(ranges, sizes))
         x = (rxs[:, None] * np.exp(1j * axs)[None, :])[None, :, :, None]
         for b1 in b1s:
-            vals, _ = y_max(np.full((1, 1, 1, 1), b1), x, ays if ring else None)
+            vals = y_max(np.full((1, 1, 1, 1), b1), x, ays if ring else None)
             vals = np.broadcast_to(vals, (1, len(rxs), len(axs), len(ays)))
             flat = int(np.argmax(vals))
             i = np.unravel_index(flat, vals.shape)

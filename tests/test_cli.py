@@ -260,12 +260,18 @@ def test_y_verb_skips_closed_form_when_ac_negative(capsys):
         ("bounds", "--q", "1e-45", "--format", "json"),  # a bound overflows to inf
         ("extremal", "--q", "1e-5", "--n", "64"),  # the recursion overflows
         ("verify", "--suite", "parseval", "--q", "0.5", "--order", "9"),
-        # --count and --seed are checked before any suite runs, grid suites too
+        # --seed is checked before any suite runs; a grid suite rejects --count
+        # and --order, which it does not read, even in range
         *[("verify", "--suite", suite, "--q", "0.5", flag, value)
           for suite in ("hankel", "initial", "toeplitz", "all")
           for flag, value in (("--count", "-1"), ("--seed", "-5"),
                               ("--seed", str(1 << 128)))],
         ("verify", "--suite", "parseval", "--q", "0.5", "--seed", "-5"),
+        ("verify", "--suite", "hankel", "--q", "0.5", "--count", "5"),
+        ("verify", "--suite", "toeplitz", "--q", "0.5", "--order", "8"),
+        ("verify", "--suite", "all", "--q", "0.5", "--order", "1"),
+        # parseval rejects --grid, which it does not read
+        ("verify", "--suite", "parseval", "--q", "0.5", "--count", "3", "--grid", "fine"),
         # a class flag the verb or suite does not read
         ("verify", "--suite", "hankel", "--zeta", "0.3,0"),
         ("verify", "--suite", "all", "--q", "0.5", "--zeta", "0.3,0", "--alpha", "0.5"),

@@ -99,9 +99,20 @@ A4_IDS = (
     FunctionalId.T2_3,
 )
 
+#: the functionals quadratic in a4: t2_3 = 2 a3^2 a4 is affine in it at a2 = 0
+QUADRATIC_IN_A4 = (FunctionalId.T3_2, FunctionalId.T2_3)
 
-@pytest.mark.parametrize("b1_range", [(0.0, 1.0), (0.0, 0.0), (0.2, 0.7)])
-@pytest.mark.parametrize("fid", A4_IDS)
+
+def searchable(fid, b1_range):
+    """Whether the search takes this functional on this b1 range."""
+    return fid not in QUADRATIC_IN_A4 or (fid, b1_range) == (FunctionalId.T2_3, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("fid, b1_range", [
+    pytest.param(fid, b1_range, id=f"{fid.value}-b1_range{i}")
+    for fid in A4_IDS for i, b1_range in enumerate([(0.0, 1.0), (0.0, 0.0), (0.2, 0.7)])
+    if searchable(fid, b1_range)
+])
 def test_search_witness_replays_max_value(fid, b1_range):
     # the reported (b1, x, y) is a class member whose functional is max_value
     for q in (0.4, 0.5, 0.8):
@@ -113,21 +124,19 @@ def test_search_witness_replays_max_value(fid, b1_range):
         assert value == pytest.approx(res.max_value, rel=1e-12)
 
 
-@pytest.mark.parametrize("fid", A4_IDS)
+@pytest.mark.parametrize("fid", [fid for fid in A4_IDS if fid is not FunctionalId.T3_2])
 def test_y_elimination_dominates_a_y_lattice(fid):
     # brute force over an 11 x 18 polar y-lattice at fixed (b1, x): the
-    # eliminated value (|A| + |B|, or the 36-point sweep of |y| = 1) is no lower
+    # eliminated value |A| + |B| is no lower (t2_3 on its a2 = 0 slice only)
     ry = np.linspace(0.0, 1.0, 11)
     ay = 2.0 * np.pi * np.arange(18) / 18
     lattice = (ry[:, None] * np.exp(1j * ay)[None, :]).ravel()
-    sweep = 2.0 * np.pi * np.arange(36) / 36
-    points = [(b1, x) for b1 in (0.0, 0.3, 0.75, 1.0)
+    b1s = (0.0,) if fid in QUADRATIC_IN_A4 else (0.0, 0.3, 0.75, 1.0)
+    points = [(b1, x) for b1 in b1s
               for x in (0.0, 0.5, -0.8 + 0.3j, 0.6j, cmath.exp(2j))]
-    ring = fid in (FunctionalId.T3_2, FunctionalId.T2_3)
     for q in (0.4, 0.5, 0.8):
         for b1, x in points:
-            vals, _ = _y_max(fid, q, np.full((1, 1, 1, 1), b1),
-                             np.full((1, 1, 1, 1), x), sweep if ring else None)
+            vals, _ = _y_max(fid, q, np.full((1, 1, 1, 1), b1), np.full((1, 1, 1, 1), x))
             b2, b3 = schwarz_b2b3(b1, x, lattice)
             brute = np.max(np.abs(RAW_FORMULAS[fid](*initial_coeffs_closed(b1, b2, b3, q))))
             assert np.max(vals) >= brute - 1e-12 * max(1.0, brute)
@@ -136,7 +145,6 @@ def test_y_elimination_dominates_a_y_lattice(fid):
 @pytest.mark.parametrize("fid, b1_range", [
     (FunctionalId.H2_2, (0.0, 1.0)),  # affine in a4: |A| + |B|
     (FunctionalId.T2_3, (0.0, 0.0)),  # affine in a4 where a2 = 0
-    (FunctionalId.T3_2, (0.0, 1.0)),  # swept on |y| = 1
     (FunctionalId.ABS_A2, (0.0, 1.0)),  # ignores x and y
 ])
 def test_search_is_independent_of_the_chunk_size(monkeypatch, fid, b1_range):
@@ -168,25 +176,31 @@ def test_grid_map_matches_the_closed_forms(monkeypatch, q):
 
 def test_search_evaluation_counts():
     # (b1, |x|) points times the three candidate angles of the circle step:
-    # 51 * 21 * 3 and 1 * 21 * 3 per level, 4 levels; (b1, x, arg y) on the
-    # ring: 51 * 21 * 36 * 36 per level
+    # 51 * 21 * 3 and 1 * 21 * 3 per level, 4 levels
     assert maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5)).evaluations == 12852
     res = maximize_functional(SearchSpec(FunctionalId.T2_3, 0.5, b1_range=(0.0, 0.0)))
     assert res.evaluations == 252
-    assert maximize_functional(coarse_spec(FunctionalId.T3_2, 0.5)).evaluations == 3 * 26 * 11 * 18 * 18
+
+
+@pytest.mark.parametrize("fid, b1_range", [
+    (FunctionalId.T3_2, (0.0, 1.0)),
+    (FunctionalId.T3_2, (0.0, 0.0)),
+    (FunctionalId.T2_3, (0.2, 0.7)),
+])
+def test_search_refuses_a_functional_quadratic_in_a4(fid, b1_range):
+    # no exact y step: verify checks these on the rotated extremal
+    with pytest.raises(OutOfRange, match="rotated extremal"):
+        maximize_functional(coarse_spec(fid, 0.5, b1_range=b1_range))
 
 
 # ----------------------------------------------------------------- arg x
-
-#: the functionals quadratic in a4: t2_3 = 2 a3^2 a4 is affine in it at a2 = 0
-QUADRATIC_IN_A4 = (FunctionalId.T3_2, FunctionalId.T2_3)
 
 #: every (functional, b1 range) whose search takes arg x at three angles
 CIRCLE_STEPS = [
     (fid, b1_range)
     for fid in sorted(A3_DEPENDENT)
     for b1_range in ((0.0, 1.0), (0.0, 0.0))
-    if fid not in QUADRATIC_IN_A4 or (fid, b1_range) == (FunctionalId.T2_3, (0.0, 0.0))
+    if searchable(fid, b1_range)
 ]
 
 
@@ -208,35 +222,27 @@ def test_circle_candidates_dominate_a_fine_arg_x_sweep(fid, b1_range, q):
 
 
 @pytest.mark.parametrize("fid, b1_range", CIRCLE_STEPS + [
-    (fid, (0.2, 0.7)) for fid in sorted(A3_DEPENDENT) if fid not in QUADRATIC_IN_A4])
+    (fid, (0.2, 0.7)) for fid in sorted(A3_DEPENDENT) if searchable(fid, (0.2, 0.7))])
 def test_circle_step_is_never_below_the_lattice_search(fid, b1_range):
     # the lattice of 18 arg x per circle that the search ran before (with an
-    # arg y sweep for t2_3 on the a2 = 0 slice too): the circle step reaches
-    # at least its maximum on the coarse grid
+    # 18-angle sweep of |y| = 1 for t2_3 on the a2 = 0 slice too): the circle
+    # step reaches at least its maximum on the coarse grid
     ring = fid in QUADRATIC_IN_A4
     for q in (0.01, 0.5, 0.8, 0.99):
         def y_max(b1, x, ays):
-            return _y_max(fid, q, b1, x, ays)
+            if ays is None:
+                return _y_max(fid, q, b1, x)[0]
+            return np.abs(search._functional_values(fid, q, b1, x, np.exp(1j * ays)))
 
-        lattice = lattice_search_max(y_max, COARSE, b1_range, True, ring)
+        lattice = lattice_search_max(y_max, COARSE, b1_range, 18, ring)
         res = maximize_functional(coarse_spec(fid, q, b1_range=b1_range))
         assert res.max_value >= lattice * (1.0 - 1e-15), (q, res.max_value, lattice)
 
 
-@pytest.mark.parametrize("b1_range", [(0.0, 1.0), (0.2, 0.7)])
-@pytest.mark.parametrize("fid", QUADRATIC_IN_A4)
-def test_ring_search_is_the_lattice_search(fid, b1_range):
-    def y_max(b1, x, ays):
-        return _y_max(fid, 0.5, b1, x, ays)
-
-    lattice = lattice_search_max(y_max, COARSE, b1_range, True, True)
-    assert maximize_functional(coarse_spec(fid, 0.5, b1_range=b1_range)).max_value == lattice
-
-
 @pytest.mark.parametrize("field, value", [
-    ("b1_points", 2.0), ("x_radii", "21"), ("levels", True), ("y_angles", None),
+    ("b1_points", 2.0), ("x_radii", "21"), ("levels", True), ("levels", None),
     ("b1_points", 1), ("b1_points", 0), ("x_radii", 1), ("x_radii", -3),
-    ("x_angles", 0), ("y_angles", 0), ("levels", -1),
+    ("levels", -1),
 ])
 def test_grid_spec_rejects_a_size_that_breaks_the_search(field, value):
     with pytest.raises(OutOfRange):
@@ -244,16 +250,39 @@ def test_grid_spec_rejects_a_size_that_breaks_the_search(field, value):
 
 
 def test_grid_spec_accepts_its_minimum_sizes():
-    grid = GridSpec(np.int64(2), 2, 1, 1, 0)
+    grid = GridSpec(np.int64(2), 2, 0)
     assert type(grid.b1_points) is int
     res = maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5, grid))
     assert res.argmax[0] == 1.0 and res.evaluations == 2 * 2 * 3
 
 
-@pytest.mark.parametrize("fid", [FunctionalId.H2_2, FunctionalId.T2_3])
-def test_search_determinism_default_grid(fid):
-    spec = SearchSpec(fid, 0.5)
+@pytest.mark.parametrize("fid, b1_range", [
+    (FunctionalId.H2_2, (0.0, 1.0)),
+    (FunctionalId.T2_3, (0.0, 0.0)),
+], ids=["h2_2", "t2_3"])
+def test_search_determinism_default_grid(fid, b1_range):
+    spec = SearchSpec(fid, 0.5, b1_range=b1_range)
     assert maximize_functional(spec) == maximize_functional(spec)
+
+
+@pytest.mark.parametrize("q, b1_range, ok", [
+    (0.5, [0.0, 0.0], True),  # a list names the a2 = 0 slice as the tuple does
+    (np.float64(0.5), np.zeros(2), True),
+    *[(0.5, b1_range, False) for b1_range in
+      ((0.0,), None, (0.0, 0.5, 1.0), ("0", "1"), (0.0, 1j), (False, True))],
+    *[(q, (0.0, 0.0), False) for q in (0.5 + 0j, "0.5", None, True)],
+])
+def test_search_spec_takes_a_real_q_and_a_pair_of_reals(q, b1_range, ok):
+    if not ok:
+        with pytest.raises(OutOfRange):
+            SearchSpec(FunctionalId.H2_2, q, COARSE, b1_range)
+        return
+    spec = SearchSpec(FunctionalId.H2_2, q, COARSE, b1_range)
+    assert spec.b1_range == (0.0, 0.0)
+    assert all(type(v) is float for v in (spec.q, *spec.b1_range))
+    res = maximize_functional(spec)
+    assert res.bound == pytest.approx(64.0 / 9.0, rel=1e-14)  # the a2_zero case
+    assert abs(res.gap) <= 1e-6
 
 
 def test_search_spec_validation():
