@@ -48,6 +48,7 @@ triple behind the interior case of the second Hankel bound.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -56,8 +57,7 @@ import numpy as np
 
 from .errors import MissingCaseFlag, OutOfRange, PreconditionViolated, UnknownId
 from .functionals import FunctionalId, as_functional_id
-from .series import ClassParams, check_divisors, q_numbers
-from .starlike import extremal_factors
+from .series import ClassParams, class_weights, q_numbers
 
 
 class CaseFlag(str, Enum):
@@ -82,7 +82,8 @@ class BoundQuery:
     """A bound lookup: functional id (or "an_product"), parameters, options.
 
     ``case_flag`` is required exactly for the two case-split ids (h2_2,
-    t2_3) and rejected otherwise; ``n`` is required for "an_product".
+    t2_3) and rejected otherwise; ``n``, an integer >= 2, is required for
+    "an_product" and rejected otherwise.
     """
 
     id: object
@@ -91,9 +92,18 @@ class BoundQuery:
     case_flag: CaseFlag | None = None
 
     def __post_init__(self):
-        if self.id != AN_PRODUCT:
+        if self.id == AN_PRODUCT:
+            n = self.n
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+                raise OutOfRange(f"an_product needs an integer n >= 2, got {n!r}")
+            object.__setattr__(self, "n", int(n))
+            if self.case_flag is not None:
+                raise OutOfRange("an_product does not take a case flag")
+        else:
             fid = as_functional_id(self.id)
             object.__setattr__(self, "id", fid)
+            if self.n is not None:
+                raise OutOfRange(f"{fid} does not take n")
             if fid in CASE_SPLIT_IDS and self.case_flag is None:
                 raise MissingCaseFlag(f"{fid} needs case_flag a2_zero/a2_nonzero")
             if fid not in CASE_SPLIT_IDS and self.case_flag is not None:
@@ -157,10 +167,9 @@ def bound_value(query: BoundQuery) -> float:
     """Evaluate the closed-form bound named by ``query``."""
     params = query.params
     if query.id == AN_PRODUCT:
-        if query.n is None or query.n < 2:
-            raise OutOfRange("an_product needs n >= 2")
+        w, d = class_weights(params, query.n)
         acc = 1.0
-        for num, den in extremal_factors(params, query.n):
+        for num, den in zip(w.tolist()[:-1], d.tolist()[1:]):
             acc *= abs(num) / abs(den)
         return acc
     if not params.is_real_q or params.alpha != 0.0:
@@ -184,14 +193,11 @@ def parseval_weights(params: ClassParams, n: int, dtype=complex) -> tuple:
         d_k = |(1-2a)+[k]|^2,  c_k = |[k]-1|^2,
 
     as real arrays in the precision of the complex ``dtype`` (complex or
-    np.clongdouble).  Raises DegenerateDivisor at the first k in 2..n where
-    [k] - 1 vanishes.
+    np.clongdouble): the squared moduli of :func:`qstar.series.class_weights`.
+    Raises DegenerateDivisor at the first k in 2..n where [k] - 1 vanishes.
     """
-    qn = q_numbers(params.zeta, n)
-    dv = check_divisors(params.zeta, qn)
-    d = np.abs(dtype(1.0 - 2.0 * params.alpha) + np.asarray(qn, dtype=dtype)) ** 2
-    c = np.abs(np.asarray(dv, dtype=dtype)) ** 2
-    return d, c
+    w, dv = class_weights(params, n, dtype)
+    return np.abs(w) ** 2, np.abs(dv) ** 2
 
 
 def parseval_rhs(params: ClassParams, abs_a):

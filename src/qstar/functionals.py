@@ -3,8 +3,8 @@
 H_n^(k) is the k x k determinant with entry (i, j) = a_{n+i+j-2} (constant
 anti-diagonals); T_n^(k) is the symmetric -- not conjugated -- k x k
 determinant with entry (i, j) = a_{n+|i-j|}.  Small orders (k <= 3) are
-hard-coded cofactor expansions; larger ones go through Gaussian elimination
-with partial pivoting.
+hard-coded cofactor expansions, exact where the entries are (a 1 x 1
+determinant is its entry); larger ones go through ``np.linalg.det``.
 
 ``named_functional`` evaluates the moduli of the specific combinations of
 (a2, a3, a4) studied for the q-starlike family; the raw (signed/complex)
@@ -100,78 +100,56 @@ def as_functional_id(fid) -> FunctionalId:
         raise UnknownId(f"unknown functional {fid!r}") from exc
 
 
-def _coeff(a, index: int) -> complex:
-    # a is the sequence (a1, a2, ...); index is the 1-based coefficient label
-    if index < 1 or index > len(a):
+def _coeff_matrix(a, n: int, k: int, offsets) -> np.ndarray:
+    """The k x k complex matrix with entry (i, j) = a_{n + offsets[i, j]} of
+    the sequence a = (a1, a2, ...); IndexOutOfRange names the first label,
+    row by row, that the sequence does not hold."""
+    if n < 1 or k < 1:
+        raise IndexOutOfRange(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    labels = n + offsets
+    missing = labels[labels > len(a)]
+    if missing.size:
         raise IndexOutOfRange(
-            f"coefficient a_{index} requested; sequence holds a_1..a_{len(a)}"
+            f"coefficient a_{missing[0]} requested; sequence holds a_1..a_{len(a)}"
         )
-    return complex(a[index - 1])
+    return np.asarray(a, dtype=complex)[labels - 1]
 
 
 def hankel_matrix(a, n: int, k: int) -> np.ndarray:
     """k x k matrix with entry (i, j) = a_{n+i+j-2} (1-based i, j)."""
-    if n < 1 or k < 1:
-        raise IndexOutOfRange(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    m = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            m[i, j] = _coeff(a, n + i + j)
-    return m
+    i = np.arange(k)
+    return _coeff_matrix(a, n, k, i[:, None] + i)
 
 
 def toeplitz_matrix(a, n: int, k: int) -> np.ndarray:
     """Symmetric k x k matrix with entry (i, j) = a_{n+|i-j|}."""
-    if n < 1 or k < 1:
-        raise IndexOutOfRange(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    m = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            m[i, j] = _coeff(a, n + abs(i - j))
-    return m
+    i = np.arange(k)
+    return _coeff_matrix(a, n, k, abs(i[:, None] - i))
 
 
-def _det_small(m: np.ndarray) -> complex:
+def _det(m: np.ndarray) -> complex:
     k = m.shape[0]
     if k == 1:
         return complex(m[0, 0])
     if k == 2:
         return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return complex(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def _det_pivot(m: np.ndarray) -> complex:
-    """Gaussian elimination with partial pivoting on a copy of m."""
-    m = m.astype(complex, copy=True)
-    k = m.shape[0]
-    sign = 1.0
-    for col in range(k):
-        pivot = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[pivot, col]) == 0.0:
-            return 0j
-        if pivot != col:
-            m[[col, pivot]] = m[[pivot, col]]
-            sign = -sign
-        for row in range(col + 1, k):
-            factor = m[row, col] / m[col, col]
-            m[row, col:] -= factor * m[col, col:]
-    return complex(sign * np.prod(np.diag(m)))
+    if k == 3:
+        return complex(
+            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+        )
+    return complex(np.linalg.det(m))
 
 
 def hankel_det(a, n: int, k: int) -> complex:
     """H_n^(k) of the coefficient sequence a = (a1, a2, ...)."""
-    m = hankel_matrix(a, n, k)
-    return _det_small(m) if k <= 3 else _det_pivot(m)
+    return _det(hankel_matrix(a, n, k))
 
 
 def toeplitz_det(a, n: int, k: int) -> complex:
     """T_n^(k) of the coefficient sequence a = (a1, a2, ...)."""
-    m = toeplitz_matrix(a, n, k)
-    return _det_small(m) if k <= 3 else _det_pivot(m)
+    return _det(toeplitz_matrix(a, n, k))
 
 
 __all__ = [

@@ -95,7 +95,7 @@ from .functionals import (
     named_functional,
 )
 from .schwarz import schur_rows, schwarz_b2b3
-from .series import ClassParams, check_divisors, q_numbers
+from .series import ClassParams
 from .starlike import recursion_coeffs
 
 #: a gap below this times max(1, |bound|) is a VIOLATION
@@ -131,6 +131,13 @@ GRID_IDS = (
 )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; OutOfRange unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfRange(f"{name} = {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid sizes for the (b1, |x|) search lattice, and the number of
@@ -152,12 +159,10 @@ class GridSpec:
     def __post_init__(self):
         minimum = {"b1_points": 2, "x_radii": 2, "levels": 0}
         for name, least in minimum.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise OutOfRange(f"{name} = {value!r} is not an integer")
+            value = _integer(name, getattr(self, name))
             if value < least:
                 raise OutOfRange(f"{name} = {value} must be >= {least}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
 
     @classmethod
     def coarse(cls):
@@ -175,8 +180,8 @@ class SearchSpec:
     The range (0, 0) is the a2 = 0 slice, which selects the a2_zero case of a
     case-split bound; any other range selects a2_nonzero.  ``q`` is stored
     as a float and ``b1_range`` as a tuple of two floats; a q or a bound
-    that is not a real number, or a range that is not a pair, raises
-    OutOfRange.
+    that is not a real number, a range that is not a pair, or a grid that is
+    not a :class:`GridSpec` raises OutOfRange.
     """
 
     functional: FunctionalId
@@ -186,6 +191,8 @@ class SearchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "functional", as_functional_id(self.functional))
+        if not isinstance(self.grid, GridSpec):
+            raise OutOfRange(f"grid = {self.grid!r} is not a GridSpec")
         try:
             lo, hi = self.b1_range
         except (TypeError, ValueError):
@@ -561,14 +568,21 @@ def _worst(gap, bound):
     return np.argmin(gap / np.fmax(np.abs(bound), 1.0), axis=0)
 
 
-def check_suite_inputs(count: int, seed: int, order: int) -> None:
-    """Raise OutOfRange unless :func:`random_schwarz_suite` takes these."""
+def check_suite_inputs(count: int, seed: int, order: int) -> tuple:
+    """(count, seed, order) as ints, or OutOfRange unless
+    :func:`random_schwarz_suite` takes them; a value that is not an integer
+    (a bool included) is rejected, since the seed keys the sample streams
+    and is written to the report."""
+    count = _integer("count", count)
+    seed = _integer("seed", seed)
+    order = _integer("order", order)
     if count < 0:
         raise OutOfRange(f"count = {count} must be >= 0")
     if not 0 <= seed < 1 << 128:
         raise OutOfRange(f"seed = {seed} outside [0, 2**128)")
     if not 2 <= order <= SUITE_MAX_ORDER:
         raise OutOfRange(f"order = {order} outside 2..{SUITE_MAX_ORDER}")
+    return count, seed, order
 
 
 def random_schwarz_suite(
@@ -605,10 +619,10 @@ def random_schwarz_suite(
     degeneracy depends only on zeta) as skipped.  A non-finite gap is a
     VIOLATION.
     """
-    check_suite_inputs(count, seed, order)
+    count, seed, order = check_suite_inputs(count, seed, order)
     zeta, alpha = params.zeta, params.alpha
     try:
-        check_divisors(zeta, q_numbers(zeta, order))
+        parseval_weights(params, order)
         live = _CHECKS if product_bound_applies(params, order) else _CHECKS[:2]
     except DegenerateDivisor:
         live = ()

@@ -13,9 +13,10 @@ The q-calculus pieces used everywhere else:
   gives exactly ``n``.  The q-difference operator D_zeta of the class scales
   the n-th coefficient by ``[n]``; it is the Jackson q-derivative for real
   ``zeta`` in (0, 1) and ``f'`` as ``zeta -> 1``;
-* ``check_divisors`` forms the divisors ``[n] - 1`` of the coefficient
-  recursion and product as ``zeta * [n-1]`` (the subtraction cancels for
-  small |zeta|) and is the one test that they are away from 0.
+* ``class_weights(params, n)`` -- the two sequences every coefficient result
+  of the class reads, the weights ``(1 - 2 alpha) + [k]`` and the divisors
+  ``[k] - 1``; it forms the divisors as ``zeta * [k-1]`` (the subtraction
+  cancels for small |zeta|) and is the one test that they are away from 0.
 """
 
 from __future__ import annotations
@@ -106,16 +107,23 @@ def q_numbers(zeta, order: int) -> list:
     return out
 
 
-def check_divisors(zeta, qn: list) -> list:
-    """The divisors ``[1] - 1 .. [N] - 1`` for ``qn = [1..N]``, formed as
-    ``zeta * [n-1]``, or ``DegenerateDivisor(n)`` at the first n in 2..N
-    with ``|[n] - 1| <= DEGENERATE_TOL``."""
-    zeta = complex(zeta)
-    dv = [0j] + [zeta * w for w in qn[:-1]]
-    for n in range(2, len(qn) + 1):
-        if abs(dv[n - 1]) <= DEGENERATE_TOL:
-            raise DegenerateDivisor(n)
-    return dv
+def class_weights(params: ClassParams, n: int, dtype=complex) -> tuple:
+    """The weights ``w_k = (1 - 2 alpha) + [k]`` and the divisors
+    ``D_k = [k] - 1`` of the class for k = 1..n, as two arrays of ``dtype``
+    (complex or np.clongdouble).
+
+    The recursion reads ``D_n a_n = sum_k b_(n-k) w_k a_k``, the product
+    bound ``prod |w_(k-1) / D_k|`` and the Parseval chain ``|w_k|^2`` and
+    ``|D_k|^2``.  ``D_k`` is formed as ``zeta * [k-1]``; the first k in 2..n
+    with ``|D_k| <= DEGENERATE_TOL`` raises ``DegenerateDivisor(k)``.
+    """
+    qn = q_numbers(params.zeta, n)
+    d = [0j] + [params.zeta * v for v in qn[:-1]]
+    for k in range(2, n + 1):
+        if abs(d[k - 1]) <= DEGENERATE_TOL:
+            raise DegenerateDivisor(k)
+    t = np.dtype(dtype).type
+    return t(1.0 - 2.0 * params.alpha) + np.asarray(qn, dtype=t), np.asarray(d, dtype=t)
 
 
 def one_minus_power(zeta, n: int) -> complex:
@@ -144,7 +152,7 @@ __all__ = [
     "ClassParams",
     "Coefficients",
     "q_numbers",
-    "check_divisors",
+    "class_weights",
     "one_minus_power",
     "exp_series",
     "DEGENERATE_TOL",

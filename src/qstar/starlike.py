@@ -12,14 +12,17 @@ and comparing coefficients yields the linear recursion
 
     ([n] - 1) a_n = sum_{k=1}^{n-1} b_{n-k} ((1 - 2 alpha) + [k]) a_k,
 
-with a1 = 1.  The recursion is the ground truth here; the infinite-product
-solution for w(z) = z and the closed coefficient formula are independent
-cross-checks of it.  :func:`recursion_coeffs` is the one map from Schwarz to
-starlike coefficients, at any order and alpha: :func:`coeffs_from_schwarz`
-runs it on one coefficient array, and :mod:`qstar.search` on arrays of
-members (the grid's (b1, b2, b3), the random suite's rows and the rotated
-extremal).  Each route returns a :class:`StarlikeFunction`, which holds
-a_0 .. a_N as a read-only complex numpy array.
+with a1 = 1.  Its weights (1 - 2 alpha) + [k] and divisors [n] - 1 are the
+two sequences of :func:`qstar.series.class_weights`, which the telescoped
+product below reads as well.  The recursion is the ground truth here; the
+infinite-product solution for w(z) = z and the closed coefficient formula
+are independent cross-checks of it.  :func:`recursion_coeffs` is the one
+map from Schwarz to starlike coefficients, at any order and alpha:
+:func:`coeffs_from_schwarz` runs it on one coefficient array, and
+:mod:`qstar.search` on arrays of members (the grid's (b1, b2, b3), the
+random suite's rows and the rotated extremal).  Each route returns a
+:class:`StarlikeFunction`, which holds a_0 .. a_N as a read-only complex
+numpy array.
 
 For w(z) = z the function satisfies f(zeta z) = f(z) (zeta - s z)/(1 - z)
 with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product
@@ -27,8 +30,9 @@ with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product
     f(z) = z * prod_{k>=0} (zeta - zeta^(k+1) z) / (zeta - zeta^k s z),
 
 whose logarithm sums over k in closed form (:func:`extremal_product` takes
-the exponential of that series) and whose n-th coefficient also equals the
-telescoped product
+the exponential of that series, and reads no q-number or divisor) and whose
+n-th coefficient also equals the telescoped product
+(:func:`extremal_by_formula`)
 
     a_n = prod_{k=2}^{n} ((1 - 2 alpha) + [k-1]) / ([k] - 1).
 """
@@ -41,8 +45,8 @@ import numpy as np
 
 from .errors import DenominatorVanished, InvalidSchwarz, OutOfRange
 from .schwarz import MARGIN_TOL, SchwarzSeries, schur_test
-from .series import DEGENERATE_TOL, ClassParams, Coefficients, check_divisors
-from .series import exp_series, one_minus_power, q_numbers
+from .series import ClassParams, Coefficients, class_weights, exp_series
+from .series import one_minus_power, q_numbers
 
 @dataclass(frozen=True, eq=False)
 class StarlikeFunction(Coefficients):
@@ -84,14 +88,13 @@ def recursion_coeffs(b, params: ClassParams, order: int, dtype=complex) -> list:
     scalars), so the results broadcast together without being expanded.  A
     1-D coefficient array gives one member, the transposed rows of
     :func:`qstar.schwarz.schur_rows` one member per row, and a tuple
-    (0, b1, b2, b3) of grid arrays one member per grid point.  The q-numbers
-    and the checked divisors come from :mod:`qstar.series`; a degenerate
-    divisor raises ``DegenerateDivisor``.
+    (0, b1, b2, b3) of grid arrays one member per grid point.  The weights
+    and the checked divisors come from :func:`qstar.series.class_weights`; a
+    degenerate divisor raises ``DegenerateDivisor``.
     """
     t = np.dtype(dtype).type
-    qn = q_numbers(params.zeta, order)
-    div = [t(d) for d in check_divisors(params.zeta, qn)]
-    w = [t(1.0 - 2.0 * params.alpha) + t(v) for v in qn]  # (1-2a) + [k]
+    # per-term lookups on lists: indexing an ndarray in the loop costs more
+    w, div = (list(v) for v in class_weights(params, order, t))
     b = [np.asarray(v, dtype=t)[()] for v in b[:order]]
     a = [t(0), t(1)]
     # an overflow surfaces as a non-finite coefficient, which the caller rejects
@@ -159,22 +162,15 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
     return StarlikeFunction(np.append(0j, exp_series(log_f)), params)
 
 
-def extremal_factors(params: ClassParams, n: int):
-    """Yield ((1 - 2 alpha) + [k-1], [k] - 1) for k = 2 .. n, divisors checked."""
-    qn = q_numbers(params.zeta, n)
-    dv = check_divisors(params.zeta, qn)
-    one_m2a = 1.0 - 2.0 * params.alpha
-    for k in range(2, n + 1):
-        yield one_m2a + qn[k - 2], dv[k - 1]
-
-
 def extremal_by_formula(params: ClassParams, order: int) -> StarlikeFunction:
-    """The extremal function as running products of :func:`extremal_factors`,
+    """The extremal function as the running products a_n = a_(n-1) w_(n-1) / D_n
+    of :func:`qstar.series.class_weights`, in Python complex arithmetic,
     independent of the recursion and of :func:`extremal_product`."""
     if order < 1:
         raise OutOfRange(f"order = {order} must be >= 1")
+    w, d = class_weights(params, order)
     coeffs = [0j, 1.0 + 0j]
-    for num, den in extremal_factors(params, order):
+    for num, den in zip(w.tolist()[:-1], d.tolist()[1:]):
         coeffs.append(coeffs[-1] * (num / den))
     return StarlikeFunction(coeffs, params)
 
@@ -242,8 +238,6 @@ __all__ = [
     "recursion_coeffs",
     "coeffs_from_schwarz",
     "extremal_product",
-    "extremal_factors",
     "extremal_by_formula",
     "membership_margin",
-    "DEGENERATE_TOL",
 ]

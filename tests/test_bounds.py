@@ -28,7 +28,7 @@ from qstar.bounds import CASE_SPLIT_IDS
 from qstar.functionals import RAW_FORMULAS
 from qstar.schwarz import schur_rows
 from qstar.search import Q_MIN
-from qstar.series import check_divisors, q_numbers
+from qstar.series import q_numbers
 from qstar.starlike import recursion_coeffs
 
 from _oracles import disk_quadratic_max_full_grid, parseval_rhs_per_n
@@ -118,6 +118,27 @@ def test_case_flag_requirements():
         BoundQuery(FunctionalId.ABS_A2, Q_HALF, case_flag=CaseFlag.A2_ZERO)
 
 
+@pytest.mark.parametrize("fid, n, case", [
+    (FunctionalId.ABS_A2, 7, None),
+    (FunctionalId.H2_2, 3, CaseFlag.A2_ZERO),
+    (AN_PRODUCT, 3, CaseFlag.A2_ZERO),
+    (AN_PRODUCT, None, None),
+    (AN_PRODUCT, 1, None),
+    (AN_PRODUCT, 2.5, None),
+    (AN_PRODUCT, 3.0, None),
+    (AN_PRODUCT, True, None),
+])
+def test_bound_query_rejects_options_it_does_not_read(fid, n, case):
+    with pytest.raises(OutOfRange):
+        BoundQuery(fid, Q_HALF, n=n, case_flag=case)
+
+
+def test_bound_query_reads_a_numpy_integer_n_as_int():
+    query = BoundQuery(AN_PRODUCT, Q_HALF, n=np.int64(4))
+    assert type(query.n) is int
+    assert bound_value(query) == bound_value(BoundQuery(AN_PRODUCT, Q_HALF, n=4))
+
+
 def test_real_bounds_reject_complex_or_alpha():
     with pytest.raises(OutOfRange):
         bound_value(BoundQuery(FunctionalId.ABS_A2, ClassParams(0.5j)))
@@ -189,7 +210,7 @@ def test_parseval_rhs_on_rows_matches_the_scalar_sum():
     rng = np.random.default_rng(4)
     rows = np.hstack([np.ones((50, 1)), rng.uniform(0.0, 3.0, size=(50, 5))])
     qn = q_numbers(params.zeta, 7)
-    dv = check_divisors(params.zeta, qn)
+    dv = [0j] + [params.zeta * qn[k - 1] for k in range(1, 7)]  # [k+1] - 1
     for dtype in (np.float64, np.longdouble):
         got = parseval_rhs(params, rows.astype(dtype))
         assert got.shape == (50, 6) and got.dtype == dtype

@@ -294,6 +294,9 @@ def test_search_spec_validation():
         SearchSpec(FunctionalId.H2_2, 0.005)  # below Q_MIN, rounding swamps H2(2)
     with pytest.raises(qstar.UnknownId):
         SearchSpec("nope", 0.5)
+    for grid in (None, (26, 11, 2)):  # the search reads the GridSpec fields
+        with pytest.raises(qstar.OutOfRange):
+            SearchSpec(FunctionalId.H2_2, 0.5, grid=grid)
 
 
 # ----------------------------------------------------------------- rotation
@@ -418,6 +421,27 @@ def test_random_suite_degenerate_zeta_skips_everything():
 def test_random_suite_rejects_negative_count():
     with pytest.raises(OutOfRange):
         random_schwarz_suite(ClassParams(0.5), count=-1, order=4)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5),  # Philox would key it as seed 1, and the report would say 1.5
+    ("seed", True),
+    ("count", 2.5),
+    ("count", None),
+    ("order", 3.0),
+    ("order", False),
+])
+def test_random_suite_takes_only_integer_count_seed_and_order(name, value):
+    with pytest.raises(OutOfRange, match="not an integer"):
+        random_schwarz_suite(ClassParams(0.5), **{"seed": 1, "count": 2, "order": 4,
+                                                  name: value})
+
+
+def test_random_suite_reads_numpy_integers_as_int():
+    rep = random_schwarz_suite(ClassParams(0.5), seed=np.int64(1), count=np.int32(2),
+                               order=np.uint8(4))
+    assert type(rep.seed) is int
+    assert rep == random_schwarz_suite(ClassParams(0.5), seed=1, count=2, order=4)
 
 
 @pytest.mark.parametrize("order", [1, 9, 32])

@@ -10,7 +10,7 @@ from qstar import (
     InnerNotVanishing,
     OutOfRange,
 )
-from qstar.series import check_divisors, exp_series, q_numbers
+from qstar.series import class_weights, exp_series, q_numbers
 
 from _oracles import kernel_coefficient
 
@@ -91,19 +91,39 @@ def test_q_difference_pointwise_formula(q):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_check_divisors_first_degenerate_index():
+def test_class_weights_first_degenerate_index():
     # zeta = -1: [2] - 1 = -1, [3] - 1 = 0 exactly
-    qn = q_numbers(-1.0, 6)
     with pytest.raises(DegenerateDivisor) as exc:
-        check_divisors(-1.0, qn)
+        class_weights(ClassParams(-1.0), 6)
     assert exc.value.n == 3
-    assert check_divisors(-1.0, qn[:2]) == [0j, -1.0]
+    assert class_weights(ClassParams(-1.0), 2)[1].tolist() == [0j, -1.0]
     # zeta = i: [2] - 1 = i, [3] - 1 = -1 + i, [4] - 1 = -1, [5] - 1 = 0
     with pytest.raises(DegenerateDivisor) as exc:
-        check_divisors(1j, q_numbers(1j, 8))
+        class_weights(ClassParams(1j), 8)
     assert exc.value.n == 5
     # the divisors are zeta [n-1], exact where [n] - 1 would cancel
-    assert check_divisors(1e-9, q_numbers(1e-9, 3))[1:] == [1e-9, 1e-9 * (1.0 + 1e-9)]
+    d = class_weights(ClassParams(1e-9), 3)[1]
+    assert d.tolist()[1:] == [1e-9, 1e-9 * (1.0 + 1e-9)]
+
+
+def _same_bits(x, y):
+    return all(np.array_equal(f(x), f(y)) for f in (
+        np.real, np.imag, lambda v: np.signbit(v.real), lambda v: np.signbit(v.imag)))
+
+
+@pytest.mark.parametrize("zeta", [1.0, -0.5, 0.01j, 0.5, 0.9j, 0.6 * cmath.exp(1j)])
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+def test_class_weights_are_the_class_sequences_bitwise(zeta, alpha):
+    # w_k = (1 - 2 alpha) + [k] is formed in the requested precision; the
+    # divisor D_k = zeta [k-1] in complex, where its degeneracy is tested
+    params = ClassParams(zeta, alpha)
+    qn = q_numbers(zeta, 24)
+    for dtype in (complex, np.clongdouble):
+        t = np.dtype(dtype).type
+        w, d = class_weights(params, 24, dtype)
+        assert w.dtype == d.dtype == np.dtype(dtype) and w.shape == d.shape == (24,)
+        assert _same_bits(w, np.array([t(1.0 - 2.0 * alpha) + t(v) for v in qn]))
+        assert _same_bits(d, np.array([t(0)] + [t(complex(zeta) * v) for v in qn[:-1]]))
 
 
 def test_kernel_coefficients_equal_q_numbers():

@@ -21,7 +21,7 @@ from qstar import (
     schur_expand,
 )
 from qstar import starlike
-from qstar.series import check_divisors, q_numbers
+from qstar.series import q_numbers
 from qstar.starlike import recursion_coeffs
 
 from _oracles import initial_coeffs_closed
@@ -160,15 +160,15 @@ def test_extremal_product_matches_formula_near_minus_one(radius, theta, alpha):
 
 def test_extremal_product_route_is_independent(monkeypatch):
     # extremal --self-check compares three routes; the product must not
-    # borrow the q-numbers, the divisor check, the recursion or the formula
+    # borrow the q-numbers, the class weights, the recursion or the formula
     params = ClassParams(0.3 + 0.6j, 0.25)
     expected = extremal_product(params, 16)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the product route called another route")
 
-    for name in ("q_numbers", "check_divisors", "recursion_coeffs",
-                 "coeffs_from_schwarz", "extremal_factors", "extremal_by_formula"):
+    for name in ("q_numbers", "class_weights", "recursion_coeffs",
+                 "coeffs_from_schwarz", "extremal_by_formula"):
         monkeypatch.setattr(starlike, name, forbidden)
     assert extremal_product(params, 16) == expected
 
@@ -229,7 +229,7 @@ def test_recursion_kernel_rows_match_the_scalar_loop():
     # b_0, b_1, ...); the reference is the scalar loop, one row at a time
     params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
     qn = q_numbers(params.zeta, 16)
-    dv = check_divisors(params.zeta, qn)
+    dv = [0j] + [params.zeta * qn[k - 1] for k in range(1, 16)]  # [k+1] - 1
     rng = np.random.default_rng(7)
     b = np.array([random_schwarz(rng, order=16).coeffs for _ in range(30)])
     for dtype, tol in ((complex, 1e-13), (np.clongdouble, 1e-16)):
