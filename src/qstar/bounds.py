@@ -48,14 +48,13 @@ triple behind the interior case of the second Hankel bound.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import MissingCaseFlag, OutOfRange, PreconditionViolated, UnknownId
+from .errors import MissingCaseFlag, OutOfRange, PreconditionViolated, UnknownId, integer
 from .functionals import FunctionalId, as_functional_id
 from .series import ClassParams, class_weights, q_numbers
 
@@ -93,10 +92,7 @@ class BoundQuery:
 
     def __post_init__(self):
         if self.id == AN_PRODUCT:
-            n = self.n
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-                raise OutOfRange(f"an_product needs an integer n >= 2, got {n!r}")
-            object.__setattr__(self, "n", int(n))
+            object.__setattr__(self, "n", integer("n", self.n, 2))
             if self.case_flag is not None:
                 raise OutOfRange("an_product does not take a case flag")
         else:
@@ -374,8 +370,7 @@ def h2_quadratic_triple(q: float, b1: float) -> QuadraticTriple:
 
 def product_bound_applies(params: ClassParams, n_max: int) -> bool:
     """True iff Re [k] > alpha strictly for every 1 <= k <= n_max."""
-    if n_max < 2:
-        raise OutOfRange(f"n_max = {n_max} must be >= 2")
+    n_max = integer("n_max", n_max, 2)
     return all(w.real > params.alpha for w in q_numbers(params.zeta, n_max))
 
 

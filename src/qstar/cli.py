@@ -44,9 +44,9 @@ from .errors import PreconditionViolated, QStarError
 from .functionals import FunctionalId
 from .search import (
     GRID_IDS,
+    GRIDS,
     ROTATED_IDS,
     SUITE_MAX_ORDER,
-    GridSpec,
     VerificationReport,
     check_suite_inputs,
     random_schwarz_suite,
@@ -64,8 +64,6 @@ from .schwarz import canonical_schwarz
 
 #: fixed CSV schema for every report-shaped output
 REPORT_COLUMNS = ("functional", "q", "case", "bound", "achieved", "gap", "verdict")
-
-_GRIDS = {"coarse": GridSpec.coarse(), "default": GridSpec(), "fine": GridSpec.fine()}
 
 
 def _fmt(value) -> str:
@@ -207,7 +205,7 @@ def _cmd_verify(args) -> tuple:
         )
     else:
         reports.append(
-            sharpness_report(qs, _SUITES[args.suite], grid=_GRIDS[args.grid], seed=args.seed)
+            sharpness_report(qs, _SUITES[args.suite], grid=GRIDS[args.grid], seed=args.seed)
         )
     if args.suite == "all":
         for q in qs:
@@ -323,7 +321,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("hankel", "toeplitz", "initial", "parseval", "all"),
                    default="all", action=_Once)
-    p.add_argument("--grid", choices=tuple(_GRIDS), default="default", action=_Once)
+    p.add_argument("--grid", choices=tuple(GRIDS), default="default", action=_Once)
     _add_class(p)
     p.add_argument("--count", type=int, default=10000, action=_Once)
     p.add_argument("--seed", type=int, default=0, action=_Once)

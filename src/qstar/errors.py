@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one integer rule.
 
 Every domain error derives from :class:`QStarError` so callers can catch the
-whole family at once (the CLI does exactly that).
+whole family at once (the CLI does exactly that).  :func:`integer` is the
+one check of an integer argument: grid sizes, orders, the random suite's
+count and seed, and the ``n`` of the product bound.
 """
+
+import numbers
 
 
 class QStarError(Exception):
@@ -55,3 +59,14 @@ class MissingCaseFlag(QStarError):
 
 class PreconditionViolated(QStarError):
     """A lemma-specific hypothesis (for example a*c >= 0) does not hold."""
+
+
+def integer(name: str, value, least=None) -> int:
+    """``value`` as an int; OutOfRange unless it is an integer (a bool is
+    not) and, when ``least`` is given, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfRange(f"{name} = {value!r} is not an integer")
+    value = int(value)
+    if least is not None and value < least:
+        raise OutOfRange(f"{name} = {value} must be >= {least}")
+    return value

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidSchwarz, OutOfRange
+from .errors import InvalidParams, InvalidSchwarz, OutOfRange, integer
 from .series import Coefficients
 
 #: |gamma| within this of 1 terminates the Schur chain.
@@ -100,8 +100,7 @@ def schur_rows(gammas, order: int) -> np.ndarray:
     phi is the constant g (tau_g is constant there), so later parameters are
     ignored.
     """
-    if order < 1:
-        raise OutOfRange(f"order = {order} must be >= 1")
+    order = integer("order", order, 1)
     g = np.asarray(gammas, dtype=complex)
     if g.ndim != 2 or g.shape[1] == 0:
         raise InvalidParams("at least one Schur parameter per row is required")
@@ -201,8 +200,7 @@ def canonical_schwarz(kind: str, order: int, *, x=None, b1=None) -> SchwarzSerie
         parameterization; its series is the closed form
         b1 z - (1 - b1^2) sum_{k>=2} b1^(k-2) z^k.
     """
-    if order < 1:
-        raise OutOfRange(f"order = {order} must be >= 1")
+    order = integer("order", order, 1)
     c = [0j] * (order + 1)
     if kind == "identity":
         c[1] = 1.0

@@ -10,16 +10,17 @@ from Schwarz to starlike coefficients) to (a2, a3, a4) and evaluating the
 chosen functional.  It grids (b1, |x|) and refines that grid around the
 incumbent, as many times as its :class:`GridSpec` preset's ``levels``.
 b3, hence a4, is affine in y, and at real q every functional is a
-polynomial in x and y with real coefficients that depend on b1 only.  So
-the search removes what the maths removes exactly, by one step on every
-functional that is not quadratic in a4 on the searched b1 range (all but
-t3_2, and t2_3 off the a2 = 0 slice, where t2_3 = 2 a3^2 a4; ``verify``
-checks those on the rotated extremal instead).  The functional is
-P(x) + Q (1 - |x|^2) y with P a quadratic in x and |Q| constant on each
-circle |x| = r.  Its maximum over |y| <= 1 is |P| + |Q| (1 - r^2) exactly
-(the triangle-inequality step of the paper's proofs), which the search reads
-as |A| + |B| off y = 0 and y = 1; a functional that does not read a4 stops
-its map at a3.  |P|^2 is a quadratic in cos(arg x) on the circle, so its
+polynomial in x and y with real coefficients that depend on b1 only.  The
+search covers b1 in [0, 1], or the a2 = 0 slice b1 = 0 when its
+:class:`SearchSpec` says ``a2_zero``.  It removes what the maths removes
+exactly, by one step on every functional that is not quadratic in a4 on the
+searched range (all but t3_2, and t2_3 off the a2 = 0 slice, where
+t2_3 = 2 a3^2 a4; ``verify`` checks those on the rotated extremal instead).
+The functional is P(x) + Q (1 - |x|^2) y with P a quadratic in x and |Q|
+constant on each circle |x| = r.  Its maximum over |y| <= 1 is
+|P| + |Q| (1 - r^2) exactly (the triangle-inequality step of the paper's
+proofs), which the search reads as |A| + |B| off y = 0 and y = 1; a
+functional that does not read a4 stops its map at a3.  |P|^2 is a quadratic in cos(arg x) on the circle, so its
 maximum over arg x lies at arg x = 0, pi, or the vertex, whose coefficients
 the search reads off P at x = 0, 1, -1 (:func:`qstar.bounds._peak_cos`, the
 vertex formula that ``disk_quadratic_max_grid`` uses too).  Only those three
@@ -84,7 +85,7 @@ from .bounds import (
     product_bound_applies,
     _peak_cos,
 )
-from .errors import DegenerateDivisor, OutOfRange
+from .errors import DegenerateDivisor, OutOfRange, integer
 from .functionals import (
     A3_DEPENDENT,
     A4_AFFINE,
@@ -131,13 +132,6 @@ GRID_IDS = (
 )
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; OutOfRange unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise OutOfRange(f"{name} = {value!r} is not an integer")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Grid sizes for the (b1, |x|) search lattice, and the number of
@@ -147,9 +141,8 @@ class GridSpec:
     and the |x| lattice contains |x| = 0 and |x| = 1 exactly, so both need
     at least 2 points.  Neither arg x nor y is gridded: the search takes arg
     x at three candidate angles per circle and eliminates y exactly.  The
-    presets are ``coarse()`` (two refinement levels), the default and
-    ``fine()`` (three each).  A size that is not an integer, or is below its
-    minimum, raises OutOfRange.
+    ``--grid`` presets are :data:`GRIDS`.  A size that is not an integer, or
+    is below its minimum, raises OutOfRange.
     """
 
     b1_points: int = 51
@@ -159,53 +152,40 @@ class GridSpec:
     def __post_init__(self):
         minimum = {"b1_points": 2, "x_radii": 2, "levels": 0}
         for name, least in minimum.items():
-            value = _integer(name, getattr(self, name))
-            if value < least:
-                raise OutOfRange(f"{name} = {value} must be >= {least}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
 
-    @classmethod
-    def coarse(cls):
-        return cls(26, 11, 2)
 
-    @classmethod
-    def fine(cls):
-        return cls(101, 31, 3)
+#: the ``--grid`` presets, in the order ``--help`` lists them
+GRIDS = {"coarse": GridSpec(26, 11, 2), "default": GridSpec(), "fine": GridSpec(101, 31, 3)}
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """One maximization task: functional, class parameter, grid, b1 range.
+    """One maximization task: functional, class parameter, grid, and whether
+    the search keeps to the a2 = 0 slice b1 = 0.
 
-    The range (0, 0) is the a2 = 0 slice, which selects the a2_zero case of a
-    case-split bound; any other range selects a2_nonzero.  ``q`` is stored
-    as a float and ``b1_range`` as a tuple of two floats; a q or a bound
-    that is not a real number, a range that is not a pair, or a grid that is
-    not a :class:`GridSpec` raises OutOfRange.
+    ``a2_zero`` selects the a2_zero case of a case-split bound, and its
+    default False the a2_nonzero case on b1 in [0, 1].  ``q`` is stored as a
+    float; a q that is not a real number, an ``a2_zero`` that is not a bool,
+    or a grid that is not a :class:`GridSpec` raises OutOfRange.
     """
 
     functional: FunctionalId
     q: float
     grid: GridSpec = field(default_factory=GridSpec)
-    b1_range: tuple = (0.0, 1.0)
+    a2_zero: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "functional", as_functional_id(self.functional))
         if not isinstance(self.grid, GridSpec):
             raise OutOfRange(f"grid = {self.grid!r} is not a GridSpec")
-        try:
-            lo, hi = self.b1_range
-        except (TypeError, ValueError):
-            raise OutOfRange(f"b1_range = {self.b1_range!r} is not a pair") from None
-        for name, value in (("q", self.q), ("b1_range[0]", lo), ("b1_range[1]", hi)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise OutOfRange(f"{name} = {value!r} is not a real number")
+        if not isinstance(self.a2_zero, bool):
+            raise OutOfRange(f"a2_zero = {self.a2_zero!r} is not a bool")
+        if isinstance(self.q, bool) or not isinstance(self.q, numbers.Real):
+            raise OutOfRange(f"q = {self.q!r} is not a real number")
         object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "b1_range", (float(lo), float(hi)))
         if not Q_MIN <= self.q < 1.0:
             raise OutOfRange(f"q = {self.q} outside [{Q_MIN}, 1)")
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise OutOfRange(f"b1_range {self.b1_range} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -373,10 +353,11 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
     case = _case_for(spec)
     # quadratic in a4, but t2_3 = 2 a3^2 a4 is affine in it where a2 = 0
     if fid in A4_DEPENDENT - A4_AFFINE and case is not CaseFlag.A2_ZERO:
-        raise OutOfRange(f"{fid.value} is quadratic in a4 for b1 in {spec.b1_range}, where the "
-                         "search has no exact y step; verify checks it on the rotated extremal")
+        where = "" if spec.a2_zero else " off the a2 = 0 slice"
+        raise OutOfRange(f"{fid.value} is quadratic in a4{where}, where the search has no "
+                         "exact y step; verify checks it on the rotated extremal")
 
-    clamps = (spec.b1_range, (0.0, 1.0))  # b1, |x|
+    clamps = ((0.0, 0.0 if spec.a2_zero else 1.0), (0.0, 1.0))  # b1, |x|
     windows = clamps
     sizes = (g.b1_points, g.x_radii if needs_x else 1)
 
@@ -430,9 +411,7 @@ def _shrink(center, lo, hi, clamp):
 def _case_for(spec: SearchSpec) -> CaseFlag | None:
     if spec.functional not in CASE_SPLIT_IDS:
         return None
-    if spec.b1_range == (0.0, 0.0):
-        return CaseFlag.A2_ZERO
-    return CaseFlag.A2_NONZERO
+    return CaseFlag.A2_ZERO if spec.a2_zero else CaseFlag.A2_NONZERO
 
 
 # ----------------------------------------------------------------------
@@ -573,11 +552,9 @@ def check_suite_inputs(count: int, seed: int, order: int) -> tuple:
     :func:`random_schwarz_suite` takes them; a value that is not an integer
     (a bool included) is rejected, since the seed keys the sample streams
     and is written to the report."""
-    count = _integer("count", count)
-    seed = _integer("seed", seed)
-    order = _integer("order", order)
-    if count < 0:
-        raise OutOfRange(f"count = {count} must be >= 0")
+    count = integer("count", count, 0)
+    seed = integer("seed", seed)
+    order = integer("order", order)
     if not 0 <= seed < 1 << 128:
         raise OutOfRange(f"seed = {seed} outside [0, 2**128)")
     if not 2 <= order <= SUITE_MAX_ORDER:
@@ -695,14 +672,13 @@ def sharpness_report(
         for fid in functionals:
             items.append(_sharpness_item(SearchSpec(fid, q, grid)))
             if fid in CASE_SPLIT_IDS:
-                items.append(_sharpness_item(SearchSpec(fid, q, grid, b1_range=(0.0, 0.0))))
+                items.append(_sharpness_item(SearchSpec(fid, q, grid, a2_zero=True)))
     return VerificationReport(tuple(items), seed)
 
 
 def _sharpness_item(spec: SearchSpec) -> ReportItem:
     """The spec's item: the rotated extremal for a Toeplitz id, else the grid."""
-    fid, case = spec.functional, _case_for(spec)
-    a2_zero = spec.b1_range == (0.0, 0.0)
+    fid, case, a2_zero = spec.functional, _case_for(spec), spec.a2_zero
     if fid in ROTATED_IDS and not a2_zero:
         achieved = named_functional(fid, *rotated_extremal_values(spec.q))
         bound = bound_value(BoundQuery(fid, ClassParams(spec.q), case_flag=case))
@@ -722,6 +698,7 @@ def _argmax_str(res: SearchResult) -> str:
 
 __all__ = [
     "GridSpec",
+    "GRIDS",
     "SearchSpec",
     "SearchResult",
     "ReportItem",

@@ -22,11 +22,12 @@ The q-calculus pieces used everywhere else:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDivisor, InnerNotVanishing, OutOfRange
+from .errors import DegenerateDivisor, InnerNotVanishing, OutOfRange, integer
 
 #: |[n] - 1| at or below this counts as a degenerate divisor [n] - 1.
 DEGENERATE_TOL = 1e-12
@@ -45,7 +46,7 @@ class Coefficients:
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or not len(c):
-            raise ValueError("coefficients must be a non-empty 1-D sequence")
+            raise OutOfRange("coefficients must be a non-empty 1-D sequence")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -63,12 +64,18 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Class parameters (zeta, alpha) with |zeta| <= 1 and alpha in [0, 1)."""
+    """Class parameters (zeta, alpha) with |zeta| <= 1 and alpha in [0, 1),
+    stored as a complex and a float; a zeta that is not a complex number or
+    an alpha that is not a real one (a bool is neither) raises OutOfRange."""
 
     zeta: complex
     alpha: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.zeta, bool) or not isinstance(self.zeta, numbers.Complex):
+            raise OutOfRange(f"zeta = {self.zeta!r} is not a complex number")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise OutOfRange(f"alpha = {self.alpha!r} is not a real number")
         zeta = complex(self.zeta)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -96,8 +103,7 @@ def q_numbers(zeta, order: int) -> list:
     One running sum (rather than the geometric closed form) keeps the values
     exact at ``zeta = 1``, where ``[n] == n`` for any n.
     """
-    if order < 1:
-        raise OutOfRange(f"order = {order} must be >= 1")
+    order = integer("order", order, 1)
     zeta = complex(zeta)
     out = [1.0 + 0j]
     term = 1.0 + 0j

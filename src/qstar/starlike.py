@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorVanished, InvalidSchwarz, OutOfRange
+from .errors import DenominatorVanished, InvalidSchwarz, OutOfRange, integer
 from .schwarz import MARGIN_TOL, SchwarzSeries, schur_test
 from .series import ClassParams, Coefficients, class_weights, exp_series
 from .series import one_minus_power, q_numbers
@@ -115,12 +115,9 @@ def coeffs_from_schwarz(
     ``omega`` must pass :func:`qstar.schwarz.schur_test` (necessary-condition
     margin >= -1e-9) and must carry coefficients up to order - 1.
     """
-    if order < 1:
-        raise OutOfRange(f"order = {order} must be >= 1")
+    order = integer("order", order, 1)
     if omega.order < order - 1:
-        raise ValueError(
-            f"omega carries {omega.order} coefficients; need >= {order - 1}"
-        )
+        raise OutOfRange(f"omega carries {omega.order} coefficients; need >= {order - 1}")
     _, margin = schur_test(omega)
     if not margin >= -MARGIN_TOL:  # also true for a NaN margin
         raise InvalidSchwarz(f"schur_test margin {margin:.3e} below {-MARGIN_TOL}")
@@ -144,8 +141,7 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
     so f/z is one :func:`qstar.series.exp_series` of it, with no truncation
     of the factor count.  Requires 0 < |zeta| < 1.
     """
-    if order < 1:
-        raise OutOfRange(f"order = {order} must be >= 1")
+    order = integer("order", order, 1)
     zeta = params.zeta
     r = abs(zeta)
     if r == 0.0 or r >= 1.0:
@@ -166,8 +162,7 @@ def extremal_by_formula(params: ClassParams, order: int) -> StarlikeFunction:
     """The extremal function as the running products a_n = a_(n-1) w_(n-1) / D_n
     of :func:`qstar.series.class_weights`, in Python complex arithmetic,
     independent of the recursion and of :func:`extremal_product`."""
-    if order < 1:
-        raise OutOfRange(f"order = {order} must be >= 1")
+    order = integer("order", order, 1)
     w, d = class_weights(params, order)
     coeffs = [0j, 1.0 + 0j]
     for num, den in zip(w.tolist()[:-1], d.tolist()[1:]):

@@ -107,7 +107,7 @@ def test_criterion_3_hankel_suite():
             ok &= -1e-9 <= res.gap <= 1e-2
             details.append(f"{fid.value}@{q}:{res.gap:.1e}")
         slice_res = maximize_functional(
-            SearchSpec(FunctionalId.H2_2, q, b1_range=(0.0, 0.0))
+            SearchSpec(FunctionalId.H2_2, q, a2_zero=True)
         )
         ok &= -1e-9 <= slice_res.gap <= 1e-2
         target = 4.0 / (q * q * (1.0 + q) ** 2)

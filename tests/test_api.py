@@ -3,7 +3,27 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qstar
+from qstar import (
+    AN_PRODUCT,
+    BoundQuery,
+    ClassParams,
+    GridSpec,
+    OutOfRange,
+    SchurParams,
+    canonical_schwarz,
+    coeffs_from_schwarz,
+    extremal_by_formula,
+    extremal_product,
+    product_bound_applies,
+    schur_expand,
+    schur_rows,
+)
+from qstar.search import check_suite_inputs
+from qstar.series import q_numbers
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +40,40 @@ def test_exported_names_resolve_and_the_readme_sketch_runs():
     sketch = re.search(r"## Library sketch\s+```python\n(.*?)```", README.read_text(), re.S)
     assert sketch is not None
     exec(compile(sketch.group(1), str(README), "exec"), {})
+
+
+Q_HALF = ClassParams(0.5)
+
+#: every argument that takes the integer rule: a call of one value, and the
+#: least value the argument takes (None where its range has its own message)
+INTEGER_SITES = {
+    "GridSpec.b1_points": (lambda v: GridSpec(v, 2, 0), 2),
+    "GridSpec.x_radii": (lambda v: GridSpec(2, v, 0), 2),
+    "GridSpec.levels": (lambda v: GridSpec(2, 2, v), 0),
+    "check_suite_inputs.count": (lambda v: check_suite_inputs(v, 0, 2), 0),
+    "check_suite_inputs.seed": (lambda v: check_suite_inputs(0, v, 2), None),
+    "check_suite_inputs.order": (lambda v: check_suite_inputs(0, 0, v), None),
+    "BoundQuery.n": (lambda v: BoundQuery(AN_PRODUCT, Q_HALF, n=v), 2),
+    "product_bound_applies": (lambda v: product_bound_applies(Q_HALF, v), 2),
+    "q_numbers": (lambda v: q_numbers(0.5, v), 1),
+    "schur_rows": (lambda v: schur_rows([[0.5, 0.2]], v), 1),
+    "schur_expand": (lambda v: schur_expand(SchurParams((0.5, 0.2)), v), 1),
+    "canonical_schwarz": (lambda v: canonical_schwarz("identity", v), 1),
+    "coeffs_from_schwarz": (
+        lambda v: coeffs_from_schwarz(canonical_schwarz("identity", 4), Q_HALF, v), 1),
+    "extremal_product": (lambda v: extremal_product(Q_HALF, v), 1),
+    "extremal_by_formula": (lambda v: extremal_by_formula(Q_HALF, v), 1),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_argument_takes_the_one_integer_rule(site):
+    call, least = INTEGER_SITES[site]
+    for value in (2.5, True):
+        with pytest.raises(OutOfRange, match=f"= {value!r} is not an integer$"):
+            call(value)
+    if least is not None:
+        with pytest.raises(OutOfRange, match=f"= {least - 1} must be >= {least}$"):
+            call(least - 1)
+    # a numpy integer is read as the int it holds (repr shows an np.int64 kept)
+    assert repr(call(np.int64(3))) == repr(call(3))

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -548,3 +549,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("functional,q,case,bound")
+
+
+def _cli_identity():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_identity.py"
+    spec = importlib.util.spec_from_file_location("cli_identity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_identity_harness_reports_each_differing_call(tmp_path, monkeypatch, capsys):
+    tool = _cli_identity()
+    calls = [["bounds", "--q", "0.5"], ["membership", "--q", "0.5", "--input", "member.json"],
+             ["extremal", "--q", "0.5", "--n", "0"]]
+    monkeypatch.setattr(tool, "CALLS", calls)
+    tree = Path(__file__).resolve().parents[1]
+    assert tool.main([str(tree), str(tree)]) == 0
+    assert capsys.readouterr().out == "3 of 3 calls identical\n"
+    # a tree whose command line answers otherwise differs on every call
+    fake = tmp_path / "src" / "qstar"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("def run(argv):\n    print(argv[0])\n    return 0\n")
+    assert tool.main([str(tree), str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("DIFF")] == [
+        "DIFF qstar " + " ".join(call) for call in calls]
+    assert out.endswith("0 of 3 calls identical\n")

@@ -23,11 +23,11 @@ from qstar import (
 from qstar import search
 from qstar.errors import OutOfRange
 from qstar.functionals import A3_DEPENDENT, RAW_FORMULAS
-from qstar.search import _circle_angles, _sample_gammas, _verdict, _worst, _y_max
+from qstar.search import GRIDS, _circle_angles, _sample_gammas, _verdict, _worst, _y_max
 
 from _oracles import initial_coeffs_closed, lattice_search_max
 
-COARSE = GridSpec.coarse()
+COARSE = GRIDS["coarse"]
 
 
 def coarse_spec(fid, q, **kw):
@@ -46,7 +46,7 @@ def test_h2_2_search_attains_bound():
 
 def test_h2_2_zero_slice():
     res = maximize_functional(
-        coarse_spec(FunctionalId.H2_2, 0.5, b1_range=(0.0, 0.0))
+        coarse_spec(FunctionalId.H2_2, 0.5, a2_zero=True)
     )
     assert res.bound == pytest.approx(64.0 / 9.0, rel=1e-14)
     assert abs(res.max_value - 64.0 / 9.0) <= 1e-6
@@ -103,22 +103,29 @@ A4_IDS = (
 QUADRATIC_IN_A4 = (FunctionalId.T3_2, FunctionalId.T2_3)
 
 
-def searchable(fid, b1_range):
-    """Whether the search takes this functional on this b1 range."""
-    return fid not in QUADRATIC_IN_A4 or (fid, b1_range) == (FunctionalId.T2_3, (0.0, 0.0))
+def searchable(fid, a2_zero):
+    """Whether the search takes this functional on b1 in [0, 1], or on the
+    a2 = 0 slice b1 = 0 when ``a2_zero``."""
+    return fid not in QUADRATIC_IN_A4 or (fid is FunctionalId.T2_3 and a2_zero)
 
 
-@pytest.mark.parametrize("fid, b1_range", [
-    pytest.param(fid, b1_range, id=f"{fid.value}-b1_range{i}")
-    for fid in A4_IDS for i, b1_range in enumerate([(0.0, 1.0), (0.0, 0.0), (0.2, 0.7)])
-    if searchable(fid, b1_range)
+def b1_range(a2_zero):
+    """The b1 range that the search covers."""
+    return (0.0, 0.0) if a2_zero else (0.0, 1.0)
+
+
+@pytest.mark.parametrize("fid, a2_zero", [
+    pytest.param(fid, a2_zero, id=f"{fid.value}-a2_zero={a2_zero}")
+    for fid in A4_IDS for a2_zero in (False, True)
+    if searchable(fid, a2_zero)
 ])
-def test_search_witness_replays_max_value(fid, b1_range):
+def test_search_witness_replays_max_value(fid, a2_zero):
     # the reported (b1, x, y) is a class member whose functional is max_value
+    lo, hi = b1_range(a2_zero)
     for q in (0.4, 0.5, 0.8):
-        res = maximize_functional(SearchSpec(fid, q, b1_range=b1_range))
+        res = maximize_functional(SearchSpec(fid, q, a2_zero=a2_zero))
         b1, x, y = res.argmax
-        assert b1_range[0] <= b1 <= b1_range[1]
+        assert lo <= b1 <= hi
         b2, b3 = schwarz_b2b3(b1, x, y)
         value = named_functional(fid, *initial_coeffs_closed(b1, b2, b3, q))
         assert value == pytest.approx(res.max_value, rel=1e-12)
@@ -142,18 +149,18 @@ def test_y_elimination_dominates_a_y_lattice(fid):
             assert np.max(vals) >= brute - 1e-12 * max(1.0, brute)
 
 
-@pytest.mark.parametrize("fid, b1_range", [
-    (FunctionalId.H2_2, (0.0, 1.0)),  # affine in a4: |A| + |B|
-    (FunctionalId.T2_3, (0.0, 0.0)),  # affine in a4 where a2 = 0
-    (FunctionalId.ABS_A2, (0.0, 1.0)),  # ignores x and y
+@pytest.mark.parametrize("fid, a2_zero", [
+    (FunctionalId.H2_2, False),  # affine in a4: |A| + |B|
+    (FunctionalId.T2_3, True),  # affine in a4 where a2 = 0
+    (FunctionalId.ABS_A2, False),  # ignores x and y
 ])
-def test_search_is_independent_of_the_chunk_size(monkeypatch, fid, b1_range):
+def test_search_is_independent_of_the_chunk_size(monkeypatch, fid, a2_zero):
     # the determinism contract: grid cells are independent work items, so any
     # split of the lattice into chunks gives the same result, bit for bit
     results = []
     for chunk in (1, 4096, search._CHUNK_POINTS):
         monkeypatch.setattr(search, "_CHUNK_POINTS", chunk)
-        results.append(maximize_functional(coarse_spec(fid, 0.5, b1_range=b1_range)))
+        results.append(maximize_functional(coarse_spec(fid, 0.5, a2_zero=a2_zero)))
     assert results[0] == results[1] == results[2]
 
 
@@ -178,40 +185,40 @@ def test_search_evaluation_counts():
     # (b1, |x|) points times the three candidate angles of the circle step:
     # 51 * 21 * 3 and 1 * 21 * 3 per level, 4 levels
     assert maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5)).evaluations == 12852
-    res = maximize_functional(SearchSpec(FunctionalId.T2_3, 0.5, b1_range=(0.0, 0.0)))
+    res = maximize_functional(SearchSpec(FunctionalId.T2_3, 0.5, a2_zero=True))
     assert res.evaluations == 252
 
 
-@pytest.mark.parametrize("fid, b1_range", [
-    (FunctionalId.T3_2, (0.0, 1.0)),
-    (FunctionalId.T3_2, (0.0, 0.0)),
-    (FunctionalId.T2_3, (0.2, 0.7)),
+@pytest.mark.parametrize("fid, a2_zero", [
+    (FunctionalId.T3_2, False),
+    (FunctionalId.T3_2, True),
+    (FunctionalId.T2_3, False),
 ])
-def test_search_refuses_a_functional_quadratic_in_a4(fid, b1_range):
+def test_search_refuses_a_functional_quadratic_in_a4(fid, a2_zero):
     # no exact y step: verify checks these on the rotated extremal
     with pytest.raises(OutOfRange, match="rotated extremal"):
-        maximize_functional(coarse_spec(fid, 0.5, b1_range=b1_range))
+        maximize_functional(coarse_spec(fid, 0.5, a2_zero=a2_zero))
 
 
 # ----------------------------------------------------------------- arg x
 
-#: every (functional, b1 range) whose search takes arg x at three angles
+#: every (functional, a2_zero) whose search takes arg x at three angles
 CIRCLE_STEPS = [
-    (fid, b1_range)
+    (fid, a2_zero)
     for fid in sorted(A3_DEPENDENT)
-    for b1_range in ((0.0, 1.0), (0.0, 0.0))
-    if searchable(fid, b1_range)
+    for a2_zero in (False, True)
+    if searchable(fid, a2_zero)
 ]
 
 
 @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9, 0.99])
-@pytest.mark.parametrize("fid, b1_range", CIRCLE_STEPS)
-def test_circle_candidates_dominate_a_fine_arg_x_sweep(fid, b1_range, q):
+@pytest.mark.parametrize("fid, a2_zero", CIRCLE_STEPS)
+def test_circle_candidates_dominate_a_fine_arg_x_sweep(fid, a2_zero, q):
     # at random (b1, |x|), the three candidate angles of each circle reach
     # the maximum of a 3601-angle sweep of the same circle
     rng = np.random.default_rng(5)
-    nb = 1 if b1_range == (0.0, 0.0) else 12
-    b1 = rng.uniform(*b1_range, (nb, 1, 1, 1))
+    nb = 1 if a2_zero else 12
+    b1 = rng.uniform(*b1_range(a2_zero), (nb, 1, 1, 1))
     radii = rng.uniform(0.0, 1.0, 8)
     x = radii[None, :, None, None] * np.exp(1j * _circle_angles(fid, q, b1, radii))
     best = np.max(_y_max(fid, q, b1, x)[0], axis=2)
@@ -221,9 +228,8 @@ def test_circle_candidates_dominate_a_fine_arg_x_sweep(fid, b1_range, q):
     assert np.all(best >= sweep * (1.0 - 1e-12))
 
 
-@pytest.mark.parametrize("fid, b1_range", CIRCLE_STEPS + [
-    (fid, (0.2, 0.7)) for fid in sorted(A3_DEPENDENT) if searchable(fid, (0.2, 0.7))])
-def test_circle_step_is_never_below_the_lattice_search(fid, b1_range):
+@pytest.mark.parametrize("fid, a2_zero", CIRCLE_STEPS)
+def test_circle_step_is_never_below_the_lattice_search(fid, a2_zero):
     # the lattice of 18 arg x per circle that the search ran before (with an
     # 18-angle sweep of |y| = 1 for t2_3 on the a2 = 0 slice too): the circle
     # step reaches at least its maximum on the coarse grid
@@ -234,8 +240,8 @@ def test_circle_step_is_never_below_the_lattice_search(fid, b1_range):
                 return _y_max(fid, q, b1, x)[0]
             return np.abs(search._functional_values(fid, q, b1, x, np.exp(1j * ays)))
 
-        lattice = lattice_search_max(y_max, COARSE, b1_range, 18, ring)
-        res = maximize_functional(coarse_spec(fid, q, b1_range=b1_range))
+        lattice = lattice_search_max(y_max, COARSE, b1_range(a2_zero), 18, ring)
+        res = maximize_functional(coarse_spec(fid, q, a2_zero=a2_zero))
         assert res.max_value >= lattice * (1.0 - 1e-15), (q, res.max_value, lattice)
 
 
@@ -249,6 +255,12 @@ def test_grid_spec_rejects_a_size_that_breaks_the_search(field, value):
         GridSpec(**{field: value})
 
 
+def test_grid_presets_pin_their_sizes():
+    # --grid lists the presets in this order; --help and perfbench read them
+    assert [(name, dataclasses.astuple(g)) for name, g in GRIDS.items()] == [
+        ("coarse", (26, 11, 2)), ("default", (51, 21, 3)), ("fine", (101, 31, 3))]
+
+
 def test_grid_spec_accepts_its_minimum_sizes():
     grid = GridSpec(np.int64(2), 2, 0)
     assert type(grid.b1_points) is int
@@ -256,30 +268,28 @@ def test_grid_spec_accepts_its_minimum_sizes():
     assert res.argmax[0] == 1.0 and res.evaluations == 2 * 2 * 3
 
 
-@pytest.mark.parametrize("fid, b1_range", [
-    (FunctionalId.H2_2, (0.0, 1.0)),
-    (FunctionalId.T2_3, (0.0, 0.0)),
+@pytest.mark.parametrize("fid, a2_zero", [
+    (FunctionalId.H2_2, False),
+    (FunctionalId.T2_3, True),
 ], ids=["h2_2", "t2_3"])
-def test_search_determinism_default_grid(fid, b1_range):
-    spec = SearchSpec(fid, 0.5, b1_range=b1_range)
+def test_search_determinism_default_grid(fid, a2_zero):
+    spec = SearchSpec(fid, 0.5, a2_zero=a2_zero)
     assert maximize_functional(spec) == maximize_functional(spec)
 
 
-@pytest.mark.parametrize("q, b1_range, ok", [
-    (0.5, [0.0, 0.0], True),  # a list names the a2 = 0 slice as the tuple does
-    (np.float64(0.5), np.zeros(2), True),
-    *[(0.5, b1_range, False) for b1_range in
-      ((0.0,), None, (0.0, 0.5, 1.0), ("0", "1"), (0.0, 1j), (False, True))],
-    *[(q, (0.0, 0.0), False) for q in (0.5 + 0j, "0.5", None, True)],
+@pytest.mark.parametrize("q, a2_zero, ok", [
+    (0.5, True, True),
+    (np.float64(0.5), True, True),
+    *[(0.5, a2_zero, False) for a2_zero in (0, 1, None, "yes", (0.0, 0.0), np.True_)],
+    *[(q, True, False) for q in (0.5 + 0j, "0.5", None, True)],
 ])
-def test_search_spec_takes_a_real_q_and_a_pair_of_reals(q, b1_range, ok):
+def test_search_spec_takes_a_real_q_and_a_bool_a2_zero(q, a2_zero, ok):
     if not ok:
         with pytest.raises(OutOfRange):
-            SearchSpec(FunctionalId.H2_2, q, COARSE, b1_range)
+            SearchSpec(FunctionalId.H2_2, q, COARSE, a2_zero)
         return
-    spec = SearchSpec(FunctionalId.H2_2, q, COARSE, b1_range)
-    assert spec.b1_range == (0.0, 0.0)
-    assert all(type(v) is float for v in (spec.q, *spec.b1_range))
+    spec = SearchSpec(FunctionalId.H2_2, q, COARSE, a2_zero)
+    assert spec.a2_zero is True and type(spec.q) is float
     res = maximize_functional(spec)
     assert res.bound == pytest.approx(64.0 / 9.0, rel=1e-14)  # the a2_zero case
     assert abs(res.gap) <= 1e-6

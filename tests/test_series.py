@@ -10,7 +10,7 @@ from qstar import (
     InnerNotVanishing,
     OutOfRange,
 )
-from qstar.series import class_weights, exp_series, q_numbers
+from qstar.series import Coefficients, class_weights, exp_series, q_numbers
 
 from _oracles import kernel_coefficient
 
@@ -140,6 +140,9 @@ def test_kernel_coefficients_equal_q_numbers():
 def test_class_params_validation():
     ClassParams(0.5)
     ClassParams(0.6 * cmath.exp(1j * cmath.pi / 4), 0.25)
+    p = ClassParams(np.complex128(0.3 + 0.4j), np.float64(0.25))  # numpy scalars
+    assert type(p.zeta) is complex and type(p.alpha) is float
+    assert p == ClassParams(0.3 + 0.4j, 0.25) and ClassParams(np.int64(1)).zeta == 1
     with pytest.raises(OutOfRange):
         ClassParams(1.5)
     with pytest.raises(OutOfRange):
@@ -149,6 +152,27 @@ def test_class_params_validation():
     for zeta in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
         with pytest.raises(OutOfRange):
             ClassParams(zeta)
+
+
+@pytest.mark.parametrize("zeta, alpha", [
+    ("0.5", 0.0),
+    (True, 0.0),
+    (None, 0.0),
+    (np.True_, 0.0),
+    (0.5, "0.25"),
+    (0.5, False),
+    (0.5, 0.25j),
+    (0.5, None),
+])
+def test_class_params_rejects_a_parameter_that_is_not_a_number(zeta, alpha):
+    with pytest.raises(OutOfRange, match="is not a (complex|real) number"):
+        ClassParams(zeta, alpha)
+
+
+@pytest.mark.parametrize("coeffs", [[], [[0.0, 1.0], [0.0, 1.0]]])
+def test_coefficients_reject_an_empty_or_2d_sequence(coeffs):
+    with pytest.raises(OutOfRange, match="non-empty 1-D sequence"):
+        Coefficients(coeffs)
 
 
 def test_class_params_q_accessor():

@@ -103,6 +103,16 @@ def test_recursion_rejects_a_nan_schwarz_coefficient():
         coeffs_from_schwarz(omega, Q_HALF, 4)
 
 
+def test_recursion_rejects_an_omega_too_short_for_the_order():
+    with pytest.raises(OutOfRange, match="omega carries 3 coefficients; need >= 7"):
+        coeffs_from_schwarz(canonical_schwarz("identity", 3), Q_HALF, 8)
+
+
+def test_from_coeffs_rejects_an_empty_sequence():
+    with pytest.raises(OutOfRange, match="non-empty 1-D sequence"):
+        StarlikeFunction.from_coeffs([], Q_HALF)
+
+
 def test_degenerate_divisor_at_minus_one():
     omega = canonical_schwarz("identity", 12)
     with pytest.raises(DegenerateDivisor) as exc:
