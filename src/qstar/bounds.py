@@ -182,17 +182,16 @@ def bound_value(query: BoundQuery) -> float:
     return value
 
 
-def parseval_weights(params: ClassParams, n: int, dtype=complex) -> tuple:
+def parseval_weights(params: ClassParams, n: int) -> tuple:
     """The weights (d, c) of the Parseval chain, for k = 1..n,
 
         sum_{k<=n} c_k |a_k|^2  <=  sum_{k<=n-1} d_k |a_k|^2,
         d_k = |(1-2a)+[k]|^2,  c_k = |[k]-1|^2,
 
-    as real arrays in the precision of the complex ``dtype`` (complex or
-    np.clongdouble): the squared moduli of :func:`qstar.series.class_weights`.
+    as float arrays: the squared moduli of :func:`qstar.series.class_weights`.
     Raises DegenerateDivisor at the first k in 2..n where [k] - 1 vanishes.
     """
-    w, dv = class_weights(params, n, dtype)
+    w, dv = class_weights(params, n)
     return np.abs(w) ** 2, np.abs(dv) ** 2
 
 
@@ -202,23 +201,24 @@ def parseval_rhs(params: ClassParams, abs_a):
     For n = 2..m+1, sqrt( sum_{k=1}^{n-1} (d_k - c_k) |a_k|^2 / c_n ) with
     the weights of :func:`parseval_weights`, given the moduli
     abs_a = (|a_1|, ..., |a_m|) with |a_1| = 1 along the last axis; n is
-    read off the length m of that axis.  The result has the shape of abs_a,
-    in its precision (float64 or longdouble).  The partial sums are one
-    running sum, which up to 7 terms adds in the order of the per-n
+    read off the length m of that axis; its entries must be real numbers.
+    The result is a float64 array of the shape of abs_a.  The partial sums
+    are one running sum, which up to 7 terms adds in the order of the per-n
     ``sum``; beyond that numpy's pairwise ``sum`` may differ from it by an
     ulp (no caller passes more, since the random suite stops at order 8).
     Every divisor [n] - 1 up to n = m+1 must be away from 0.  A negative
     sum (impossible for genuine class members) is clamped to 0.
     """
     abs_a = np.asarray(abs_a)
-    abs_a = abs_a.astype(np.promote_types(abs_a.dtype, float), copy=False)
+    if abs_a.dtype.kind not in "iuf":  # complex, bool, text or object
+        raise OutOfRange(f"abs_a must hold real moduli, got {abs_a.dtype} entries")
+    abs_a = abs_a.astype(float, copy=False)
     if abs_a.ndim == 0 or abs_a.shape[-1] == 0:
         raise OutOfRange(f"abs_a must hold at least |a_1|, got shape {abs_a.shape}")
     first = abs_a[..., 0]
     if not np.all(np.abs(first - 1.0) <= 1e-12):
         raise OutOfRange(f"abs_a[0] = {np.ravel(first)} must be 1 (a1 = 1)")
-    d, c = parseval_weights(params, abs_a.shape[-1] + 1,
-                            np.result_type(abs_a.dtype, complex).type)
+    d, c = parseval_weights(params, abs_a.shape[-1] + 1)
     acc = np.cumsum((d[:-1] - c[:-1]) * abs_a**2, axis=-1)
     return np.sqrt(np.maximum(acc, 0.0)) / np.sqrt(c[1:])
 
@@ -318,6 +318,7 @@ def disk_quadratic_max_grid(
     result is the full grid's maximum bit for bit, up to rounding ties
     between angles (as where |f| is constant on a circle).
     """
+    radial, angular = integer("radial", radial), integer("angular", angular)
     if radial < 64 or angular < 64:
         raise OutOfRange("grid resolutions must be >= 64")
     if any(np.iscomplexobj(v) for v in (a, b, c)):

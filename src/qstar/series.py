@@ -39,12 +39,20 @@ INNER_TOL = 1e-14
 @dataclass(frozen=True, eq=False)
 class Coefficients:
     """Taylor coefficients c_0 .. c_N (N = ``order``): a read-only complex copy
-    of a non-empty 1-D sequence, compared by value."""
+    of a non-empty 1-D sequence, compared by value.  An entry that is not a
+    complex number (a bool or a string is not) raises OutOfRange."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
+        raw = self.coeffs
+        if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iufc"):
+            raw = np.asarray(raw, dtype=object)
+            # one entry of each type is tested: construction is on hot paths
+            for v in {type(v): v for v in raw.flat}.values():
+                if isinstance(v, bool) or not isinstance(v, numbers.Complex):
+                    raise OutOfRange(f"coefficient {v!r} is not a complex number")
+        c = np.array(raw, dtype=complex)
         if c.ndim != 1 or not len(c):
             raise OutOfRange("coefficients must be a non-empty 1-D sequence")
         c.flags.writeable = False
@@ -113,10 +121,9 @@ def q_numbers(zeta, order: int) -> list:
     return out
 
 
-def class_weights(params: ClassParams, n: int, dtype=complex) -> tuple:
+def class_weights(params: ClassParams, n: int) -> tuple:
     """The weights ``w_k = (1 - 2 alpha) + [k]`` and the divisors
-    ``D_k = [k] - 1`` of the class for k = 1..n, as two arrays of ``dtype``
-    (complex or np.clongdouble).
+    ``D_k = [k] - 1`` of the class for k = 1..n, as two complex arrays.
 
     The recursion reads ``D_n a_n = sum_k b_(n-k) w_k a_k``, the product
     bound ``prod |w_(k-1) / D_k|`` and the Parseval chain ``|w_k|^2`` and
@@ -128,8 +135,7 @@ def class_weights(params: ClassParams, n: int, dtype=complex) -> tuple:
     for k in range(2, n + 1):
         if abs(d[k - 1]) <= DEGENERATE_TOL:
             raise DegenerateDivisor(k)
-    t = np.dtype(dtype).type
-    return t(1.0 - 2.0 * params.alpha) + np.asarray(qn, dtype=t), np.asarray(d, dtype=t)
+    return (1.0 - 2.0 * params.alpha) + np.asarray(qn), np.asarray(d)
 
 
 def one_minus_power(zeta, n: int) -> complex:

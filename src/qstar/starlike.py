@@ -70,15 +70,12 @@ class StarlikeFunction(Coefficients):
     @classmethod
     def from_coeffs(cls, coeffs, params: ClassParams):
         """Build from the tail (a1, a2, ...) or the full (0, a1, a2, ...)."""
-        c = [complex(v) for v in coeffs]
-        if c and c[0] != 0:
-            c = [0j] + c
-        return cls(c, params)
+        c = Coefficients(coeffs).coeffs
+        return cls(c if c[0] == 0 else np.append(0j, c), params)
 
 
-def recursion_coeffs(b, params: ClassParams, order: int, dtype=complex) -> list:
-    """[a_0, ..., a_order] of the recursion, in numpy values of ``dtype``
-    (complex or np.clongdouble).
+def recursion_coeffs(b, params: ClassParams, order: int) -> list:
+    """[a_0, ..., a_order] of the recursion, as numpy complex values.
 
     ``b[k]`` is the Schwarz coefficient b_k; b_1 .. b_(order-1) enter, each a
     scalar or an array of one b_k per member.  The arrays broadcast together,
@@ -92,11 +89,10 @@ def recursion_coeffs(b, params: ClassParams, order: int, dtype=complex) -> list:
     and the checked divisors come from :func:`qstar.series.class_weights`; a
     degenerate divisor raises ``DegenerateDivisor``.
     """
-    t = np.dtype(dtype).type
     # per-term lookups on lists: indexing an ndarray in the loop costs more
-    w, div = (list(v) for v in class_weights(params, order, t))
-    b = [np.asarray(v, dtype=t)[()] for v in b[:order]]
-    a = [t(0), t(1)]
+    w, div = (list(v) for v in class_weights(params, order))
+    b = [np.asarray(v, dtype=complex)[()] for v in b[:order]]
+    a = [np.complex128(0), np.complex128(1)]
     # an overflow surfaces as a non-finite coefficient, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(2, order + 1):
@@ -209,6 +205,8 @@ def membership_margin(
     """
     if not 0.0 < r_max < 1.0:
         raise OutOfRange(f"r_max = {r_max} outside (0, 1)")
+    radial_steps = integer("radial_steps", radial_steps)
+    angular_steps = integer("angular_steps", angular_steps)
     if radial_steps < 1 or angular_steps < 1:
         raise OutOfRange("grid steps must be positive")
     a = f.coeffs[1:]  # a1..aN

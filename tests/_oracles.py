@@ -161,8 +161,8 @@ def disk_quadratic_max_full_grid(a, b, c, radial=256, angular=720):
 
 
 def parseval_rhs_per_n(zeta, alpha, abs_a, n):
-    """The Parseval bound on |a_n|, one ``sum`` per n, in the precision of
-    ``abs_a`` (rows of |a_1|, |a_2|, ... along the last axis):
+    """The Parseval bound on |a_n|, one ``sum`` per n, in double precision,
+    given ``abs_a`` (rows of |a_1|, |a_2|, ... along the last axis):
 
         sqrt( sum_{k=1}^{n-1} (d_k - c_k) |a_k|^2 ) / sqrt(c_n),
         d_k = |(1 - 2 alpha) + [k]|^2,  c_k = |zeta [k-1]|^2,
@@ -170,16 +170,15 @@ def parseval_rhs_per_n(zeta, alpha, abs_a, n):
     with [k] = 1 + zeta + ... + zeta^(k-1) summed term by term.  No check
     that a divisor vanishes.
     """
-    abs_a = np.asarray(abs_a)[..., :n - 1]
-    cdtype = np.result_type(abs_a.dtype, complex).type
+    abs_a = np.asarray(abs_a, dtype=float)[..., :n - 1]
     zeta = complex(zeta)
     qn, term = [1.0 + 0j], 1.0 + 0j
     for _ in range(n - 1):
         term *= zeta
         qn.append(qn[-1] + term)
     dv = [0j] + [zeta * w for w in qn[:-1]]
-    d = np.abs(cdtype(1.0 - 2.0 * alpha) + np.asarray(qn, dtype=cdtype)) ** 2
-    c = np.abs(np.asarray(dv, dtype=cdtype)) ** 2
+    d = np.abs((1.0 - 2.0 * alpha) + np.asarray(qn)) ** 2
+    c = np.abs(np.asarray(dv)) ** 2
     acc = ((d[:-1] - c[:-1]) * abs_a**2).sum(axis=-1)
     return np.sqrt(np.maximum(acc, 0.0)) / np.sqrt(c[-1])
 

@@ -14,10 +14,12 @@ from qstar import (
     GridSpec,
     OutOfRange,
     SchurParams,
+    StarlikeFunction,
     canonical_schwarz,
     coeffs_from_schwarz,
     extremal_by_formula,
     extremal_product,
+    membership_margin,
     product_bound_applies,
     schur_expand,
     schur_rows,
@@ -63,6 +65,10 @@ INTEGER_SITES = {
         lambda v: coeffs_from_schwarz(canonical_schwarz("identity", 4), Q_HALF, v), 1),
     "extremal_product": (lambda v: extremal_product(Q_HALF, v), 1),
     "extremal_by_formula": (lambda v: extremal_by_formula(Q_HALF, v), 1),
+    "membership_margin.radial_steps": (
+        lambda v: membership_margin(StarlikeFunction([0, 1, 0.1], Q_HALF), 0.3, v, 360), None),
+    "membership_margin.angular_steps": (
+        lambda v: membership_margin(StarlikeFunction([0, 1, 0.1], Q_HALF), 0.3, 48, v), None),
 }
 
 

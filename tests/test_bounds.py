@@ -204,23 +204,22 @@ def test_parseval_rhs_zero_tail():
 
 
 def test_parseval_rhs_on_rows_matches_the_scalar_sum():
-    # rows of moduli give the bound on every |a_n| of every row, in their own
-    # precision; the reference is the scalar sum written out
+    # rows of moduli give the bound on every |a_n| of every row; the
+    # reference is the scalar sum written out
     params = ClassParams(0.6 * cmath.exp(1j), 0.1)
     rng = np.random.default_rng(4)
     rows = np.hstack([np.ones((50, 1)), rng.uniform(0.0, 3.0, size=(50, 5))])
     qn = q_numbers(params.zeta, 7)
     dv = [0j] + [params.zeta * qn[k - 1] for k in range(1, 7)]  # [k+1] - 1
-    for dtype in (np.float64, np.longdouble):
-        got = parseval_rhs(params, rows.astype(dtype))
-        assert got.shape == (50, 6) and got.dtype == dtype
-        for row, values in zip(rows.astype(dtype), got):
-            for n, value in enumerate(values, start=2):
-                acc = sum((abs(0.8 + w) ** 2 - abs(d) ** 2) * a**2
-                          for w, d, a in zip(qn, dv, row[:n - 1]))
-                assert float(value) == pytest.approx(
-                    math.sqrt(max(acc, 0.0)) / abs(dv[n - 1]), rel=1e-14)
-            assert np.array_equal(parseval_rhs(params, row), values)
+    got = parseval_rhs(params, rows)
+    assert got.shape == (50, 6) and got.dtype == np.float64
+    for row, values in zip(rows, got):
+        for n, value in enumerate(values, start=2):
+            acc = sum((abs(0.8 + w) ** 2 - abs(d) ** 2) * a**2
+                      for w, d, a in zip(qn, dv, row[:n - 1]))
+            assert float(value) == pytest.approx(
+                math.sqrt(max(acc, 0.0)) / abs(dv[n - 1]), rel=1e-14)
+        assert np.array_equal(parseval_rhs(params, row), values)
 
 
 #: the criterion-8 classes of the random suite, and |zeta| = 0.01
@@ -240,19 +239,17 @@ def test_parseval_rhs_running_sum_equals_the_per_n_sum(zeta, alpha):
     rng = np.random.default_rng(8)
     gammas = np.sqrt(rng.uniform(size=(60, 5))) * np.exp(2j * np.pi * rng.uniform(size=(60, 5)))
     gammas[0] = (1.0, 0.0, 0.0, 0.0, 0.0)
-    for dtype in (complex, np.clongdouble):
-        a = recursion_coeffs(schur_rows(gammas, 8).T, params, 8, dtype)
-        members = np.abs(np.stack(np.broadcast_arrays(*a[1:]), axis=1))
-        scale = members.max(axis=0)
-        free = np.hstack([np.ones((40, 1), members.dtype),
-                          rng.uniform(size=(40, 7)).astype(members.dtype) * scale[1:]])
-        for rows in (members, free):
-            for m in range(1, 8):
-                got = parseval_rhs(params, rows[:, :m])
-                want = np.stack([parseval_rhs_per_n(zeta, alpha, rows, n)
-                                 for n in range(2, m + 2)], axis=1)
-                assert got.dtype == want.dtype == rows.dtype
-                assert np.array_equal(got, want), (m, dtype)
+    a = recursion_coeffs(schur_rows(gammas, 8).T, params, 8)
+    members = np.abs(np.stack(np.broadcast_arrays(*a[1:]), axis=1))
+    scale = members.max(axis=0)
+    free = np.hstack([np.ones((40, 1)), rng.uniform(size=(40, 7)) * scale[1:]])
+    for rows in (members, free):
+        for m in range(1, 8):
+            got = parseval_rhs(params, rows[:, :m])
+            want = np.stack([parseval_rhs_per_n(zeta, alpha, rows, n)
+                             for n in range(2, m + 2)], axis=1)
+            assert got.dtype == want.dtype == rows.dtype
+            assert np.array_equal(got, want), m
 
 
 def test_parseval_rhs_validation():
@@ -260,6 +257,15 @@ def test_parseval_rhs_validation():
         parseval_rhs(Q_HALF, [])
     with pytest.raises(OutOfRange):
         parseval_rhs(Q_HALF, [0.9])
+    # moduli are real numbers: no complex, bool or text entries; any real
+    # precision is read as float64
+    for abs_a in ([1.0, 0.5 + 0.5j], np.array([True, False]), ["1", "0.5"], [1.0, None]):
+        with pytest.raises(OutOfRange, match="must hold real moduli"):
+            parseval_rhs(Q_HALF, abs_a)
+    for abs_a in ([1, 2], np.array([1.0, 0.5], np.float32), np.array([1.0, 0.5], np.longdouble)):
+        got = parseval_rhs(Q_HALF, abs_a)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, parseval_rhs(Q_HALF, np.asarray(abs_a, dtype=float)))
     # zeta = -1: [2] - 1 = -1, [3] - 1 = 0; every divisor up to n is checked
     assert parseval_rhs(ClassParams(-1.0), [1.0])[0] == pytest.approx(2.0)
     with pytest.raises(DegenerateDivisor) as exc:
@@ -348,6 +354,12 @@ def test_disk_quadratic_grid_examples():
     assert disk_quadratic_max_grid(1.0, 0.0, 0.0) == pytest.approx(2.0)
     with pytest.raises(OutOfRange):
         disk_quadratic_max_grid(1.0, 0.0, 0.0, radial=32)
+    # the resolutions take the integer rule; a numpy integer is read as int
+    for radial, angular in ((64.5, 720), (True, 720), (256, 720.0), (256, "720")):
+        with pytest.raises(OutOfRange, match="is not an integer"):
+            disk_quadratic_max_grid(1, 1, 1, radial, angular)
+    assert disk_quadratic_max_grid(1.0, 0.5, 0.0, np.int64(64), np.uint16(90)) == (
+        disk_quadratic_max_grid(1.0, 0.5, 0.0, 64, 90))
 
 
 #: (radial, angular) of the oracle comparisons: the smallest grid, odd and

@@ -577,3 +577,40 @@ def test_cli_identity_harness_reports_each_differing_call(tmp_path, monkeypatch,
     assert [line for line in out.splitlines() if line.startswith("DIFF")] == [
         "DIFF qstar " + " ".join(call) for call in calls]
     assert out.endswith("0 of 3 calls identical\n")
+    # two trees whose reports differ only in gap: the fields are named, in
+    # the JSON and in the CSV report, and only there
+    report = (
+        "import json\n"
+        "def run(argv):\n"
+        "    rows = [('chain[n=2]', 4.0, GAPS[0]), ('parseval[n=2]', 4.0, GAPS[1]),\n"
+        "            ('product[n=2]', 4.0, 0.0)]\n"
+        "    if argv[0] == 'json':\n"
+        "        print(json.dumps({'items': [{'name': n, 'bound': b, 'gap': g}\n"
+        "                                    for n, b, g in rows], 'seed': 0}))\n"
+        "    elif argv[0] == 'csv':\n"
+        "        print('functional,q,case,bound,achieved,gap,verdict')\n"
+        "        for n, b, g in rows:\n"
+        "            print(f'{n},0.5,,{b},{b},{g},attained')\n"
+        "    else:\n"
+        "        print(GAPS)\n"
+        "    return 0\n"
+    )
+    trees = []
+    for name, gaps in (("old", (0.0, 0.0)), ("new", (1e-19, -2e-16))):
+        fake = tmp_path / name / "src" / "qstar"
+        fake.mkdir(parents=True)
+        (fake / "__init__.py").write_text("")
+        (fake / "cli.py").write_text(f"GAPS = {gaps!r}\n" + report)
+        trees.append(str(tmp_path / name))
+    monkeypatch.setattr(tool, "CALLS", [["json"], ["csv"], ["text"]])
+    assert tool.main(trees) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DIFF qstar json",
+        "  fields: gap (2 items)",
+        "DIFF qstar csv",
+        "  fields: gap (2 items)",
+        "DIFF qstar text",
+        "  stdout: '(0.0, 0.0)\\n'",
+        "    -> '(1e-19, -2e-16)\\n'",
+        "0 of 3 calls identical",
+    ]

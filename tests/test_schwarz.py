@@ -16,6 +16,7 @@ from qstar import (
 
 from _oracles import GaussFraction, caratheodory_p2p3, frac_div, frac_series
 from qstar.schwarz import UNIT_TOL
+from qstar.series import Coefficients
 
 
 def disk_points(rng, n):
@@ -308,3 +309,10 @@ def test_schwarz_series_invariants():
         SchwarzSeries([0.1, 1, 0, 0])
     with pytest.raises(InvalidSchwarz):
         SchwarzSeries([0, 1.1, 0, 0])
+    # only numbers: a string is not parsed, however it reads
+    with pytest.raises(OutOfRange, match="'0.1' is not a complex number"):
+        SchwarzSeries(["0", "0.5", "0.1"])
+    with pytest.raises(OutOfRange, match="'x' is not a complex number"):
+        Coefficients([0, "x"])
+    with pytest.raises(OutOfRange, match=r"\[0.5, 0.1\] is not a complex number"):
+        SchwarzSeries([0, [0.5, 0.1], 0.2])  # ragged

@@ -114,16 +114,14 @@ def _same_bits(x, y):
 @pytest.mark.parametrize("zeta", [1.0, -0.5, 0.01j, 0.5, 0.9j, 0.6 * cmath.exp(1j)])
 @pytest.mark.parametrize("alpha", [0.0, 0.25])
 def test_class_weights_are_the_class_sequences_bitwise(zeta, alpha):
-    # w_k = (1 - 2 alpha) + [k] is formed in the requested precision; the
-    # divisor D_k = zeta [k-1] in complex, where its degeneracy is tested
+    # w_k = (1 - 2 alpha) + [k] and the divisor D_k = zeta [k-1], in complex
     params = ClassParams(zeta, alpha)
     qn = q_numbers(zeta, 24)
-    for dtype in (complex, np.clongdouble):
-        t = np.dtype(dtype).type
-        w, d = class_weights(params, 24, dtype)
-        assert w.dtype == d.dtype == np.dtype(dtype) and w.shape == d.shape == (24,)
-        assert _same_bits(w, np.array([t(1.0 - 2.0 * alpha) + t(v) for v in qn]))
-        assert _same_bits(d, np.array([t(0)] + [t(complex(zeta) * v) for v in qn[:-1]]))
+    t = np.complex128
+    w, d = class_weights(params, 24)
+    assert w.dtype == d.dtype == np.dtype(complex) and w.shape == d.shape == (24,)
+    assert _same_bits(w, np.array([t(1.0 - 2.0 * alpha) + t(v) for v in qn]))
+    assert _same_bits(d, np.array([t(0)] + [t(complex(zeta) * v) for v in qn[:-1]]))
 
 
 def test_kernel_coefficients_equal_q_numbers():

@@ -222,40 +222,36 @@ def test_formula_route_is_independent(monkeypatch):
     extremal_by_formula(ClassParams(0.3 + 0.6j, 0.25), 16)
 
 
-def test_recursion_kernel_complex_and_clongdouble_agree():
-    rng = np.random.default_rng(2024)
-    params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
-    for _ in range(20):
-        u = rng.uniform(0.0, 1.0, 5) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=5))
-        b = schur_expand(SchurParams(tuple(complex(v) for v in u)), 8).coeffs
-        lo = recursion_coeffs(b, params, 8, complex)
-        hi = recursion_coeffs(b, params, 8, np.clongdouble)
-        for x, y in zip(lo, hi):
-            assert abs(complex(x) - complex(y)) <= 1e-12 * max(1.0, abs(complex(y)))
-
-
 def test_recursion_kernel_rows_match_the_scalar_loop():
     # one numpy operation per term over all rows (the transposed rows are
-    # b_0, b_1, ...); the reference is the scalar loop, one row at a time
+    # b_0, b_1, ...); the reference is the scalar loop in extended precision
+    # (np.clongdouble), one row at a time.  Inputs: random Schwarz rows to
+    # order 16, and Schur expansions to order 8
     params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
+    t = np.clongdouble
     qn = q_numbers(params.zeta, 16)
     dv = [0j] + [params.zeta * qn[k - 1] for k in range(1, 16)]  # [k+1] - 1
+    w = [t(1.0 - 2.0 * params.alpha) + t(v) for v in qn]
     rng = np.random.default_rng(7)
-    b = np.array([random_schwarz(rng, order=16).coeffs for _ in range(30)])
-    for dtype, tol in ((complex, 1e-13), (np.clongdouble, 1e-16)):
-        a = recursion_coeffs(b.T, params, 16, dtype)
+    rows16 = np.array([random_schwarz(rng, order=16).coeffs for _ in range(30)])
+    rng = np.random.default_rng(2024)
+    rows8 = []
+    for _ in range(20):
+        u = rng.uniform(0.0, 1.0, 5) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=5))
+        rows8.append(schur_expand(SchurParams(tuple(complex(v) for v in u)), 8).coeffs)
+    for b, order, tol in ((rows16, 16, 1e-13), (np.array(rows8), 8, 1e-12)):
+        a = recursion_coeffs(b.T, params, order)
         rows = np.stack(np.broadcast_arrays(*a), axis=1)
-        assert rows.shape == (30, 17) and rows.dtype == dtype
+        assert rows.shape == (len(b), order + 1) and rows.dtype == complex
         for row, bb in zip(rows, b):
-            w = [dtype(1.0 - 2.0 * params.alpha) + dtype(v) for v in qn]
-            a = [dtype(0), dtype(1)]
-            for n in range(2, 17):
-                acc = dtype(0)
+            a = [t(0), t(1)]
+            for n in range(2, order + 1):
+                acc = t(0)
                 for k in range(1, n):
-                    acc = acc + dtype(bb[n - k]) * w[k - 1] * a[k]
-                a.append(acc / dtype(dv[n - 1]))
+                    acc = acc + t(bb[n - k]) * w[k - 1] * a[k]
+                a.append(acc / t(dv[n - 1]))
             for x, y in zip(row, a):
-                assert abs(x - y) <= tol * max(1.0, abs(y))
+                assert abs(complex(x) - complex(y)) <= tol * max(1.0, abs(complex(y)))
 
 
 def test_recursion_kernel_broadcasts_scalar_and_array_coefficients():
@@ -274,15 +270,14 @@ def test_recursion_kernel_broadcasts_scalar_and_array_coefficients():
             assert [complex(v[i, j]) for v in a] == [complex(v) for v in one]
 
 
-@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
-def test_recursion_kernel_tuple_and_array_inputs_agree_bitwise(dtype):
+def test_recursion_kernel_tuple_and_array_inputs_agree_bitwise():
     params = ClassParams(0.6 * cmath.exp(1j * math.pi / 4), 0.25)
     b = random_schwarz(np.random.default_rng(5), order=12).coeffs
-    from_array = recursion_coeffs(b, params, 12, dtype)
-    from_tuple = recursion_coeffs(tuple(complex(v) for v in b), params, 12, dtype)
+    from_array = recursion_coeffs(b, params, 12)
+    from_tuple = recursion_coeffs(tuple(complex(v) for v in b), params, 12)
     assert all(np.shape(v) == () for v in from_array)
     assert all(x == y for x, y in zip(from_array, from_tuple))
-    assert np.array(from_array).dtype == dtype
+    assert np.array(from_array).dtype == complex
 
 
 def test_nonfinite_coefficients_rejected():
@@ -418,6 +413,16 @@ def test_starlike_function_invariants():
         StarlikeFunction([1, 1.0, 0, 0], Q_HALF)
     f = StarlikeFunction.from_coeffs([1, 0.5j], Q_HALF)
     assert f.coeff(2) == 0.5j
+    # a bool is not a coefficient, not even as a1 = 1; numpy numbers are
+    for coeffs in ([0, True, 2], [0, 1, np.bool_(False)], [0, 1, None], np.array([0, 1, 1], bool)):
+        with pytest.raises(OutOfRange, match="is not a complex number"):
+            StarlikeFunction(coeffs, Q_HALF)
+    with pytest.raises(OutOfRange, match="True is not a complex number"):
+        StarlikeFunction.from_coeffs([True, 2], Q_HALF)
+    with pytest.raises(OutOfRange, match="non-empty 1-D sequence"):
+        StarlikeFunction.from_coeffs(np.array([[1, 0.5], [0.1, 0.2]]), Q_HALF)
+    g = StarlikeFunction([np.int8(0), np.float32(1), np.complex64(0.5j)], Q_HALF)
+    assert g == f and g.coeffs.dtype == complex
 
 
 @pytest.mark.parametrize("make", [

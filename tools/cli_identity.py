@@ -8,7 +8,11 @@ subprocess per tree imports ``qstar.cli`` from that tree's ``src`` and runs
 every call of :data:`CALLS` through ``qstar.cli.run``, in order and in one
 process, capturing its stdout, its stderr and its exit code.  The script
 prints each call on which the two trees differ and exits 1 if any does;
-otherwise it prints the number of calls and exits 0.
+otherwise it prints the number of calls and exits 0.  Where both stdouts
+are reports (JSON or CSV) with the same item names, it names the item
+fields that differ and on how many items, as in
+``fields: gap (14 items), bound (2 items)``; any other difference is shown
+as the first 200 characters of each side.
 
 The calls cover the grid suites on every ``--grid`` preset, five q and both
 formats, ``verify --suite all``, the Parseval suite on several classes,
@@ -22,11 +26,13 @@ paths.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 #: coefficient files for ``membership``, by name
@@ -40,6 +46,9 @@ FILES = {
     "text.json": '[1, "x"]',
     "bad.json": "not json",
 }
+
+#: the first line of a CSV report
+CSV_HEADER = "functional,q,case,bound,achieved,gap,verdict"
 
 _QS = ("0.01", "0.3", "0.5", "0.8", "0.99")
 _FORMATS = ("csv", "json")
@@ -178,6 +187,40 @@ def compare(parent, change, calls) -> list:
     return [(argv, b, a) for argv, b, a in zip(calls, before, after) if b != a]
 
 
+def _report(text):
+    """(item names, items, rest) of a report on stdout, each item a dict of
+    its fields and ``rest`` the JSON report without its items; None unless
+    ``text`` is a JSON report (an ``items`` list) or a CSV report."""
+    if text.startswith(CSV_HEADER + "\n"):
+        items = list(csv.DictReader(io.StringIO(text)))
+        return [it["functional"] for it in items], items, None
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(doc, dict) or not isinstance(doc.get("items"), list):
+        return None
+    items = doc.pop("items")
+    if not all(isinstance(it, dict) and "name" in it for it in items):
+        return None
+    return [it["name"] for it in items], items, doc
+
+
+def field_summary(before: str, after: str):
+    """``fields: gap (14 items), bound (2 items)``: the item fields in which
+    two reports with the same item names and nothing else apart differ,
+    most items first; None for any other pair of outputs."""
+    old, new = _report(before), _report(after)
+    if old is None or new is None or old[0] != new[0] or old[2] != new[2]:
+        return None
+    counts = Counter(field for b, a in zip(old[1], new[1])
+                     for field in dict.fromkeys([*b, *a]) if b.get(field) != a.get(field))
+    if not counts:
+        return None
+    return "fields: " + ", ".join(f"{f} ({n} item{'s' * (n != 1)})"
+                                  for f, n in counts.most_common())
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 2 and args[0] == "--run":
@@ -190,7 +233,12 @@ def main(argv=None) -> int:
     for call, before, after in diffs:
         print(f"DIFF qstar {' '.join(call)}")
         for label, b, a in zip(("exit", "stdout", "stderr"), before, after):
-            if b != a:
+            if b == a:
+                continue
+            summary = field_summary(b, a) if label == "stdout" else None
+            if summary:
+                print(f"  {summary}")
+            else:
                 print(f"  {label}: {b!r:.200}\n    -> {a!r:.200}")
     print(f"{len(CALLS) - len(diffs)} of {len(CALLS)} calls identical")
     return 1 if diffs else 0
