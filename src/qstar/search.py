@@ -36,7 +36,8 @@ recursion, and checks the Parseval chain inequality, the derived |a_n| bound,
 and the product bound on every sample.  It works on batches of samples as
 numpy arrays with one row per sample: the Schur chains
 (:func:`qstar.schwarz.schur_rows`), the recursion and the inequality sides
-run over all rows of a batch at once.
+run over all rows of a batch at once, in double precision.  The sample each
+check reports is then decided in exact integer arithmetic.
 
 Both engines, and the rotated-extremal items of ``sharpness_report``, judge
 a gap (bound minus value reached) by one rule, :func:`_verdict`: both of its
@@ -532,6 +533,99 @@ def _suite_sides(b, params, order, prod):
     return np.stack(gap, axis=1), np.stack(side, axis=1), np.stack(other, axis=1)
 
 
+def _dyadic(z):
+    """A complex double as exact integers (re, im, e): z = (re + i im) 2^e."""
+    z = complex(z)
+    (mr, dr), (mi, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    scale = max(dr, di)  # both are powers of two
+    return mr * (scale // dr), mi * (scale // di), 1 - scale.bit_length()
+
+
+def _dmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0], x[2] + y[2]
+
+
+def _dadd(x, y):
+    if x[2] > y[2]:
+        x, y = y, x
+    s = y[2] - x[2]
+    return x[0] + (y[0] << s), x[1] + (y[1] << s), x[2]
+
+
+def _dsub(x, y):
+    return _dadd(x, (-y[0], -y[1], y[2]))
+
+
+def _dnorm(x):
+    """|x|^2, a real dyadic."""
+    return x[0] * x[0] + x[1] * x[1], 0, 2 * x[2]
+
+
+def _dquot(x, y) -> float:
+    """x / y of real dyadics, y > 0, correctly rounded to a float."""
+    e = x[2] - y[2]
+    return (x[0] << e) / y[0] if e >= 0 else x[0] / (y[0] << -e)
+
+
+def _exact_sides(b, params, order, prod):
+    """(gap, bound side, other side) of every check on one row ``b`` of
+    Schwarz coefficients, of shape (checks, order - 1) as one row of
+    :func:`_suite_sides`, with each gap's sign decided exactly.
+
+    The member is rebuilt from the double zeta, alpha and b_1 .. b_(order-1)
+    taken as exact binary fractions: A_n = a_n D_2 ... D_n satisfies the
+    recursion with its divisions multiplied out, so every A_n, every weight
+    and every divisor is an integer times a power of two.  Each check
+    compares non-negative sides, so it compares their squares exactly: for
+    chain, the two sums; for parseval, c_n |a_n|^2 with the partial sum
+    under the root; for product, |a_n|^2 with the square of the double
+    bound ``prod``, as the catalog gives it.  A gap is that exact
+    difference, rounded once, divided by the sum of the rounded sides for
+    parseval and product.  The sides stay far inside the double range: the
+    order is at most SUITE_MAX_ORDER and every divisor is above
+    DEGENERATE_TOL.
+    """
+    one = (1, 0, 0)
+    zeta = _dyadic(params.zeta)
+    s = _dsub(one, _dmul((2, 0, 0), _dyadic(params.alpha)))  # 1 - 2 alpha
+    qn = [one]  # [1] .. [order]
+    for _ in range(order - 1):
+        qn.append(_dadd(one, _dmul(zeta, qn[-1])))
+    w = [_dadd(s, v) for v in qn]
+    div = [None, None] + [_dmul(zeta, v) for v in qn[:-1]]  # D_k at index k
+    bd = [_dyadic(v) for v in b[:order]]
+    a = [None, one]  # A_1 .. A_order, by Horner over k
+    for n in range(2, order + 1):
+        acc = _dmul(bd[n - 1], w[0])
+        for k in range(2, n):
+            acc = _dadd(_dmul(acc, div[k]), _dmul(_dmul(bd[n - k], w[k - 1]), a[k]))
+        a.append(acc)
+    # at n, scale = Q_n = c_2 ... c_n, x = Q_n sum_{k<=n} c_k |a_k|^2, and
+    # before its update g = Q_(n-1) sum_{k<n} d_k |a_k|^2
+    scale, x, g = one, (0, 0, 0), _dnorm(w[0])
+    gap, side, other = [], [], []
+    for n in range(2, order + 1):
+        c, t = _dnorm(div[n]), _dnorm(a[n])  # c_n and Q_n |a_n|^2
+        scale = _dmul(scale, c)
+        rhs = _dmul(g, c)  # Q_n sum_{k<n} d_k |a_k|^2
+        root = _dsub(g, x)  # Q_(n-1) sum_{k<n} (d_k - c_k) |a_k|^2
+        x = _dmul(_dadd(x, t), c)
+        margin = _dsub(rhs, x)
+        an = math.sqrt(_dquot(t, scale))
+        prhs = math.sqrt(_dquot(root, scale))
+        row = [(_dquot(margin, scale), _dquot(rhs, scale), _dquot(x, scale)),
+               (_dquot(margin, _dmul(scale, c)) / (prhs + an) if margin[0] else 0.0,
+                prhs, an)]
+        if prod is not None:
+            p = prod[n - 2]
+            e = _dsub(_dmul(_dnorm(_dyadic(p)), scale), t)  # Q_n (p^2 - |a_n|^2)
+            row.append((_dquot(e, scale) / (p + an) if e[0] else 0.0, p, an))
+        for out, r in zip((gap, side, other), zip(*row)):
+            out.append(r)
+        g = _dadd(_dmul(g, c), _dmul(_dnorm(w[n - 1]), t))
+    return tuple(np.array(v).T for v in (gap, side, other))
+
+
 def _worst(gap, bound):
     """Index along axis 0 of the sample each check reports: the first lowest
     gap on the verdict's scale max(1, |bound|), or the first NaN gap, which
@@ -579,13 +673,15 @@ def random_schwarz_suite(
     of :func:`_verdict`, with its gap unscaled; the first such sample on a
     tie, and the first NaN gap over any number.  At small |zeta| the sides
     reach 1e13 and more, where rounding alone exceeds any absolute slack.
-    Everything runs in double precision, on every platform.  Near equality
-    (the forced w = z sample attains all three families) a gap is rounding
-    alone; on that scale it is usually within 1e-12, but the Parseval bound
-    is the square root of a sum that cancels down to c_n |a_n|^2, so it
-    cannot resolve an |a_n| below about sqrt(eps S / c_n), S the size of the
-    sum's terms, and there a genuine member can read as a VIOLATION (alpha
-    near 1 and zeta near the negative real axis; the README names classes).
+    The samples are ranked in double precision, on every platform.  Near
+    equality (the forced w = z sample attains all three families) a double
+    gap is rounding alone, and the Parseval bound, the square root of a sum
+    that cancels down to c_n |a_n|^2, is off by up to about
+    sqrt(eps S / c_n), S the size of the sum's terms (1e-8 at alpha near 1
+    and zeta near the negative real axis).  So each reported row is then
+    re-derived in exact arithmetic (:func:`_exact_sides`): its gap has the
+    exact sign of bound side minus other side, for the class of the double
+    zeta and alpha and the row's double Schwarz coefficients.
 
     A degenerate [n] - 1 divisor marks the sample (here: every sample, since
     degeneracy depends only on zeta) as skipped.  A non-finite gap is a
@@ -604,6 +700,7 @@ def random_schwarz_suite(
                          for n in range(2, order + 1)])
 
     worst = None  # [gap, bound side, other side, row] of each (check, n)
+    kept = {}  # the Schwarz coefficients of each row in worst
     for start in range(0, count + 2 if live else 0, _CHUNK_SAMPLES):
         # row 0 is w = 0, row 1 is w = z, row r >= 2 draws sample r - 2
         rows = np.arange(start, min(start + _CHUNK_SAMPLES, count + 2))
@@ -617,6 +714,11 @@ def random_schwarz_suite(
             batch = [np.concatenate([w[None], x]) for w, x in zip(worst, batch)]
         pick = _worst(batch[0], batch[1])[None]
         worst = [np.take_along_axis(x, pick, axis=0)[0] for x in batch]
+        kept = {r: kept[r] if r < start else b[r - start] for r in worst[3].ravel().tolist()}
+    for r, br in kept.items():  # decide each reported row exactly
+        at = worst[3] == r
+        for x, exact in zip(worst, _exact_sides(br, params, order, prod)):
+            x[at] = exact[at]
 
     labels = ("forced_zero", "forced_z")
     items = []

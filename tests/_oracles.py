@@ -148,6 +148,32 @@ def _gauss(value):
     return value if isinstance(value, GaussFraction) else GaussFraction(value)
 
 
+def exact_parseval_terms(b, zeta, alpha, order):
+    """(t, d, c), lists of Fractions indexed k = 1..order (index 0 unused):
+    t_k = |a_k|^2 of the member with Schwarz coefficients b_0, b_1, ..., and
+    the Parseval weights d_k = |(1 - 2 alpha) + [k]|^2 and c_k = |[k] - 1|^2,
+    all exact for the double inputs.  The recursion
+    a_n = sum_{k<n} b_(n-k) w_k a_k / ([n] - 1) runs over Gaussian
+    rationals, with its divisions."""
+    zeta = GaussFraction(complex(zeta))
+    qn = [GaussFraction(1)]
+    for _ in range(order - 1):
+        qn.append(1 + zeta * qn[-1])
+    w = [None] + [(1 - 2 * Fraction(alpha)) + v for v in qn]
+    div = [None] + [v - 1 for v in qn]
+    b = [GaussFraction(complex(v)) for v in b[:order]]
+    a = [None, GaussFraction(1)]
+    for n in range(2, order + 1):
+        a.append(sum((b[n - k] * w[k] * a[k] for k in range(1, n)), GaussFraction(0))
+                 / div[n])
+
+    def norm(v):
+        return v.re * v.re + v.im * v.im
+
+    return ([None] + [norm(v) for v in a[1:]], [None] + [norm(v) for v in w[1:]],
+            [None] + [norm(v) for v in div[1:]])
+
+
 def disk_quadratic_max_full_grid(a, b, c, radial=256, angular=720):
     """max of |a + b z + c z^2| + 1 - |z|^2 over every point of the polar grid
     of ``radial`` radii in [0, 1] and ``angular`` angles, as a float (NaN or

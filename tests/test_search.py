@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from qstar import (
     sharpness_report,
 )
 from qstar import search
+from qstar.bounds import product_bound_applies
 from qstar.errors import OutOfRange
 from qstar.functionals import A3_DEPENDENT, RAW_FORMULAS
+from qstar.schwarz import schur_rows
 from qstar.search import GRIDS, _circle_angles, _sample_gammas, _verdict, _worst, _y_max
 
-from _oracles import initial_coeffs_closed, lattice_search_max
+from _oracles import exact_parseval_terms, initial_coeffs_closed, lattice_search_max
 
 COARSE = GRIDS["coarse"]
 
@@ -417,24 +420,24 @@ def test_random_suite_product_equality_for_forced_identity():
 
 
 #: ten |zeta| from 3e-12 to 1 at four alphas, arg zeta stepping by the golden
-#: angle, and two alpha = 0.9 classes near the most negative parseval[n=8]
-#: gaps of a wider scan
+#: angle; three alpha = 0.9 classes near the most negative double-precision
+#: gaps of wider scans; and two classes whose double-precision parseval[n=8]
+#: reads a VIOLATION (alpha near 1, zeta on the negative real axis)
 _GAP_SCAN = [
     (r * cmath.exp(2.39996j * i), alpha)
     for i, (r, alpha) in enumerate(
         (r, alpha) for r in np.geomspace(3e-12, 1.0, 10) for alpha in (0.0, 0.25, 0.5, 0.9))
 ] + [(0.2817 * cmath.exp(2.6798j), 0.9),
-     (0.6071733857690266 * cmath.exp(2.8727362828245457j), 0.9)]
+     (0.6071733857690266 * cmath.exp(2.8727362828245457j), 0.9),
+     (0.19689956025253402 * cmath.exp(-2.999481271765206j), 0.9),
+     (-0.4, 0.86),
+     (-0.3, 0.88)]
 
 
 def test_random_suite_gap_scan_stays_within_rounding():
-    # the suite runs in double precision only: at near equality (w = z
-    # attains every check) its worst gap, on the verdict's scale
-    # max(1, |bound|), must stay a thousand times above the -1e-9 VIOLATION
-    # threshold on every class of the scan.  The scan does not reach alpha
-    # near 1 with zeta near the negative real axis, where the Parseval bound
-    # cannot resolve a collapsing |a_n| in double precision (the README's
-    # known false VIOLATION)
+    # every reported row is decided exactly, so on the verdict's scale
+    # max(1, |bound|) its gap stays a thousand times above the -1e-9
+    # VIOLATION threshold on every class of the scan
     worst = min(
         it.gap / max(1.0, abs(it.bound))
         for zeta, alpha in _GAP_SCAN
@@ -442,6 +445,63 @@ def test_random_suite_gap_scan_stays_within_rounding():
                                        order=8).items
         if it.gap is not None)
     assert worst > -1e-12
+
+
+@pytest.mark.parametrize("zeta, alpha", [(-0.4, 0.86), (-0.3, 0.88)])
+def test_random_suite_decides_a_collapsing_extremal_exactly(zeta, alpha):
+    # a weight (1 - 2 alpha) + [k] nearly vanishes and the extremal's |a_n|
+    # collapse; the Parseval bound of the w = z row cancels down to
+    # c_n |a_n|^2, and in double precision parseval[n=8] reads a VIOLATION
+    params = ClassParams(zeta, alpha)
+    b = schur_rows(np.array([[1.0, 0, 0, 0, 0]], dtype=complex), 8)
+    gap, side, _ = search._suite_sides(b, params, 8, None)
+    assert gap[0, 1, -1] < search.VIOLATION_TOL * max(1.0, side[0, 1, -1])
+    # the reported rows are decided exactly: w = z attains chain and
+    # parseval with equality, so their gaps are exactly 0
+    rep = random_schwarz_suite(params, seed=0, count=300, order=8)
+    assert not rep.has_violation
+    for it in rep.items:
+        if it.name.startswith("product"):
+            assert it.verdict == "skipped"
+        else:
+            assert (it.gap, it.witness, it.verdict) == (0.0, "forced_z", "attained")
+
+
+@pytest.mark.parametrize("zeta, alpha", [
+    (-0.4, 0.86), (1e-9, 0.0), (0.6 * cmath.exp(1j * math.pi / 4), 0.25), (-0.5, 0.0),
+    (0.2817 * cmath.exp(2.6798j), 0.9), (1.0, 0.25)])
+def test_exact_sides_match_the_rational_recursion(zeta, alpha):
+    # _exact_sides against the recursion with its divisions, over Gaussian
+    # rationals: chain exactly as rounded, parseval and product gaps to an
+    # ulp or two of the exact difference over the rounded sides
+    params, order = ClassParams(zeta, alpha), 8
+    prod = None
+    if product_bound_applies(params, order):
+        prod = np.array([bound_value(BoundQuery("an_product", params, n=n))
+                         for n in range(2, order + 1)])
+    rng = np.random.default_rng(3)
+    gammas = rng.uniform(-0.7, 0.7, (4, 5)) + 1j * rng.uniform(-0.7, 0.7, (4, 5))
+    gammas[0], gammas[1] = [1.0, 0, 0, 0, 0], 0.0  # w = z and w = 0
+    for row in schur_rows(gammas, order):
+        t, d, c = exact_parseval_terms(row, zeta, alpha, order)
+        gap, side, other = search._exact_sides(row, params, order, prod)
+        for n in range(2, order + 1):
+            lhs = sum(c[k] * t[k] for k in range(1, n + 1))
+            rhs = sum(d[k] * t[k] for k in range(1, n))
+            root = (rhs - lhs) / c[n] + t[n]
+            an = math.sqrt(t[n])
+            assert (gap[0, n - 2], side[0, n - 2], other[0, n - 2]) == (
+                float(rhs - lhs), float(rhs), float(lhs))
+            exact = [(root - t[n], math.sqrt(root))]
+            if prod is not None:
+                p = prod[n - 2]
+                exact.append((Fraction(float(p)) ** 2 - t[n], p))
+            for i, (diff, bound) in enumerate(exact, start=1):
+                assert side[i, n - 2] == pytest.approx(bound, rel=1e-15)
+                assert other[i, n - 2] == pytest.approx(an, rel=1e-15)
+                want = float(diff) / (bound + an) if diff else 0.0
+                assert gap[i, n - 2] == pytest.approx(want, rel=1e-15, abs=0.0)
+                assert math.copysign(1.0, gap[i, n - 2]) == math.copysign(1.0, want)
 
 
 def test_random_suite_skips_on_failed_hypothesis():
