@@ -52,17 +52,23 @@ ascending order, 0 <= arccos(vertex) <= pi, and the witness (|y|, arg y) of
 |A| + |B| is radius 1 and arg y = arg A - arg B, or y = 0 when B == 0 -- a
 function of (b1, x); a functional that ignores y reports y = 0.
 
-Every sample draws from its own counter-based Philox stream, keyed by the
-seed at counter 1024 * (sample index), and reads it as one block: the
-uniforms in [-1, 1) that ``Generator.uniform`` makes of consecutive doubles,
-paired into points u + iv, of which the first ``SUITE_DEPTH`` inside the
-closed unit disk are the sample's tuple -- the same points as drawing pair
-by pair and rejecting those outside, bit for bit.  Each check keeps its
-worst sample as a left fold over samples in index order (lowest gap on the
-verdict's scale, the first on a tie, the first NaN gap over any number), and
-a batch enters the fold with the incumbent as its first row.  So any split
-into batches, or any parallel schedule of them, and any rerun reproduces the
-serial report bit for bit.
+Every sample draws from its own counter-based Philox4x64-10 stream, keyed by
+the seed at counter 1024 * (sample index).  The generator is this module's
+own (:func:`_philox_doubles`, numpy on uint64 words): its key words are
+(seed mod 2^64, seed >> 64), and block k = 1, 2, ... of sample i is the
+cipher of the 128-bit counter 1024 i + k, four 64-bit words, so the blocks
+of a whole batch come from one pass with no generator state.  Since
+``numpy.random.Philox`` also steps its counter before each block, this is
+its stream at counter 1024 i, bit for bit.  A sample reads its stream as one
+block: the uniforms in [-1, 1) that ``Generator.uniform`` makes of
+consecutive doubles, paired into points u + iv, of which the first
+``SUITE_DEPTH`` inside the closed unit disk are the sample's tuple -- the
+same points as drawing pair by pair and rejecting those outside, bit for
+bit.  Each check keeps its worst sample as a left fold over samples in index
+order (lowest gap on the verdict's scale, the first on a tie, the first NaN
+gap over any number), and a batch enters the fold with the incumbent as its
+first row.  So any split into batches, or any parallel schedule of them, and
+any rerun reproduces the serial report bit for bit.
 """
 
 from __future__ import annotations
@@ -446,9 +452,11 @@ def rotated_extremal_values(q: float) -> tuple:
 # randomized complex-parameter suite
 
 
-#: samples per batch of the random suite; bounds the size of its arrays, so
-#: the suite's memory does not grow with its sample count
-_CHUNK_SAMPLES = 1 << 7
+#: samples per batch of the random suite; bounds the size of its arrays (a
+#: few MB), so the suite's memory does not grow with its sample count, while
+#: one batch holds a call of up to 2046 samples and pays the per-batch numpy
+#: overhead once
+_CHUNK_SAMPLES = 1 << 11
 
 #: the random suite's highest order (its lowest is 2): beyond it the
 #: coefficients of small |zeta| overflow double precision and read as
@@ -461,53 +469,80 @@ SUITE_DEPTH = 5
 #: the suite's checks, in report order; product is skipped without its hypothesis
 _CHECKS = ("chain", "parseval", "product")
 
-#: the low 64-bit word of a Philox counter
+#: the largest 64-bit word, and the mask of one
 _WORD = (1 << 64) - 1
+
+#: Philox4x64-10's round multipliers
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+
+#: the Weyl increments of its two key words, which stay Python ints between
+#: rounds and wrap by masking
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+_LOW32, _BITS32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a, m):
+    """(high, low) 64-bit words of the 128-bit products of the uint64 array
+    ``a`` with the uint64 ``m``, from products of 32-bit halves."""
+    a0, a1, m0, m1 = a & _LOW32, a >> _BITS32, m & _LOW32, m >> _BITS32
+    t = a1 * m0 + ((a0 * m0) >> _BITS32)
+    u = a0 * m1 + (t & _LOW32)
+    return a1 * m1 + (t >> _BITS32) + (u >> _BITS32), a * m
+
+
+def _philox_doubles(seed: int, index, n: int) -> np.ndarray:
+    """The first ``n`` doubles of the Philox4x64-10 stream keyed by ``seed``
+    at counter 1024 i, for each i of the uint64 array ``index``, shape
+    (len(index), n): bit for bit what ``Generator.random`` makes of
+    ``numpy.random.Philox(key=seed, counter=1024 i)``.  Block k of sample i
+    is the cipher of the counter 1024 i + k, k = 1, 2, ..., carried into
+    the counter's second word; it holds four words, each the double
+    (word >> 11) 2^-53.
+    """
+    blocks = -(-n // 4)
+    low = (index << np.uint64(10))[:, None]
+    c0 = low + np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = (index >> np.uint64(54))[:, None] + (c0 < low)
+    c2 = c3 = np.zeros_like(c0)
+    k0, k1 = seed & _WORD, seed >> 64
+    for _ in range(10):
+        h0, l0 = _mulhilo(c0, _PHILOX_M[0])
+        h1, l1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = h1 ^ c1 ^ np.uint64(k0), l1, h0 ^ c3 ^ np.uint64(k1), l0
+        k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+    words = np.stack([c0, c1, c2, c3], axis=2).reshape(len(index), 4 * blocks)
+    return (words[:, :n] >> np.uint64(11)) * 2.0**-53
 
 
 def _sample_gammas(seed: int, indices, depth: int) -> np.ndarray:
     """The Schur tuples of the given sample indices, shape (len(indices), depth).
 
-    Sample i reads the Philox stream keyed by ``seed`` at counter 1024 i as
-    uniforms in [-1, 1), pairs them into u + iv and keeps its first ``depth``
-    points with u^2 + v^2 <= 1.  One block of 2 (depth + 3) uniforms usually
-    holds them; a sample that runs short draws a longer block from the start
-    of its stream.
+    Sample i reads the Philox stream keyed by ``seed`` at counter 1024 i
+    (:func:`_philox_doubles`) as uniforms in [-1, 1), pairs them into u + iv
+    and keeps its first ``depth`` points with u^2 + v^2 <= 1.  All samples
+    draw a block of 2 (depth + 3) uniforms at once, which usually holds
+    them; the samples that run short draw blocks of twice as many pairs from
+    the start of their streams, and so on until each is filled.  An index
+    that is not an integer in [0, 2^64) raises OutOfRange.
     """
-    bitgen = np.random.Philox(key=seed)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-
-    def doubles(index, pairs):
-        # the stream of Philox(key=seed, counter=1024 * index), without
-        # building a generator per sample
-        counter = 1024 * index
-        state["state"]["counter"][:2] = (counter & _WORD, counter >> 64)
-        state["buffer_pos"] = 4  # drop buffered output
-        bitgen.state = state
-        return rng.random(2 * pairs)
-
-    def points(d):
-        # -1 + 2 d is what Generator.uniform(-1, 1) makes of the same doubles
-        z = (-1.0 + 2.0 * d).view(complex)
-        return z, z.real * z.real + z.imag * z.imag <= 1.0
-
-    indices = np.asarray(indices).tolist()
+    index = np.asarray(indices)
+    if index.dtype.kind not in "iu":  # Python ints, some past 2^63, or no integers
+        index = np.array([integer("sample index", i) for i in indices], dtype=object)
+    if index.size and (index.min() < 0 or index.max() > _WORD):
+        raise OutOfRange("sample index outside [0, 2**64)")
+    index = index.astype(np.uint64)
+    gammas = np.empty((len(index), depth), dtype=complex)
+    todo = np.arange(len(index))
     pairs = depth + 3
-    d = np.empty((len(indices), 2 * pairs))
-    for row, index in enumerate(indices):
-        d[row] = doubles(index, pairs)
-    z, inside = points(d)
-    first = np.argsort(~inside, axis=1, kind="stable")[:, :depth]
-    gammas = np.take_along_axis(z, first, axis=1)
-    for row in np.flatnonzero(inside.sum(axis=1) < depth):
-        more = pairs
-        while True:
-            more *= 2
-            zr, ok = points(doubles(indices[row], more))
-            if ok.sum() >= depth:
-                gammas[row] = zr[ok][:depth]
-                break
+    while todo.size:
+        # -1 + 2 d is what Generator.uniform(-1, 1) makes of the same doubles
+        z = (-1.0 + 2.0 * _philox_doubles(seed, index[todo], 2 * pairs)).view(complex)
+        inside = z.real * z.real + z.imag * z.imag <= 1.0
+        full = inside.sum(axis=1) >= depth
+        first = np.argsort(~inside[full], axis=1, kind="stable")[:, :depth]
+        gammas[todo[full]] = np.take_along_axis(z[full], first, axis=1)
+        todo, pairs = todo[~full], 2 * pairs
     return gammas
 
 

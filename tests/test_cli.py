@@ -551,6 +551,28 @@ def test_module_entry_point():
     assert proc.stdout.startswith("functional,q,case,bound")
 
 
+def test_parseval_suite_never_imports_numpy_random():
+    # the suite draws its Philox blocks itself: a run that spans several
+    # sample batches leaves numpy.random unloaded where importing numpy does
+    # (numpy 2 loads it lazily; numpy 1 loads it with numpy itself)
+    src = str(Path(qstar.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "from qstar.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(['verify', '--suite', 'parseval', '--zeta=0.42,0.42',\n"
+        "                '--alpha', '0.25', '--count', '5000'])\n"
+        "print(code, before, 'numpy.random' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    code, before, after = proc.stdout.split()
+    assert (code, after) == ("0", before)
+
+
 def _cli_identity():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_identity.py"
     spec = importlib.util.spec_from_file_location("cli_identity", path)

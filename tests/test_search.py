@@ -612,21 +612,41 @@ def _sample_gammas_reference(seed, index, depth):
 
 
 @pytest.mark.parametrize(
-    "seeds, count, depth",
-    [((0, 7, 2026, 2**64 + 3), 600, 5), ((11,), 300, 1), ((12,), 300, 8)],
+    "seeds, indices, depth",
+    [
+        ((0, 7, 2026, 2**64 + 3), range(600), 5),
+        ((11,), range(300), 1),
+        ((12,), range(300), 8),
+        # counters 2^64 + 3072 + k and 2^74 - 1024 + k: the counter's second word
+        ((5, 2**128 - 1), [2**54 + 3, 2**64 - 1, 2**54 + 3], 5),
+        # about 1080 blocks from counter 2^64 - 1024: the last ones carry past 2^64
+        ((9,), [2**54 - 1], 1700),
+        ((2**128 - 1,), range(300), 5),
+        # a batch that holds only the two forced rows draws no sample
+        ((3,), [], 5),
+    ],
 )
-def test_block_draw_reproduces_the_pairwise_stream(seeds, count, depth):
+def test_block_draw_reproduces_the_pairwise_stream(seeds, indices, depth):
     # bit for bit, including the samples whose first block runs short
     for seed in seeds:
-        got = _sample_gammas(seed, range(count), depth)
-        want = np.array([_sample_gammas_reference(seed, i, depth) for i in range(count)])
-        assert got.shape == (count, depth)
+        got = _sample_gammas(seed, indices, depth)
+        want = np.array([_sample_gammas_reference(seed, i, depth) for i in indices],
+                        dtype=complex).reshape(len(indices), depth)
+        assert got.shape == (len(indices), depth)
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
     # any subset of indices, in any order, draws the same tuples
-    idx = [count - 1, 3, 0, 3]
+    idx = [*indices[-1:], *indices[:2], *indices[-1:]]
     assert np.array_equal(_sample_gammas(seeds[0], idx, depth),
                           np.array([_sample_gammas_reference(seeds[0], i, depth)
-                                    for i in idx]))
+                                    for i in idx], dtype=complex).reshape(len(idx), depth))
+
+
+@pytest.mark.parametrize("indices", [[2**64], [-1], np.array([4, -1]), [0.0], np.array([2.0])])
+def test_block_draw_rejects_an_index_outside_the_counter_range(indices):
+    # an index outside [0, 2^64), or not an integer, is refused: never
+    # wrapped into the counter or truncated
+    with pytest.raises(OutOfRange, match="sample index"):
+        _sample_gammas(0, indices, 5)
 
 
 @pytest.mark.parametrize("perturb", [False, True])
@@ -648,10 +668,11 @@ def test_random_suite_is_independent_of_the_chunk_size(monkeypatch, params, pert
     if perturb:
         monkeypatch.setattr(search, "_suite_sides", perturbed)
     reports = []
-    for chunk in (1, 7, search._CHUNK_SAMPLES):
+    # 128, the batch size before 2048, spans three batches here
+    for chunk in (1, 7, 128, search._CHUNK_SAMPLES):
         monkeypatch.setattr(search, "_CHUNK_SAMPLES", chunk)
-        reports.append(random_schwarz_suite(params, seed=5, count=60, order=8))
-    assert repr(reports[0]) == repr(reports[1]) == repr(reports[2])  # NaN != NaN
+        reports.append(random_schwarz_suite(params, seed=5, count=300, order=8))
+    assert len({repr(r) for r in reports}) == 1  # repr, since NaN != NaN
     witnesses = {it.witness for it in reports[0].items} - {""}
     assert witnesses == {"forced_z"} if not perturb else len(witnesses) >= 3
 

@@ -15,7 +15,8 @@ fields that differ and on how many items, as in
 as the first 200 characters of each side.
 
 The calls cover the grid suites on every ``--grid`` preset, five q and both
-formats, ``verify --suite all``, the Parseval suite on several classes,
+formats, ``verify --suite all``, the Parseval suite on several classes
+(with seeds past 2^64 and a count that spans several sample batches),
 every ``extremal`` route with and without ``--self-check``, ``membership``
 on a few coefficient files, ``y``, ``bounds``, ``--help``, and calls that
 must exit 2.  The coefficient files live in a temporary directory that is
@@ -84,6 +85,12 @@ def _calls() -> list:
                           "--order", order])
         calls.append(["verify", "--suite", "parseval", *cls, "--count", "100", "--seed", "11",
                       "--format", "json"])
+    # seeds that fill the key's high word, and a count that spans several batches
+    for seed in (str(2**64 + 5), str(2**128 - 1)):
+        calls.append(["verify", "--suite", "parseval", "--zeta", "0.6,0.6", "--alpha", "0.25",
+                      "--count", "300", "--seed", seed])
+    calls.append(["verify", "--suite", "parseval", "--zeta=-0.5,0.5", "--alpha", "0.1",
+                  "--count", "5000", "--seed", "3"])
 
     # extremal: every route, with and without the self-check
     ext_classes = [["--q", "0.5"], ["--q", "0.999"], ["--q", "1e-9"],
