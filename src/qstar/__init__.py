@@ -12,9 +12,9 @@ Every Taylor coefficient sequence is a read-only 1-D complex numpy array.
 
 from ._version import __version__
 from .bounds import (
-    AN_PRODUCT,
     BoundQuery,
     CaseFlag,
+    an_product,
     bound_value,
     cubic_bound_region,
     disk_quadratic_max_closed,
@@ -97,8 +97,8 @@ __all__ = [
     "toeplitz_det",
     "CaseFlag",
     "BoundQuery",
-    "AN_PRODUCT",
     "bound_value",
+    "an_product",
     "parseval_rhs",
     "cubic_bound_region",
     "schwarz_cubic_functional",

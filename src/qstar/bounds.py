@@ -33,10 +33,11 @@ the 4/q^2 form.)  The two t2_3 entries are the products
 bounds and H_case is the matching h2_2 case value -- an identity the test
 suite checks literally.
 
-``an_product`` extends the coefficient bound to complex zeta and order alpha:
-|a_n| <= prod_{k=2}^n |((1 - 2 alpha) + [k-1]) / ([k] - 1)|, valid whenever
-Re [k] > alpha along the way (see :func:`product_bound_applies`; this
-function computes the product but does not gate on the condition).
+:func:`an_product` extends the coefficient bound to complex zeta and order
+alpha: |a_n| <= prod_{k=2}^n |((1 - 2 alpha) + [k-1]) / ([k] - 1)|, valid
+whenever Re [k] > alpha along the way (see :func:`product_bound_applies`;
+it computes the products for n = 2..order in one running product, but does
+not gate on the condition).
 
 The lemma kit at the bottom covers the disk maximum
 Y(a, b, c) = max_{|z|<=1} (|a + b z + c z^2| + 1 - |z|^2) with its closed form
@@ -72,38 +73,26 @@ class CaseFlag(str, Enum):
 #: ids whose bound splits on whether a2 vanishes
 CASE_SPLIT_IDS = {FunctionalId.H2_2, FunctionalId.T2_3}
 
-#: extra bound identifier accepted alongside FunctionalId values
-AN_PRODUCT = "an_product"
-
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """A bound lookup: functional id (or "an_product"), parameters, options.
+    """A catalog bound lookup: functional id, parameters, case flag.
 
     ``case_flag`` is required exactly for the two case-split ids (h2_2,
-    t2_3) and rejected otherwise; ``n``, an integer >= 2, is required for
-    "an_product" and rejected otherwise.
+    t2_3) and rejected otherwise.
     """
 
     id: object
     params: ClassParams
-    n: int | None = None
     case_flag: CaseFlag | None = None
 
     def __post_init__(self):
-        if self.id == AN_PRODUCT:
-            object.__setattr__(self, "n", integer("n", self.n, 2))
-            if self.case_flag is not None:
-                raise OutOfRange("an_product does not take a case flag")
-        else:
-            fid = as_functional_id(self.id)
-            object.__setattr__(self, "id", fid)
-            if self.n is not None:
-                raise OutOfRange(f"{fid} does not take n")
-            if fid in CASE_SPLIT_IDS and self.case_flag is None:
-                raise MissingCaseFlag(f"{fid} needs case_flag a2_zero/a2_nonzero")
-            if fid not in CASE_SPLIT_IDS and self.case_flag is not None:
-                raise OutOfRange(f"{fid} does not take a case flag")
+        fid = as_functional_id(self.id)
+        object.__setattr__(self, "id", fid)
+        if fid in CASE_SPLIT_IDS and self.case_flag is None:
+            raise MissingCaseFlag(f"{fid} needs case_flag a2_zero/a2_nonzero")
+        if fid not in CASE_SPLIT_IDS and self.case_flag is not None:
+            raise OutOfRange(f"{fid} does not take a case flag")
         if self.case_flag is not None:
             object.__setattr__(self, "case_flag", CaseFlag(self.case_flag))
 
@@ -160,14 +149,10 @@ def _real_bound(fid: FunctionalId, q: float, case: CaseFlag | None) -> float:
 
 
 def bound_value(query: BoundQuery) -> float:
-    """Evaluate the closed-form bound named by ``query``."""
+    """Evaluate the closed-form catalog bound named by ``query``, at real
+    zeta = q in (0, 1) and alpha = 0 (the complex-zeta product bound is
+    :func:`an_product`)."""
     params = query.params
-    if query.id == AN_PRODUCT:
-        w, d = class_weights(params, query.n)
-        acc = 1.0
-        for num, den in zip(w.tolist()[:-1], d.tolist()[1:]):
-            acc *= abs(num) / abs(den)
-        return acc
     if not params.is_real_q or params.alpha != 0.0:
         raise OutOfRange(
             f"{query.id} requires real zeta in (0, 1) and alpha = 0, "
@@ -180,6 +165,23 @@ def bound_value(query: BoundQuery) -> float:
     if not math.isfinite(value):
         raise OutOfRange(f"the {query.id} bound at q = {params.q} is not finite in double precision")
     return value
+
+
+def an_product(params: ClassParams, order: int) -> np.ndarray:
+    """The product bounds on |a_2|, ..., |a_order|, as a float64 array:
+
+        |a_n| <= prod_{k=2}^n |w_(k-1)| / |D_k|
+
+    with the weights w and divisors D of :func:`qstar.series.class_weights`,
+    one running product over k.  ``order`` is an integer >= 2.  Raises
+    DegenerateDivisor at the first k in 2..order where [k] - 1 vanishes.
+    """
+    w, d = class_weights(params, integer("order", order, 2))
+    acc, out = 1.0, []
+    for num, den in zip(w.tolist()[:-1], d.tolist()[1:]):
+        acc *= abs(num) / abs(den)
+        out.append(acc)
+    return np.array(out)
 
 
 def parseval_weights(params: ClassParams, n: int) -> tuple:
@@ -201,7 +203,8 @@ def parseval_rhs(params: ClassParams, abs_a):
     For n = 2..m+1, sqrt( sum_{k=1}^{n-1} (d_k - c_k) |a_k|^2 / c_n ) with
     the weights of :func:`parseval_weights`, given the moduli
     abs_a = (|a_1|, ..., |a_m|) with |a_1| = 1 along the last axis; n is
-    read off the length m of that axis; its entries must be real numbers.
+    read off the length m of that axis; its entries must be finite real
+    numbers >= 0 (a NaN, infinite or negative modulus raises OutOfRange).
     The result is a float64 array of the shape of abs_a.  The partial sums
     are one running sum, which up to 7 terms adds in the order of the per-n
     ``sum``; beyond that numpy's pairwise ``sum`` may differ from it by an
@@ -215,6 +218,9 @@ def parseval_rhs(params: ClassParams, abs_a):
     abs_a = abs_a.astype(float, copy=False)
     if abs_a.ndim == 0 or abs_a.shape[-1] == 0:
         raise OutOfRange(f"abs_a must hold at least |a_1|, got shape {abs_a.shape}")
+    bad = ~((abs_a >= 0.0) & (abs_a < np.inf))  # also true for NaN
+    if bad.any():
+        raise OutOfRange(f"abs_a must hold finite moduli >= 0, got {abs_a[bad]}")
     first = abs_a[..., 0]
     if not np.all(np.abs(first - 1.0) <= 1e-12):
         raise OutOfRange(f"abs_a[0] = {np.ravel(first)} must be 1 (a1 = 1)")
@@ -379,8 +385,8 @@ __all__ = [
     "CaseFlag",
     "BoundQuery",
     "CASE_SPLIT_IDS",
-    "AN_PRODUCT",
     "bound_value",
+    "an_product",
     "parseval_weights",
     "parseval_rhs",
     "cubic_bound_region",

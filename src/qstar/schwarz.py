@@ -73,7 +73,7 @@ class SchwarzSeries(Coefficients):
         c = self.coeffs
         if c[0] != 0:
             raise InvalidSchwarz(f"w(0) = {complex(c[0])} must be 0")
-        if len(c) > 1 and abs(c[1]) > 1.0 + DISK_TOL:
+        if len(c) > 1 and not abs(c[1]) <= 1.0 + DISK_TOL:  # also true for NaN
             raise InvalidSchwarz(f"|b1| = {abs(c[1])} exceeds 1")
 
 

@@ -82,10 +82,10 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from .bounds import (
-    AN_PRODUCT,
     CASE_SPLIT_IDS,
     BoundQuery,
     CaseFlag,
+    an_product,
     bound_value,
     parseval_rhs,
     parseval_weights,
@@ -546,26 +546,26 @@ def _sample_gammas(seed: int, indices, depth: int) -> np.ndarray:
     return gammas
 
 
-def _suite_sides(b, params, order, prod):
-    """(gap, bound side, other side) of every check on rows of Schwarz
-    coefficients ``b``, each of shape (rows, checks, order - 1) over
-    n = 2..order; the product check is present when ``prod`` (its bounds) is.
+def _suite_sides(b, params, order, weights, prod):
+    """(gap, bound side) of every check on rows of Schwarz coefficients
+    ``b``, each of shape (rows, checks, order - 1) over n = 2..order: what
+    the ranking reads.  ``weights`` is the pair (d, c) of
+    :func:`qstar.bounds.parseval_weights` at ``order``; the product check is
+    present when ``prod`` (its bounds) is.
     """
     a = recursion_coeffs(b.T, params, order)
     abs_a = np.abs(np.stack(np.broadcast_arrays(*a[1:]), axis=1))  # |a_1| .. |a_order|
-    d, c = parseval_weights(params, order)
+    d, c = weights
     t = abs_a**2
     lhs = np.cumsum(c * t, axis=1)[:, 1:]  # sum_{k<=n} c_k |a_k|^2
     rhs = np.cumsum(d * t, axis=1)[:, :-1]  # sum_{k<=n-1} d_k |a_k|^2
-    margin = rhs - lhs
     an = abs_a[:, 1:]
     prhs = parseval_rhs(params, abs_a[:, :-1])
-    gap, side, other = [margin, prhs - an], [lhs + margin, prhs], [lhs, an]
+    gap, side = [rhs - lhs, prhs - an], [rhs, prhs]
     if prod is not None:
         gap.append(prod - an)
         side.append(np.broadcast_to(prod, an.shape))
-        other.append(an)
-    return np.stack(gap, axis=1), np.stack(side, axis=1), np.stack(other, axis=1)
+    return np.stack(gap, axis=1), np.stack(side, axis=1)
 
 
 def _dyadic(z):
@@ -604,8 +604,8 @@ def _dquot(x, y) -> float:
 
 def _exact_sides(b, params, order, prod):
     """(gap, bound side, other side) of every check on one row ``b`` of
-    Schwarz coefficients, of shape (checks, order - 1) as one row of
-    :func:`_suite_sides`, with each gap's sign decided exactly.
+    Schwarz coefficients, each of shape (checks, order - 1) over the checks
+    and n of :func:`_suite_sides`, with each gap's sign decided exactly.
 
     The member is rebuilt from the double zeta, alpha and b_1 .. b_(order-1)
     taken as exact binary fractions: A_n = a_n D_2 ... D_n satisfies the
@@ -614,10 +614,10 @@ def _exact_sides(b, params, order, prod):
     compares non-negative sides, so it compares their squares exactly: for
     chain, the two sums; for parseval, c_n |a_n|^2 with the partial sum
     under the root; for product, |a_n|^2 with the square of the double
-    bound ``prod``, as the catalog gives it.  A gap is that exact
-    difference, rounded once, divided by the sum of the rounded sides for
-    parseval and product.  The sides stay far inside the double range: the
-    order is at most SUITE_MAX_ORDER and every divisor is above
+    bound ``prod``, as :func:`qstar.bounds.an_product` gives it.  A gap is
+    that exact difference, rounded once, divided by the sum of the rounded
+    sides for parseval and product.  The sides stay far inside the double
+    range: the order is at most SUITE_MAX_ORDER and every divisor is above
     DEGENERATE_TOL.
     """
     one = (1, 0, 0)
@@ -699,7 +699,7 @@ def random_schwarz_suite(
       chain[n]     sum_{k<=n} |[k]-1|^2 |a_k|^2
                      <= sum_{k<=n-1} |(1-2a)+[k]|^2 |a_k|^2
       parseval[n]  |a_n| <= parseval_rhs
-      product[n]   |a_n| <= an_product bound  (skipped unless
+      product[n]   |a_n| <= an_product(params, order)[n - 2]  (skipped unless
                    Re [k] > alpha holds up to order)
 
     Samples go through in batches of at most ``_CHUNK_SAMPLES`` rows.  Each
@@ -713,10 +713,13 @@ def random_schwarz_suite(
     gap is rounding alone, and the Parseval bound, the square root of a sum
     that cancels down to c_n |a_n|^2, is off by up to about
     sqrt(eps S / c_n), S the size of the sum's terms (1e-8 at alpha near 1
-    and zeta near the negative real axis).  So each reported row is then
-    re-derived in exact arithmetic (:func:`_exact_sides`): its gap has the
-    exact sign of bound side minus other side, for the class of the double
-    zeta and alpha and the row's double Schwarz coefficients.
+    and zeta near the negative real axis).  So the double pass computes only
+    what the ranking reads, the gap and the bound side, and every reported
+    number (gap, bound and achieved) comes from the reported row re-derived
+    in exact arithmetic (:func:`_exact_sides`): its gap has the exact sign
+    of bound side minus other side, for the class of the double zeta and
+    alpha and the row's double Schwarz coefficients.  The class's Parseval
+    weights and product bounds are built once per call.
 
     A degenerate [n] - 1 divisor marks the sample (here: every sample, since
     degeneracy depends only on zeta) as skipped.  A non-finite gap is a
@@ -725,16 +728,13 @@ def random_schwarz_suite(
     count, seed, order = check_suite_inputs(count, seed, order)
     zeta, alpha = params.zeta, params.alpha
     try:
-        parseval_weights(params, order)
+        weights = parseval_weights(params, order)
         live = _CHECKS if product_bound_applies(params, order) else _CHECKS[:2]
     except DegenerateDivisor:
         live = ()
-    prod = None
-    if "product" in live:
-        prod = np.array([bound_value(BoundQuery(AN_PRODUCT, params, n=n))
-                         for n in range(2, order + 1)])
+    prod = an_product(params, order) if "product" in live else None
 
-    worst = None  # [gap, bound side, other side, row] of each (check, n)
+    worst = None  # [gap, bound side, row] of each (check, n)
     kept = {}  # the Schwarz coefficients of each row in worst
     for start in range(0, count + 2 if live else 0, _CHUNK_SAMPLES):
         # row 0 is w = 0, row 1 is w = z, row r >= 2 draws sample r - 2
@@ -743,17 +743,15 @@ def random_schwarz_suite(
         gammas[rows == 1, 0] = 1.0
         gammas[rows >= 2] = _sample_gammas(seed, rows[rows >= 2] - 2, SUITE_DEPTH)
         b = schur_rows(gammas, order)
-        gap, side, other = _suite_sides(b, params, order, prod)
-        batch = [gap, side, other, np.broadcast_to(rows[:, None, None], gap.shape)]
+        gap, side = _suite_sides(b, params, order, weights, prod)
+        batch = [gap, side, np.broadcast_to(rows[:, None, None], gap.shape)]
         if worst is not None:  # the incumbent goes first, as the earlier sample
             batch = [np.concatenate([w[None], x]) for w, x in zip(worst, batch)]
         pick = _worst(batch[0], batch[1])[None]
         worst = [np.take_along_axis(x, pick, axis=0)[0] for x in batch]
-        kept = {r: kept[r] if r < start else b[r - start] for r in worst[3].ravel().tolist()}
-    for r, br in kept.items():  # decide each reported row exactly
-        at = worst[3] == r
-        for x, exact in zip(worst, _exact_sides(br, params, order, prod)):
-            x[at] = exact[at]
+        kept = {r: kept[r] if r < start else b[r - start] for r in worst[2].ravel().tolist()}
+    # every reported number comes from the exact sides of its row
+    exact = {r: _exact_sides(br, params, order, prod) for r, br in kept.items()}
 
     labels = ("forced_zero", "forced_z")
     items = []
@@ -765,7 +763,9 @@ def random_schwarz_suite(
                     ReportItem(name, zeta, alpha, None, None, None, None, "skipped")
                 )
                 continue
-            gap, bnd, ach, row = (x[live.index(check), n - 2] for x in worst)
+            at = live.index(check), n - 2
+            row = worst[2][at]
+            gap, bnd, ach = (x[at] for x in exact[row])
             witness = labels[row] if row < 2 else f"sample{row - 2}"
             items.append(_checked_item(name, zeta, alpha, None, float(bnd), float(ach),
                                        float(gap), witness))

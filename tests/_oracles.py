@@ -209,6 +209,25 @@ def parseval_rhs_per_n(zeta, alpha, abs_a, n):
     return np.sqrt(np.maximum(acc, 0.0)) / np.sqrt(c[-1])
 
 
+def an_product_per_n(zeta, alpha, n):
+    """The product bound on |a_n| as one loop per n, in double precision,
+
+        prod_{k=2}^n |(1 - 2 alpha) + [k-1]| / |zeta [k-1]|,
+
+    with [k] = 1 + zeta + ... + zeta^(k-1) summed term by term, its own loop
+    for each n.  No check that a divisor vanishes.
+    """
+    zeta = complex(zeta)
+    qn, term = [1.0 + 0j], 1.0 + 0j  # [1] .. [n-1]
+    for _ in range(n - 2):
+        term *= zeta
+        qn.append(qn[-1] + term)
+    acc = 1.0
+    for v in qn:
+        acc *= abs((1.0 - 2.0 * alpha) + v) / abs(zeta * v)
+    return acc
+
+
 def lattice_search_max(y_max, grid, b1_range, angles, ring):
     """max |functional| of the refined (b1, |x|, arg x, arg y) lattice search.
 

@@ -8,13 +8,12 @@ import pytest
 
 import qstar
 from qstar import (
-    AN_PRODUCT,
-    BoundQuery,
     ClassParams,
     GridSpec,
     OutOfRange,
     SchurParams,
     StarlikeFunction,
+    an_product,
     canonical_schwarz,
     coeffs_from_schwarz,
     extremal_by_formula,
@@ -55,7 +54,7 @@ INTEGER_SITES = {
     "check_suite_inputs.count": (lambda v: check_suite_inputs(v, 0, 2), 0),
     "check_suite_inputs.seed": (lambda v: check_suite_inputs(0, v, 2), None),
     "check_suite_inputs.order": (lambda v: check_suite_inputs(0, 0, v), None),
-    "BoundQuery.n": (lambda v: BoundQuery(AN_PRODUCT, Q_HALF, n=v), 2),
+    "an_product": (lambda v: an_product(Q_HALF, v), 2),
     "product_bound_applies": (lambda v: product_bound_applies(Q_HALF, v), 2),
     "q_numbers": (lambda v: q_numbers(0.5, v), 1),
     "schur_rows": (lambda v: schur_rows([[0.5, 0.2]], v), 1),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qstar import (
-    AN_PRODUCT,
     BoundQuery,
     CaseFlag,
     ClassParams,
@@ -14,6 +13,7 @@ from qstar import (
     MissingCaseFlag,
     OutOfRange,
     PreconditionViolated,
+    an_product,
     bound_value,
     cubic_bound_region,
     disk_quadratic_max_closed,
@@ -31,13 +31,13 @@ from qstar.search import Q_MIN
 from qstar.series import q_numbers
 from qstar.starlike import recursion_coeffs
 
-from _oracles import disk_quadratic_max_full_grid, parseval_rhs_per_n
+from _oracles import an_product_per_n, disk_quadratic_max_full_grid, parseval_rhs_per_n
 
 Q_HALF = ClassParams(0.5)
 
 
-def bound(fid, q, case=None, n=None):
-    return bound_value(BoundQuery(fid, ClassParams(q), n=n, case_flag=case))
+def bound(fid, q, case=None):
+    return bound_value(BoundQuery(fid, ClassParams(q), case_flag=case))
 
 
 # ----------------------------------------------------------------- catalog
@@ -118,25 +118,10 @@ def test_case_flag_requirements():
         BoundQuery(FunctionalId.ABS_A2, Q_HALF, case_flag=CaseFlag.A2_ZERO)
 
 
-@pytest.mark.parametrize("fid, n, case", [
-    (FunctionalId.ABS_A2, 7, None),
-    (FunctionalId.H2_2, 3, CaseFlag.A2_ZERO),
-    (AN_PRODUCT, 3, CaseFlag.A2_ZERO),
-    (AN_PRODUCT, None, None),
-    (AN_PRODUCT, 1, None),
-    (AN_PRODUCT, 2.5, None),
-    (AN_PRODUCT, 3.0, None),
-    (AN_PRODUCT, True, None),
-])
-def test_bound_query_rejects_options_it_does_not_read(fid, n, case):
+@pytest.mark.parametrize("order", [None, 1, 2.5, 3.0, True])
+def test_an_product_takes_an_integer_order_of_at_least_2(order):
     with pytest.raises(OutOfRange):
-        BoundQuery(fid, Q_HALF, n=n, case_flag=case)
-
-
-def test_bound_query_reads_a_numpy_integer_n_as_int():
-    query = BoundQuery(AN_PRODUCT, Q_HALF, n=np.int64(4))
-    assert type(query.n) is int
-    assert bound_value(query) == bound_value(BoundQuery(AN_PRODUCT, Q_HALF, n=4))
+        an_product(Q_HALF, order)
 
 
 def test_real_bounds_reject_complex_or_alpha():
@@ -163,24 +148,40 @@ def test_h2_2_case_difference_positive_and_vanishing():
 
 
 def test_an_product_examples():
-    assert bound_value(BoundQuery(AN_PRODUCT, Q_HALF, n=2)) == pytest.approx(4.0)
-    assert bound_value(BoundQuery(AN_PRODUCT, Q_HALF, n=4)) == pytest.approx(
-        880.0 / 21.0, rel=1e-12
-    )
+    got = an_product(Q_HALF, 4)
+    assert got.shape == (3,) and got.dtype == np.float64
+    assert got[0] == pytest.approx(4.0)
+    assert got[2] == pytest.approx(880.0 / 21.0, rel=1e-12)
+    assert an_product(ClassParams(-1.0), 2) == pytest.approx([2.0])
     with pytest.raises(DegenerateDivisor):
-        bound_value(BoundQuery(AN_PRODUCT, ClassParams(-1.0), n=3))
-    with pytest.raises(OutOfRange):
-        bound_value(BoundQuery(AN_PRODUCT, Q_HALF))
+        an_product(ClassParams(-1.0), 3)
 
 
 @pytest.mark.parametrize("zeta", [0.5, 0.999, -0.5, 0.9j, 0.3 + 0.6j])
 @pytest.mark.parametrize("alpha", [0.0, 0.25])
 def test_an_product_is_modulus_of_formula(zeta, alpha):
     params = ClassParams(zeta, alpha)
-    for n in range(2, 33):
-        bound = bound_value(BoundQuery(AN_PRODUCT, params, n=n))
+    for n, bound in enumerate(an_product(params, 32), start=2):
         formula = abs(extremal_by_formula(params, n).coeff(n))
         assert bound == pytest.approx(formula, rel=1e-13)
+
+
+#: the six criterion-8 classes, the classical endpoint zeta = 1 (Robertson's
+#: product), small |zeta| where the products reach 1e43, and a class where
+#: the product's hypothesis fails
+_PRODUCT_CLASSES = [
+    (zeta, alpha) for zeta in (0.6 * cmath.exp(1j * math.pi / 4), 0.9j, -0.5)
+    for alpha in (0.0, 0.25)
+] + [(1.0, 0.25), (1.0, 0.5), (0.01, 0.0), (0.01j, 0.25), (1e-6, 0.25), (-0.95, 0.5)]
+
+
+@pytest.mark.parametrize("zeta, alpha", _PRODUCT_CLASSES)
+def test_an_product_equals_the_per_n_product_bit_for_bit(zeta, alpha):
+    params = ClassParams(zeta, alpha)
+    for order in [*range(2, 9), 32]:
+        got = an_product(params, order)
+        want = [an_product_per_n(params.zeta, alpha, n) for n in range(2, order + 1)]
+        assert got.tolist() == want, order
 
 
 # ----------------------------------------------------------------- parseval
@@ -261,6 +262,11 @@ def test_parseval_rhs_validation():
     # precision is read as float64
     for abs_a in ([1.0, 0.5 + 0.5j], np.array([True, False]), ["1", "0.5"], [1.0, None]):
         with pytest.raises(OutOfRange, match="must hold real moduli"):
+            parseval_rhs(Q_HALF, abs_a)
+    # a modulus is finite and not negative: no NaN bound, and no bound built
+    # from a negative "modulus"
+    for abs_a in ([1.0, math.nan], [1.0, -3.0], [1.0, math.inf], [[1.0, 0.5], [1.0, -1e-300]]):
+        with pytest.raises(OutOfRange, match="must hold finite moduli >= 0"):
             parseval_rhs(Q_HALF, abs_a)
     for abs_a in ([1, 2], np.array([1.0, 0.5], np.float32), np.array([1.0, 0.5], np.longdouble)):
         got = parseval_rhs(Q_HALF, abs_a)

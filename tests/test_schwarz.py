@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,10 @@ def test_schwarz_series_invariants():
         SchwarzSeries([0.1, 1, 0, 0])
     with pytest.raises(InvalidSchwarz):
         SchwarzSeries([0, 1.1, 0, 0])
+    # |b1| <= 1 is false for NaN too, as for infinity
+    for b1 in (math.nan, math.inf, complex(0.0, math.nan)):
+        with pytest.raises(InvalidSchwarz, match=r"\|b1\| = (nan|inf) exceeds 1"):
+            SchwarzSeries([0, b1])
     # only numbers: a string is not parsed, however it reads
     with pytest.raises(OutOfRange, match="'0.1' is not a complex number"):
         SchwarzSeries(["0", "0.5", "0.1"])

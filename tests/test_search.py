@@ -22,7 +22,7 @@ from qstar import (
     sharpness_report,
 )
 from qstar import search
-from qstar.bounds import product_bound_applies
+from qstar.bounds import an_product, parseval_weights, product_bound_applies
 from qstar.errors import OutOfRange
 from qstar.functionals import A3_DEPENDENT, RAW_FORMULAS
 from qstar.schwarz import schur_rows
@@ -454,7 +454,7 @@ def test_random_suite_decides_a_collapsing_extremal_exactly(zeta, alpha):
     # c_n |a_n|^2, and in double precision parseval[n=8] reads a VIOLATION
     params = ClassParams(zeta, alpha)
     b = schur_rows(np.array([[1.0, 0, 0, 0, 0]], dtype=complex), 8)
-    gap, side, _ = search._suite_sides(b, params, 8, None)
+    gap, side = search._suite_sides(b, params, 8, parseval_weights(params, 8), None)
     assert gap[0, 1, -1] < search.VIOLATION_TOL * max(1.0, side[0, 1, -1])
     # the reported rows are decided exactly: w = z attains chain and
     # parseval with equality, so their gaps are exactly 0
@@ -475,10 +475,7 @@ def test_exact_sides_match_the_rational_recursion(zeta, alpha):
     # rationals: chain exactly as rounded, parseval and product gaps to an
     # ulp or two of the exact difference over the rounded sides
     params, order = ClassParams(zeta, alpha), 8
-    prod = None
-    if product_bound_applies(params, order):
-        prod = np.array([bound_value(BoundQuery("an_product", params, n=n))
-                         for n in range(2, order + 1)])
+    prod = an_product(params, order) if product_bound_applies(params, order) else None
     rng = np.random.default_rng(3)
     gammas = rng.uniform(-0.7, 0.7, (4, 5)) + 1j * rng.uniform(-0.7, 0.7, (4, 5))
     gammas[0], gammas[1] = [1.0, 0, 0, 0, 0], 0.0  # w = z and w = 0
@@ -585,9 +582,9 @@ def test_suite_slack_is_relative_to_the_bound_side(monkeypatch):
     # attains them, so shrinking every bound by a relative 1e-8 must give
     # VIOLATIONs however large the scale, and by 1e-11 must not
     params = ClassParams(0.01 + 0.01j, 0.01)
-    exact = search.bound_value
+    exact = search.an_product
     for shrink, violated in ((1e-8, True), (1e-11, False)):
-        monkeypatch.setattr(search, "bound_value", lambda q: exact(q) * (1.0 - shrink))
+        monkeypatch.setattr(search, "an_product", lambda p, o: exact(p, o) * (1.0 - shrink))
         rep = random_schwarz_suite(params, seed=0, count=0, order=8)
         product = [it for it in rep.items if it.name.startswith("product")]
         assert {it.verdict == "VIOLATION" for it in product} == {violated}
@@ -660,10 +657,10 @@ def test_random_suite_is_independent_of_the_chunk_size(monkeypatch, params, pert
     sides = search._suite_sides
 
     def perturbed(b, *args):
-        gap, side, other = sides(b, *args)
+        gap, side = sides(b, *args)
         gap = np.broadcast_to(-np.round(np.abs(b[:, None, 1:-1]), 1), gap.shape).copy()
         gap[b[:, 1].real > 0.8, :, 0] = np.nan
-        return gap, side, other
+        return gap, side
 
     if perturb:
         monkeypatch.setattr(search, "_suite_sides", perturbed)
@@ -675,6 +672,44 @@ def test_random_suite_is_independent_of_the_chunk_size(monkeypatch, params, pert
     assert len({repr(r) for r in reports}) == 1  # repr, since NaN != NaN
     witnesses = {it.witness for it in reports[0].items} - {""}
     assert witnesses == {"forced_z"} if not perturb else len(witnesses) >= 3
+
+
+def test_random_suite_reports_only_the_exact_sides(monkeypatch):
+    # the double pass only ranks: every live item's gap, bound and achieved
+    # is its reported row's entry of _exact_sides, replaced here by
+    # sentinels that tag the row (by |b_1|), the check and n.  The ranking
+    # gap is -|b_(n-1)|, so the forced w = z row and random samples are both
+    # reported
+    params, seed, count, order = ClassParams(-0.5), 5, 300, 8
+    sides = search._suite_sides
+
+    def ranking(b, *args):
+        gap, side = sides(b, *args)
+        return np.broadcast_to(-np.abs(b[:, None, 1:-1]), gap.shape), side
+
+    def sentinel(b, params, order, prod):
+        checks = 2 + (prod is not None)
+        tag = np.add.outer(100.0 * np.arange(checks), np.arange(2, order + 1)) + abs(b[1])
+        return tag + 0.25, tag + 0.5, tag + 0.75
+
+    monkeypatch.setattr(search, "_suite_sides", ranking)
+    monkeypatch.setattr(search, "_exact_sides", sentinel)
+    rep = random_schwarz_suite(params, seed=seed, count=count, order=order)
+    forced = [[0.0] * search.SUITE_DEPTH, [1.0] + [0.0] * (search.SUITE_DEPTH - 1)]
+    rows = schur_rows(np.vstack([np.array(forced, dtype=complex),
+                                 _sample_gammas(seed, range(count), search.SUITE_DEPTH)]),
+                      order)
+    witnesses = set()
+    for it in rep.items:
+        check, n = it.name.removesuffix("]").split("[n=")
+        row = {"forced_zero": 0, "forced_z": 1}.get(it.witness)
+        if row is None:
+            row = int(it.witness.removeprefix("sample")) + 2
+        want = sentinel(rows[row], params, order, True)
+        at = search._CHECKS.index(check), int(n) - 2
+        assert (it.gap, it.bound, it.achieved) == tuple(float(x[at]) for x in want)
+        witnesses.add(it.witness)
+    assert "forced_z" in witnesses and len(witnesses) >= 4
 
 
 def test_random_suite_deterministic():

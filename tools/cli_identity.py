@@ -16,20 +16,23 @@ as the first 200 characters of each side.
 
 The calls cover the grid suites on every ``--grid`` preset, five q and both
 formats, ``verify --suite all``, the Parseval suite on several classes
-(with seeds past 2^64 and a count that spans several sample batches),
-every ``extremal`` route with and without ``--self-check``, ``membership``
-on a few coefficient files, ``y``, ``bounds``, ``--help``, and calls that
-must exit 2.  The coefficient files live in a temporary directory that is
-the working directory of both subprocesses, so the two trees see the same
-paths.
+(with seeds past 2^64, a count that spans several sample batches, the
+collapsing and classical classes, and the six criterion-8 classes at count
+1500), every ``extremal`` route with and without ``--self-check``,
+``membership`` on a few coefficient files, ``y``, ``bounds``, ``--help``,
+and calls that must exit 2.  The coefficient files live in a temporary
+directory that is the working directory of both subprocesses, so the two
+trees see the same paths.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -91,6 +94,17 @@ def _calls() -> list:
                       "--count", "300", "--seed", seed])
     calls.append(["verify", "--suite", "parseval", "--zeta=-0.5,0.5", "--alpha", "0.1",
                   "--count", "5000", "--seed", "3"])
+    # two collapsing extremals (alpha near 1, zeta on the negative real axis),
+    # Robertson's product at zeta = 1, and product bounds near 1e43
+    for cls in (["--zeta=-0.4,0", "--alpha", "0.86"], ["--zeta=-0.3,0", "--alpha", "0.88"],
+                ["--zeta", "1,0", "--alpha", "0.25"], ["--zeta", "1e-6,0", "--alpha", "0.25"]):
+        calls.append(["verify", "--suite", "parseval", *cls, "--count", "300"])
+    # the six criterion-8 classes at the random-suite workload's count
+    for i, zeta in enumerate((0.6 * cmath.exp(1j * math.pi / 4), 0.9j, -0.5 + 0j)):
+        for alpha in (0.0, 0.25):
+            calls.append(["verify", "--suite", "parseval", f"--zeta={zeta.real!r},{zeta.imag!r}",
+                          "--alpha", repr(alpha), "--count", "1500", "--seed", str(2026 + i),
+                          "--format", "json"])
 
     # extremal: every route, with and without the self-check
     ext_classes = [["--q", "0.5"], ["--q", "0.999"], ["--q", "1e-9"],
