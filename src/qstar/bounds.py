@@ -55,7 +55,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MissingCaseFlag, OutOfRange, PreconditionViolated, UnknownId, integer
+from .errors import MissingCaseFlag, OutOfRange, PreconditionViolated, UnknownId, integer, real
 from .functionals import FunctionalId, as_functional_id
 from .series import ClassParams, class_weights, q_numbers
 
@@ -233,8 +233,10 @@ def cubic_bound_region(mu: float, nu: float) -> bool:
     """Membership in the region where |b3 + mu b1 b2 + nu b1^3| <= |nu|.
 
     The region is { |mu| >= 1/2 and nu <= -(2/3)(|mu| + 1) } union
-    { |mu| >= 4 and nu >= (2/3)(|mu| - 1) }.
+    { |mu| >= 4 and nu >= (2/3)(|mu| - 1) }.  mu and nu must be finite real
+    numbers (else OutOfRange).
     """
+    mu, nu = _reals(mu=mu, nu=nu)
     am = abs(mu)
     if am >= 0.5 and nu <= -(2.0 / 3.0) * (am + 1.0):
         return True
@@ -244,6 +246,14 @@ def cubic_bound_region(mu: float, nu: float) -> bool:
 def schwarz_cubic_functional(b1, b2, b3, mu, nu):
     """|b3 + mu b1 b2 + nu b1^3|; works on scalars or numpy arrays."""
     return abs(b3 + mu * b1 * b2 + nu * b1**3)
+
+
+def _reals(**values) -> tuple:
+    """The values as floats; OutOfRange unless each is a real number and
+    none is NaN or infinite."""
+    values = tuple(real(name, v) for name, v in values.items())
+    _finite(*values)
+    return values
 
 
 def _finite(*values):
@@ -256,12 +266,11 @@ def _finite(*values):
 def disk_quadratic_max_closed(a: float, b: float, c: float) -> float:
     """max over the closed disk of |a + b z + c z^2| + 1 - |z|^2, closed form.
 
-    Valid for real a, b, c with a*c >= 0:
+    Valid for finite real a, b, c (else OutOfRange) with a*c >= 0:
         |a| + |b| + |c|                   when |b| >= 2 (1 - |c|),
         1 + |a| + b^2 / (4 (1 - |c|))     otherwise.
     """
-    a, b, c = float(a), float(b), float(c)
-    _finite(a, b, c)
+    a, b, c = _reals(a=a, b=b, c=c)
     if a * c < 0.0:
         raise PreconditionViolated(f"a*c = {a * c} < 0 outside the covered case")
     if abs(b) >= 2.0 * (1.0 - abs(c)):
@@ -307,7 +316,7 @@ def disk_quadratic_max_grid(
     O(1/radial + 1/angular); the grid holds ``radial`` equispaced radii from
     0 to 1 and ``angular`` equispaced angles, so it contains z = 0 and |z| = 1.
 
-    a, b and c must be real (a complex one raises ``OutOfRange``).  Then on
+    a, b and c must be finite real numbers (else ``OutOfRange``).  Then on
     the circle |z| = r, with t = cos(theta),
 
         |a + b z + c z^2|^2 = const + B t + 2 C t^2,
@@ -327,10 +336,7 @@ def disk_quadratic_max_grid(
     radial, angular = integer("radial", radial), integer("angular", angular)
     if radial < 64 or angular < 64:
         raise OutOfRange("grid resolutions must be >= 64")
-    if any(np.iscomplexobj(v) for v in (a, b, c)):
-        raise OutOfRange(f"a, b, c must be real, got {(a, b, c)}")
-    _finite(a, b, c)
-    a, b, c = float(a), float(b), float(c)
+    a, b, c = _reals(a=a, b=b, c=c)
     radii = np.linspace(0.0, 1.0, radial)
     j = _peak_angles(a, b, c, radii, angular)
     z = radii[:, None] * np.exp(1j * (2.0 * np.pi * j / angular))
@@ -363,6 +369,7 @@ def h2_quadratic_triple(q: float, b1: float) -> QuadraticTriple:
     tests demonstrate.  Consequently a < 0 < b, c < 0, so a*c > 0 and the
     first branch of :func:`disk_quadratic_max_closed` always applies.
     """
+    q, b1 = _reals(q=q, b1=b1)
     if not 0.0 < q < 1.0:
         raise OutOfRange(f"q = {q} outside the open interval (0, 1)")
     if not 0.0 < b1 < 1.0:

@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the one integer rule.
+"""Exception types shared across the package, and the integer and real rules.
 
 Every domain error derives from :class:`QStarError` so callers can catch the
 whole family at once (the CLI does exactly that).  :func:`integer` is the
 one check of an integer argument: grid sizes, orders, the random suite's
-count and seed, and the ``n`` of the product bound.
+count and seed, and the order of ``an_product``.  :func:`real` is the one
+check of a real argument: q, alpha and the lemma kit's inputs.
 """
 
 import numbers
@@ -70,3 +71,11 @@ def integer(name: str, value, least=None) -> int:
     if least is not None and value < least:
         raise OutOfRange(f"{name} = {value} must be >= {least}")
     return value
+
+
+def real(name: str, value) -> float:
+    """``value`` as a float; OutOfRange unless it is a real number (a bool or
+    a str is not).  NaN and inf pass: each caller states its range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfRange(f"{name} = {value!r} is not a real number")
+    return float(value)

@@ -59,7 +59,8 @@ RAW_FORMULAS = {
     * (a2 * a2 - 2.0 * a3 * a3 + a2 * a4),
 }
 
-#: ids whose formula actually reads a4 (the search ignores y otherwise)
+#: ids whose formula actually reads a4; the search ignores y for the others
+#: and takes them on |x| = 1 only
 A4_DEPENDENT = {
     FunctionalId.ABS_A4,
     FunctionalId.FEKETE_A2A3_A4,
@@ -74,14 +75,6 @@ A4_AFFINE = {
     FunctionalId.ABS_A4,
     FunctionalId.FEKETE_A2A3_A4,
     FunctionalId.H2_2,
-}
-
-#: ids whose formula reads a3
-A3_DEPENDENT = A4_DEPENDENT | {
-    FunctionalId.ABS_A3,
-    FunctionalId.H1_2,
-    FunctionalId.T2_2,
-    FunctionalId.T1_3,
 }
 
 
@@ -155,7 +148,6 @@ def toeplitz_det(a, n: int, k: int) -> complex:
 __all__ = [
     "FunctionalId",
     "RAW_FORMULAS",
-    "A3_DEPENDENT",
     "A4_DEPENDENT",
     "A4_AFFINE",
     "named_functional",

@@ -8,7 +8,8 @@ mapping each triple through :func:`qstar.schwarz.schwarz_b2b3` and the
 coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, the one map
 from Schwarz to starlike coefficients) to (a2, a3, a4) and evaluating the
 chosen functional.  It grids (b1, |x|) and refines that grid around the
-incumbent, as many times as its :class:`GridSpec` preset's ``levels``.
+incumbent, as many times as its :class:`GridSpec` preset's ``levels``; a
+functional that does not read a4 takes only |x| = 1 (see below).
 b3, hence a4, is affine in y, and at real q every functional is a
 polynomial in x and y with real coefficients that depend on b1 only.  The
 search covers b1 in [0, 1], or the a2 = 0 slice b1 = 0 when its
@@ -19,12 +20,16 @@ t2_3 = 2 a3^2 a4; ``verify`` checks those on the rotated extremal instead).
 The functional is P(x) + Q (1 - |x|^2) y with P a quadratic in x and |Q|
 constant on each circle |x| = r.  Its maximum over |y| <= 1 is
 |P| + |Q| (1 - r^2) exactly (the triangle-inequality step of the paper's
-proofs), which the search reads as |A| + |B| off y = 0 and y = 1; a
-functional that does not read a4 stops its map at a3.  |P|^2 is a quadratic in cos(arg x) on the circle, so its
-maximum over arg x lies at arg x = 0, pi, or the vertex, whose coefficients
-the search reads off P at x = 0, 1, -1 (:func:`qstar.bounds._peak_cos`, the
-vertex formula that ``disk_quadratic_max_grid`` uses too).  Only those three
-angles are evaluated; the vertex only decides where to look.
+proofs), which the search reads as |A| + |B| off y = 0 and y = 1.  A
+functional that does not read a4 (the grid items abs_a2, abs_a3, h1_2)
+never sees y, stops its map at a3 and is P(x) alone, a polynomial in x at
+fixed b1; by the maximum modulus principle its maximum over |x| <= 1 lies
+on |x| = 1, the one circle the search takes for it.  |P|^2 is a quadratic
+in cos(arg x) on each circle, so its maximum over arg x lies at arg x = 0,
+pi, or the vertex, whose coefficients the search reads off P at x = 0, 1,
+-1 (:func:`qstar.bounds._peak_cos`, the vertex formula that
+``disk_quadratic_max_grid`` uses too).  Only those three angles are
+evaluated; the vertex only decides where to look.
 
 Every evaluated point, and every reported witness, is a genuine class
 member, so a search value above the catalog bound (a negative gap) falsifies
@@ -75,7 +80,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,9 +96,8 @@ from .bounds import (
     product_bound_applies,
     _peak_cos,
 )
-from .errors import DegenerateDivisor, OutOfRange, integer
+from .errors import DegenerateDivisor, OutOfRange, integer, real
 from .functionals import (
-    A3_DEPENDENT,
     A4_AFFINE,
     A4_DEPENDENT,
     RAW_FORMULAS,
@@ -146,10 +149,11 @@ class GridSpec:
 
     The level-0 b1 grid spans its range with both endpoints on the lattice,
     and the |x| lattice contains |x| = 0 and |x| = 1 exactly, so both need
-    at least 2 points.  Neither arg x nor y is gridded: the search takes arg
-    x at three candidate angles per circle and eliminates y exactly.  The
-    ``--grid`` presets are :data:`GRIDS`.  A size that is not an integer, or
-    is below its minimum, raises OutOfRange.
+    at least 2 points.  A functional that does not read a4 is searched on
+    |x| = 1 alone and leaves ``x_radii`` unused.  Neither arg x nor y is
+    gridded: the search takes arg x at three candidate angles per circle and
+    eliminates y exactly.  The ``--grid`` presets are :data:`GRIDS`.  A size
+    that is not an integer, or is below its minimum, raises OutOfRange.
     """
 
     b1_points: int = 51
@@ -188,9 +192,7 @@ class SearchSpec:
             raise OutOfRange(f"grid = {self.grid!r} is not a GridSpec")
         if not isinstance(self.a2_zero, bool):
             raise OutOfRange(f"a2_zero = {self.a2_zero!r} is not a bool")
-        if isinstance(self.q, bool) or not isinstance(self.q, numbers.Real):
-            raise OutOfRange(f"q = {self.q!r} is not a real number")
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "q", real("q", self.q))
         if not Q_MIN <= self.q < 1.0:
             raise OutOfRange(f"q = {self.q} outside [{Q_MIN}, 1)")
 
@@ -203,7 +205,7 @@ class SearchResult:
     argmax: tuple  # (b1, x, y) with complex x, y
     bound: float
     gap: float  # bound - max_value; >= VIOLATION_TOL * max(1, |bound|) on a sound run
-    evaluations: int  # (b1, x) points evaluated; not P's reads
+    evaluations: int  # (b1, |x|, arg x) points evaluated; not P's reads
 
 
 @dataclass(frozen=True)
@@ -233,20 +235,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "items": [
-                {
-                    "name": it.name,
-                    "zeta": [it.zeta.real, it.zeta.imag],
-                    "alpha": it.alpha,
-                    "case": it.case,
-                    "bound": it.bound,
-                    "achieved": it.achieved,
-                    "gap": it.gap,
-                    "verdict": it.verdict,
-                    "witness": it.witness,
-                }
-                for it in self.items
-            ],
+            "items": [{**vars(it), "zeta": [it.zeta.real, it.zeta.imag]} for it in self.items],
             "seed": self.seed,
             "tool_version": self.tool_version,
         }
@@ -332,7 +321,8 @@ def _circle_angles(fid, q, b1, radii):
     (nb, rx, 3, 1) for ``b1`` of shape (nb, 1, 1, 1).  P is read off
     x = 0, 1, -1 at y = 0."""
     y = 0.0 if fid in A4_DEPENDENT else None
-    p = _functional_values(fid, q, b1, _X_ENDS, y).real
+    p = np.broadcast_to(_functional_values(fid, q, b1, _X_ENDS, y).real,
+                        np.broadcast_shapes(b1.shape, _X_ENDS.shape))  # abs_a2 ignores x
     p0, p_plus, p_minus = p[..., :1], p[..., 1:2], p[..., 2:]
     t = _peak_cos(p0, (p_plus - p_minus) / 2.0, (p_plus + p_minus) / 2.0 - p0,
                   radii[:, None, None])
@@ -345,18 +335,17 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
 
     The search grids (b1, |x|), takes arg x at its three candidate angles on
     each circle and eliminates y exactly (|A| + |B|), as the module
-    docstring states.  Each of the grid's ``levels`` of refinement shrinks
-    the b1 and |x| ranges by a factor of 5 around the incumbent, clamped to
-    the starting ranges, and re-grids at the same resolution.  Ties break
-    toward the lexicographically smallest (b1, |x|, arg x, |y|, arg y); axes
-    the functional provably ignores collapse to their smallest grid point,
-    which is what the full-grid tie-break would select anyway.
+    docstring states; a functional that does not read a4 takes |x| = 1
+    alone, where the maximum modulus principle puts its maximum.  Each of
+    the grid's ``levels`` of refinement shrinks the b1 and |x| ranges by a
+    factor of 5 around the incumbent, clamped to the starting ranges, and
+    re-grids at the same resolution.  Ties break toward the
+    lexicographically smallest (b1, |x|, arg x, |y|, arg y).
 
     A functional quadratic in a4 on the searched range (t3_2, and t2_3 off
     the a2 = 0 slice) has no exact y step and raises OutOfRange.
     """
     fid, g, q = spec.functional, spec.grid, spec.q
-    needs_x = fid in A3_DEPENDENT
     case = _case_for(spec)
     # quadratic in a4, but t2_3 = 2 a3^2 a4 is affine in it where a2 = 0
     if fid in A4_DEPENDENT - A4_AFFINE and case is not CaseFlag.A2_ZERO:
@@ -364,9 +353,11 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
         raise OutOfRange(f"{fid.value} is quadratic in a4{where}, where the search has no "
                          "exact y step; verify checks it on the rotated extremal")
 
-    clamps = ((0.0, 0.0 if spec.a2_zero else 1.0), (0.0, 1.0))  # b1, |x|
+    # b1, |x|; a y-free functional is a polynomial in x, largest on |x| = 1
+    clamps = ((0.0, 0.0 if spec.a2_zero else 1.0),
+              (0.0 if fid in A4_DEPENDENT else 1.0, 1.0))
     windows = clamps
-    sizes = (g.b1_points, g.x_radii if needs_x else 1)
+    sizes = (g.b1_points, g.x_radii)
 
     best_val = -1.0
     best_key = None  # (b1, rx, ax, ry, ay)
@@ -374,10 +365,10 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
 
     for _level in range(g.levels + 1):
         b1s, rxs = (_axis(lo, hi, n) for (lo, hi), n in zip(windows, sizes))
-        step = max(1, _CHUNK_POINTS // (len(rxs) * (3 if needs_x else 1)))
+        step = max(1, _CHUNK_POINTS // (len(rxs) * 3))
         for start in range(0, len(b1s), step):
             b1 = b1s[start:start + step, None, None, None]
-            axs = _circle_angles(fid, q, b1, rxs) if needs_x else np.zeros((1, 1, 1, 1))
+            axs = _circle_angles(fid, q, b1, rxs)
             x = rxs[None, :, None, None] * np.exp(1j * axs)
             vals, witness = _y_max(fid, q, b1, x)
             shape = (len(b1), len(rxs), axs.shape[2], 1)

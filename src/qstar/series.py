@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDivisor, InnerNotVanishing, OutOfRange, integer
+from .errors import DegenerateDivisor, InnerNotVanishing, OutOfRange, integer, real
 
 #: |[n] - 1| at or below this counts as a degenerate divisor [n] - 1.
 DEGENERATE_TOL = 1e-12
@@ -82,11 +82,9 @@ class ClassParams:
     def __post_init__(self):
         if isinstance(self.zeta, bool) or not isinstance(self.zeta, numbers.Complex):
             raise OutOfRange(f"zeta = {self.zeta!r} is not a complex number")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise OutOfRange(f"alpha = {self.alpha!r} is not a real number")
+        object.__setattr__(self, "alpha", real("alpha", self.alpha))
         zeta = complex(self.zeta)
         object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "alpha", float(self.alpha))
         if not abs(zeta) <= 1.0 + 1e-12:  # also false for NaN
             raise OutOfRange(f"|zeta| = {abs(zeta)} is not at most 1")
         if not 0.0 <= self.alpha < 1.0:

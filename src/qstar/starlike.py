@@ -172,9 +172,10 @@ def _horner(coeffs, z):
 
     The arithmetic of ``np.polynomial.polynomial.polyval`` on each row, bit
     for bit, run in place on one accumulator: no array is allocated per
-    coefficient.
+    coefficient, nor for ``z * 0``.
     """
-    acc = z * 0 + coeffs[:, -1:]
+    acc = np.multiply(z, 0, out=np.empty((len(coeffs), len(z)), np.result_type(z, coeffs)))
+    acc += coeffs[:, -1:]
     for c in coeffs[:, -2::-1].T:
         acc *= z
         acc += c[:, None]
@@ -220,7 +221,11 @@ def membership_margin(
         bad = np.abs(bot) <= 1e-12
         if bad.any():
             raise DenominatorVanished(complex(z[np.argmax(bad)]))
-        margin = float(np.min((top / bot).real) - f.params.alpha)
+        # the quotient overwrites top: a third grid-sized array beside z and
+        # the accumulator takes the call's peak heap to twice its largest
+        # array, glibc's trim threshold once that array has been freed, and
+        # then each call can return the heap and page-fault it back
+        margin = float(np.min(np.divide(top, bot, out=top).real) - f.params.alpha)
     if not np.isfinite(margin):
         raise OutOfRange(f"margin {margin}: the coefficients overflow on the grid")
     return margin

@@ -289,6 +289,10 @@ def test_cubic_bound_region_examples():
     # the a4 pair at q = 0.5: (26/3, 55/3), second branch
     assert cubic_bound_region(26.0 / 3.0, 55.0 / 3.0)
     assert not cubic_bound_region(3.0, 10.0)  # |mu| < 4 on the upper branch
+    # a NaN is refused, not read as outside the region
+    for mu, nu in (("a", 0.0), (math.nan, 0.0), (0.0, math.inf), (True, -5.0), (4.0, 1j)):
+        with pytest.raises(OutOfRange):
+            cubic_bound_region(mu, nu)
 
 
 def test_theorem_pairs_inside_region():
@@ -345,10 +349,12 @@ def test_disk_quadratic_closed_examples():
 
 @pytest.mark.parametrize(
     "abc", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf),
-            (1e308, 1e308, 0.0)]
+            (1e308, 1e308, 0.0), ("1", 0, 0), (True, 0, 0), (0, 0, np.True_),
+            (1j, 0, 0), (0, np.complex128(1), 0)]
 )
 def test_disk_quadratic_rejects_nonfinite(abc):
-    # non-finite input, or a maximum beyond double range
+    # non-finite or non-real input (a bool or a str is not a real number), or
+    # a maximum beyond double range
     with pytest.raises(OutOfRange):
         disk_quadratic_max_closed(*abc)
     with np.errstate(over="ignore"), pytest.raises(OutOfRange):
@@ -472,6 +478,9 @@ def test_h2_quadratic_triple_boundary_limit():
         h2_quadratic_triple(0.5, 1.0)
     with pytest.raises(OutOfRange):
         h2_quadratic_triple(1.0, 0.5)
+    for q, b1 in (("x", 0.5), (0.5, "0.5"), (True, 0.5), (0.5, math.nan), (0.5j, 0.5)):
+        with pytest.raises(OutOfRange):
+            h2_quadratic_triple(q, b1)
 
 
 def test_numerator_placement_breaks_the_identities():

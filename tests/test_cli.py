@@ -573,16 +573,16 @@ def test_parseval_suite_never_imports_numpy_random():
     assert (code, after) == ("0", before)
 
 
-def _cli_identity():
-    path = Path(__file__).resolve().parents[1] / "tools" / "cli_identity.py"
-    spec = importlib.util.spec_from_file_location("cli_identity", path)
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_cli_identity_harness_reports_each_differing_call(tmp_path, monkeypatch, capsys):
-    tool = _cli_identity()
+    tool = _tool("cli_identity")
     calls = [["bounds", "--q", "0.5"], ["membership", "--q", "0.5", "--input", "member.json"],
              ["extremal", "--q", "0.5", "--n", "0"]]
     monkeypatch.setattr(tool, "CALLS", calls)
@@ -636,3 +636,16 @@ def test_cli_identity_harness_reports_each_differing_call(tmp_path, monkeypatch,
         "    -> '(1e-19, -2e-16)\\n'",
         "0 of 3 calls identical",
     ]
+
+
+def test_code_lines_counts_only_code(tmp_path, capsys):
+    # docstrings, comment-only and blank lines are not code; a string that
+    # spans lines is code on each of its lines
+    pkg = tmp_path / "src" / "qstar"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# comment\nX = 1  # trailing\n\n\n'
+        'def f():\n    """Doc."""\n    return """two\nlines"""\n')
+    (pkg / "b.py").write_text("")
+    _tool("code_lines").main(tmp_path)
+    assert capsys.readouterr().out == "     4  a.py\n     0  b.py\n     4  total\n"

@@ -24,7 +24,7 @@ from qstar import (
 from qstar import search
 from qstar.bounds import an_product, parseval_weights, product_bound_applies
 from qstar.errors import OutOfRange
-from qstar.functionals import A3_DEPENDENT, RAW_FORMULAS
+from qstar.functionals import RAW_FORMULAS
 from qstar.schwarz import schur_rows
 from qstar.search import GRIDS, _circle_angles, _sample_gammas, _verdict, _worst, _y_max
 
@@ -186,10 +186,13 @@ def test_grid_map_matches_the_closed_forms(monkeypatch, q):
 
 def test_search_evaluation_counts():
     # (b1, |x|) points times the three candidate angles of the circle step:
-    # 51 * 21 * 3 and 1 * 21 * 3 per level, 4 levels
+    # 51 * 21 * 3 and 1 * 21 * 3 per level, 4 levels; a y-free functional
+    # takes |x| = 1 only, 51 * 1 * 3 per level
     assert maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5)).evaluations == 12852
     res = maximize_functional(SearchSpec(FunctionalId.T2_3, 0.5, a2_zero=True))
     assert res.evaluations == 252
+    for fid in (FunctionalId.H1_2, FunctionalId.ABS_A3, FunctionalId.ABS_A2):
+        assert maximize_functional(SearchSpec(fid, 0.5)).evaluations == 612
 
 
 @pytest.mark.parametrize("fid, a2_zero", [
@@ -205,10 +208,11 @@ def test_search_refuses_a_functional_quadratic_in_a4(fid, a2_zero):
 
 # ----------------------------------------------------------------- arg x
 
-#: every (functional, a2_zero) whose search takes arg x at three angles
+#: every (functional, a2_zero) that the search accepts; each takes arg x at
+#: three angles
 CIRCLE_STEPS = [
     (fid, a2_zero)
-    for fid in sorted(A3_DEPENDENT)
+    for fid in FunctionalId
     for a2_zero in (False, True)
     if searchable(fid, a2_zero)
 ]
@@ -726,8 +730,8 @@ def test_report_json_shape():
     d = rep.to_json_dict()
     assert d["seed"] == 5
     assert d["tool_version"]
-    assert all(
-        set(item) == {"name", "zeta", "alpha", "case", "bound", "achieved", "gap",
-                      "verdict", "witness"}
-        for item in d["items"]
-    )
+    # the keys are ReportItem's fields, in its order
+    fields = [f.name for f in dataclasses.fields(search.ReportItem)]
+    assert fields == ["name", "zeta", "alpha", "case", "bound", "achieved", "gap",
+                      "verdict", "witness"]
+    assert all(list(item) == fields for item in d["items"])
