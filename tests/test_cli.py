@@ -573,6 +573,39 @@ def test_parseval_suite_never_imports_numpy_random():
     assert (code, after) == ("0", before)
 
 
+def test_run_keeps_freed_heap_mapped():
+    # three 0.9-MB arrays made and freed in a round: once a freed 1-MB mmap
+    # has raised glibc's dynamic thresholds, each round's heap top is trimmed
+    # and page-faulted back in the next; after cli.run, later rounds fault none
+    src = str(Path(qstar.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, json, resource\n"
+        "import numpy as np\n"
+        "from qstar.cli import run\n"
+        "def rounds(k):\n"
+        "    faults = []\n"
+        "    for _ in range(k):\n"
+        "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "        arrays = [np.ones(115_000) for _ in range(3)]\n"
+        "        del arrays\n"
+        "        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "    return faults\n"
+        "np.ones(1 << 17)\n"
+        "default = rounds(3)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(['bounds', '--q', '0.5'])\n"
+        "print(json.dumps([code, default, rounds(4)]))\n"
+    )
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    code, default, steady = json.loads(proc.stdout)
+    assert code == 0
+    if min(default[1:]) < 200:
+        pytest.skip(f"this allocator does not trim the freed rounds: {default} faults")
+    assert max(steady[1:]) < 16, steady
+
+
 def _tool(name):
     path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
