@@ -5,6 +5,8 @@ whole family at once (the CLI does exactly that).  :func:`integer` is the
 one check of an integer argument: grid sizes, orders, the random suite's
 count and seed, and the order of ``an_product``.  :func:`real` is the one
 check of a real argument: q, alpha and the lemma kit's inputs.
+:func:`complex_number` is the one check of a complex argument: zeta and
+the entries of a coefficient sequence.
 """
 
 import numbers
@@ -79,3 +81,12 @@ def real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise OutOfRange(f"{name} = {value!r} is not a real number")
     return float(value)
+
+
+def complex_number(name: str, value) -> complex:
+    """``value`` as a complex; OutOfRange unless it is a complex number (a
+    real number is; a bool or a str is not).  NaN and inf pass: each caller
+    states its range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise OutOfRange(f"{name} = {value!r} is not a complex number")
+    return complex(value)

@@ -7,29 +7,36 @@ Schwarz coefficients -- real b1 in [0, 1] and disk parameters x, y -- by
 mapping each triple through :func:`qstar.schwarz.schwarz_b2b3` and the
 coefficient recursion (:func:`qstar.starlike.recursion_coeffs`, the one map
 from Schwarz to starlike coefficients) to (a2, a3, a4) and evaluating the
-chosen functional.  It grids (b1, |x|) and refines that grid around the
-incumbent, as many times as its :class:`GridSpec` preset's ``levels``; a
-functional that does not read a4 takes only |x| = 1 (see below).
+chosen functional.  It grids b1 alone and refines that grid around the
+incumbent, as many times as its :class:`GridSpec` preset's ``levels``.
 b3, hence a4, is affine in y, and at real q every functional is a
 polynomial in x and y with real coefficients that depend on b1 only.  The
 search covers b1 in [0, 1], or the a2 = 0 slice b1 = 0 when its
 :class:`SearchSpec` says ``a2_zero``.  It removes what the maths removes
-exactly, by one step on every functional that is not quadratic in a4 on the
-searched range (all but t3_2, and t2_3 off the a2 = 0 slice, where
+exactly, x and y included, on every functional that is not quadratic in a4
+on the searched range (all but t3_2, and t2_3 off the a2 = 0 slice, where
 t2_3 = 2 a3^2 a4; ``verify`` checks those on the rotated extremal instead).
-The functional is P(x) + Q (1 - |x|^2) y with P a quadratic in x and |Q|
-constant on each circle |x| = r.  Its maximum over |y| <= 1 is
+
+The functional is P(x) + Q (1 - |x|^2) y with P = p0 + p1 x + p2 x^2 and
+|Q| constant on each circle |x| = r.  Its maximum over |y| <= 1 is
 |P| + |Q| (1 - r^2) exactly (the triangle-inequality step of the paper's
-proofs), which the search reads as |A| + |B| off y = 0 and y = 1.  A
-functional that does not read a4 (the grid items abs_a2, abs_a3, h1_2)
-never sees y, stops its map at a3 and is P(x) alone, a polynomial in x at
-fixed b1; by the maximum modulus principle its maximum over |x| <= 1 lies
-on |x| = 1, the one circle the search takes for it.  |P|^2 is a quadratic
-in cos(arg x) on each circle, so its maximum over arg x lies at arg x = 0,
-pi, or the vertex, whose coefficients the search reads off P at x = 0, 1,
--1 (:func:`qstar.bounds._peak_cos`, the vertex formula that
+proofs), which the search reads as |A| + |B| off y = 0 and y = 1.  |x|
+leaves through the disk maximum of Choi, Kim and Sugawa (J. Math. Soc.
+Japan 59 (2007)): with |Q| free of x, as for abs_a4, fekete and h2_2, the
+maximum over |x| <= 1 lies on one of two circles whose radii p0, p1, p2 and
+|Q| give, or on |x| = 1; for t2_3 on the a2 = 0 slice, P = 0 and
+|Q| (1 - r^2) is c r^2 (1 - r^2), largest at r^2 = 1/2.  So each b1 takes
+four radii (:func:`_x_step`), from p0, p1, p2 and |Q| read off x = 0, 1, -1
+and y = 0, 1 in one evaluation (:func:`_read_off`).  A functional that does not read a4 (the grid items abs_a2,
+abs_a3, h1_2) never sees y, stops its map at a3 and is P(x) alone, a
+polynomial in x at fixed b1; by the maximum modulus principle its maximum
+over |x| <= 1 lies on |x| = 1, the one circle the search takes for it.
+|P|^2 is a quadratic in cos(arg x) on each circle, so its maximum over
+arg x lies at arg x = 0, pi, or the vertex
+(:func:`qstar.bounds._peak_cos`, the vertex formula that
 ``disk_quadratic_max_grid`` uses too).  Only those three angles are
-evaluated; the vertex only decides where to look.
+evaluated; the vertex only decides where to look.  Every candidate is
+evaluated through the recursion, so the radii only decide where to look too.
 
 Every evaluated point, and every reported witness, is a genuine class
 member, so a search value above the catalog bound (a negative gap) falsifies
@@ -52,7 +59,8 @@ like q^-7 and the suite's sides reach 1e13 and more at small |zeta|.
 Determinism contract: grid cells and random samples are independent work
 items.  Grid reductions break ties lexicographically on
 (b1, |x|, arg x, |y|, arg y) (the first flat C-order maximum on ascending
-axes).  The arg x axis of each (b1, |x|) circle is its three candidates in
+axes).  The |x| axis of each b1 is its candidate radii in ascending order,
+the arg x axis of each (b1, |x|) circle is its three candidates in
 ascending order, 0 <= arccos(vertex) <= pi, and the witness (|y|, arg y) of
 |A| + |B| is radius 1 and arg y = arg A - arg B, or y = 0 when B == 0 -- a
 function of (b1, x); a functional that ignores y reports y = 0.
@@ -144,30 +152,29 @@ GRID_IDS = (
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid sizes for the (b1, |x|) search lattice, and the number of
-    refinement ``levels`` after the first grid.
+    """The b1 grid of the search, and the number of refinement ``levels``
+    after the first grid.
 
     The level-0 b1 grid spans its range with both endpoints on the lattice,
-    and the |x| lattice contains |x| = 0 and |x| = 1 exactly, so both need
-    at least 2 points.  A functional that does not read a4 is searched on
-    |x| = 1 alone and leaves ``x_radii`` unused.  Neither arg x nor y is
-    gridded: the search takes arg x at three candidate angles per circle and
-    eliminates y exactly.  The ``--grid`` presets are :data:`GRIDS`.  A size
-    that is not an integer, or is below its minimum, raises OutOfRange.
+    so it needs at least 2 points.  Neither x nor y is gridded: the search
+    takes x at four candidate radii (one, |x| = 1, for a functional that
+    does not read a4), each at three candidate angles, and eliminates y
+    exactly, so a level evaluates at most 12 ``b1_points`` points.  The
+    ``--grid`` presets are :data:`GRIDS`.  A size that is not an integer, or
+    is below its minimum, raises OutOfRange.
     """
 
     b1_points: int = 51
-    x_radii: int = 21
     levels: int = 3
 
     def __post_init__(self):
-        minimum = {"b1_points": 2, "x_radii": 2, "levels": 0}
+        minimum = {"b1_points": 2, "levels": 0}
         for name, least in minimum.items():
             object.__setattr__(self, name, integer(name, getattr(self, name), least))
 
 
 #: the ``--grid`` presets, in the order ``--help`` lists them
-GRIDS = {"coarse": GridSpec(26, 11, 2), "default": GridSpec(), "fine": GridSpec(101, 31, 3)}
+GRIDS = {"coarse": GridSpec(26, 2), "default": GridSpec(), "fine": GridSpec(101, 3)}
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,7 @@ class SearchResult:
     argmax: tuple  # (b1, x, y) with complex x, y
     bound: float
     gap: float  # bound - max_value; >= VIOLATION_TOL * max(1, |bound|) on a sound run
-    evaluations: int  # (b1, |x|, arg x) points evaluated; not P's reads
+    evaluations: int  # (b1, |x|, arg x) points evaluated; not the (p, |Q|) reads
 
 
 @dataclass(frozen=True)
@@ -263,23 +270,18 @@ def _checked_item(name, zeta, alpha, case, bound, achieved, gap, witness) -> Rep
 # grid maximization
 
 
-def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    if n <= 1 or hi <= lo:
-        return np.array([lo], dtype=float)
-    return np.linspace(lo, hi, n)
-
-
-def _functional_values(fid, q, b1, x, y=None):
-    """The raw functional at every (b1, x, y) of the broadcast arrays.
+def _functional_values(fid, params, b1, x, y=None):
+    """The raw functional at every (b1, x, y) of the broadcast arrays, for
+    the class ``params``.
 
     Without y, for a functional that does not read a4, the recursion stops
     at a3: neither b3 nor a4 is formed, and the functional gets a4 = None.
     """
     b2, b3 = schwarz_b2b3(b1, x, y)
     if y is None:
-        a2, a3 = recursion_coeffs((0.0, b1, b2), ClassParams(q), 3)[2:]
+        a2, a3 = recursion_coeffs((0.0, b1, b2), params, 3)[2:]
         return RAW_FORMULAS[fid](a2, a3, None)
-    return RAW_FORMULAS[fid](*recursion_coeffs((0.0, b1, b2, b3), ClassParams(q), 4)[2:])
+    return RAW_FORMULAS[fid](*recursion_coeffs((0.0, b1, b2, b3), params, 4)[2:])
 
 
 def _affine_witness(a, b) -> tuple:
@@ -292,11 +294,8 @@ def _affine_witness(a, b) -> tuple:
 #: y = 0 and y = 1, where a functional affine in a4 shows A and A + B
 _Y_ENDS = np.array([0.0, 1.0])
 
-#: lattice points per numpy evaluation; bounds the size of its temporaries
-_CHUNK_POINTS = 1 << 16
 
-
-def _y_max(fid, q, b1, x):
+def _y_max(fid, params, b1, x):
     """|functional| maximized over |y| <= 1 at each (b1, x) pair.
 
     ``b1`` and ``x`` broadcast to (nb, rx, ax, 1), and so do the values.  A
@@ -305,47 +304,85 @@ def _y_max(fid, q, b1, x):
     behind vals[index].
     """
     if fid in A4_DEPENDENT:
-        p = _functional_values(fid, q, b1, x, _Y_ENDS)
+        p = _functional_values(fid, params, b1, x, _Y_ENDS)
         a, b = p[..., :1], p[..., 1:] - p[..., :1]
         return np.abs(a) + np.abs(b), lambda i: _affine_witness(a[i], b[i])
-    return np.abs(_functional_values(fid, q, b1, x)), lambda i: (0.0, 0.0)
+    return np.abs(_functional_values(fid, params, b1, x)), lambda i: (0.0, 0.0)
 
 
-#: x = 0, 1 and -1, where the circle step reads P(x) = p0 + p1 x + p2 x^2
-_X_ENDS = np.array([0.0, 1.0, -1.0])
+#: x = 0, 1 and -1, where the search reads P(x) = p0 + p1 x + p2 x^2
+_X_ENDS = np.array([[0.0], [1.0], [-1.0]])
 
 
-def _circle_angles(fid, q, b1, radii):
-    """The circle step's candidate arg x (see the module docstring): 0, the
-    vertex angle of |P| and pi on each (b1, |x|) circle, ascending, shape
-    (nb, rx, 3, 1) for ``b1`` of shape (nb, 1, 1, 1).  P is read off
-    x = 0, 1, -1 at y = 0."""
-    y = 0.0 if fid in A4_DEPENDENT else None
-    p = np.broadcast_to(_functional_values(fid, q, b1, _X_ENDS, y).real,
-                        np.broadcast_shapes(b1.shape, _X_ENDS.shape))  # abs_a2 ignores x
-    p0, p_plus, p_minus = p[..., :1], p[..., 1:2], p[..., 2:]
-    t = _peak_cos(p0, (p_plus - p_minus) / 2.0, (p_plus + p_minus) / 2.0 - p0,
-                  radii[:, None, None])
+def _read_off(fid, params, b1s):
+    """(p0, p1, p2, |Q|) at each b1 of the 1-D array ``b1s``, arrays of its
+    shape, from one evaluation: P's coefficients, read off x = 0, 1, -1 at
+    y = 0, and |Q|, read off y = 0 and y = 1 at x = 0.  |Q| is None for a
+    functional that does not read a4."""
+    y = _Y_ENDS if fid in A4_DEPENDENT else None
+    v = _functional_values(fid, params, b1s[:, None, None], _X_ENDS, y)
+    v = np.broadcast_to(v, (len(b1s), 3, v.shape[2]))  # abs_a2 ignores x
+    p0, p_plus, p_minus = v[:, :, 0].real.T
+    absq = None if y is None else np.abs(v[:, 0, 1] - v[:, 0, 0])
+    return p0, (p_plus - p_minus) / 2.0, (p_plus + p_minus) / 2.0 - p0, absq
+
+
+def _circle_args(p0, p1, p2, radii):
+    """The circle step's candidate arg x (see the module docstring) on each
+    circle of ``radii``, shape (rows, R): 0, the vertex angle of |P| and pi,
+    ascending, shape (rows, R, 3), for P = p0 + p1 x + p2 x^2 with real
+    coefficients of shape (rows,)."""
+    t = _peak_cos(p0[:, None], p1[:, None], p2[:, None], radii)
     ends = np.zeros_like(t)
-    return np.concatenate([ends, np.arccos(t), ends + math.pi], axis=2)
+    return np.stack([ends, np.arccos(t), ends + math.pi], axis=-1)
+
+
+def _x_step(p0, p1, p2, absq):
+    """The search's candidate x on each row: ``(radii, args)``, of shapes
+    (rows, R) and (rows, R, 3), x = radii e^(i args).
+
+    On a row, the item is |P(x)| + |Q| (1 - |x|^2), P = p0 + p1 x + p2 x^2
+    with real coefficients and |Q| free of x (all of shape (rows,)).  In each
+    branch of the disk maximum of Choi, Kim and Sugawa, its maximum over
+    |x| <= 1 lies at x = +-r1 or x = +-r2,
+
+        r1 = |p1| / (2 (|Q| - |p2|)),  r2 = |p1| / (2 (|Q| + |p2|)),
+
+    or on |x| = 1.  Where P = 0 and the y term is c x^2 (1 - |x|^2) y
+    instead (t2_3 on the a2 = 0 slice), c r^2 (1 - r^2) peaks at
+    r^2 = 1/2.  So the radii are min(r1, 1), min(r2, 1), 2^-1/2 and 1,
+    ascending, and the circle step is exact on each; a radius whose
+    denominator is not positive is 0.  Without |Q| (a functional that does
+    not read a4, a polynomial in x) the maximum modulus principle puts the
+    maximum on |x| = 1, the one radius.
+    """
+    if absq is None:
+        radii = np.ones((len(p0), 1))
+    else:
+        d = np.stack([absq - np.abs(p2), absq + np.abs(p2)], axis=1)
+        with np.errstate(over="ignore"):  # a radius past 1 is 1
+            r = np.divide(np.abs(p1)[:, None] / 2.0, d, out=np.zeros_like(d), where=d > 0.0)
+        fixed = np.broadcast_to([math.sqrt(0.5), 1.0], d.shape)
+        radii = np.sort(np.hstack([np.minimum(r, 1.0), fixed]), axis=1)
+    return radii, _circle_args(p0, p1, p2, radii)
 
 
 def maximize_functional(spec: SearchSpec) -> SearchResult:
     """Maximize |functional| over the (b1, x, y) family, with refinement.
 
-    The search grids (b1, |x|), takes arg x at its three candidate angles on
-    each circle and eliminates y exactly (|A| + |B|), as the module
-    docstring states; a functional that does not read a4 takes |x| = 1
-    alone, where the maximum modulus principle puts its maximum.  Each of
-    the grid's ``levels`` of refinement shrinks the b1 and |x| ranges by a
-    factor of 5 around the incumbent, clamped to the starting ranges, and
-    re-grids at the same resolution.  Ties break toward the
-    lexicographically smallest (b1, |x|, arg x, |y|, arg y).
+    The search grids b1 alone: at each b1 it takes x at its candidate radii
+    (:func:`_x_step`), each at its three candidate angles, and eliminates y
+    exactly (|A| + |B|), as the module docstring states.  Each of the grid's
+    ``levels`` of refinement shrinks the b1 range by a factor of 5 around
+    the incumbent, clamped to [0, 1], and re-grids at the same resolution;
+    the a2 = 0 slice b1 = 0 takes one level, as nothing is left to refine.
+    Ties break toward the lexicographically smallest
+    (b1, |x|, arg x, |y|, arg y).
 
     A functional quadratic in a4 on the searched range (t3_2, and t2_3 off
     the a2 = 0 slice) has no exact y step and raises OutOfRange.
     """
-    fid, g, q = spec.functional, spec.grid, spec.q
+    fid, g, params = spec.functional, spec.grid, ClassParams(spec.q)
     case = _case_for(spec)
     # quadratic in a4, but t2_3 = 2 a3^2 a4 is affine in it where a2 = 0
     if fid in A4_DEPENDENT - A4_AFFINE and case is not CaseFlag.A2_ZERO:
@@ -353,39 +390,32 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
         raise OutOfRange(f"{fid.value} is quadratic in a4{where}, where the search has no "
                          "exact y step; verify checks it on the rotated extremal")
 
-    # b1, |x|; a y-free functional is a polynomial in x, largest on |x| = 1
-    clamps = ((0.0, 0.0 if spec.a2_zero else 1.0),
-              (0.0 if fid in A4_DEPENDENT else 1.0, 1.0))
-    windows = clamps
-    sizes = (g.b1_points, g.x_radii)
-
+    # the a2 = 0 slice is the one point b1 = 0, with nothing to refine
+    levels, points = (0, 1) if spec.a2_zero else (g.levels, g.b1_points)
+    window = (0.0, 0.0 if spec.a2_zero else 1.0)
     best_val = -1.0
     best_key = None  # (b1, rx, ax, ry, ay)
     evaluations = 0
 
-    for _level in range(g.levels + 1):
-        b1s, rxs = (_axis(lo, hi, n) for (lo, hi), n in zip(windows, sizes))
-        step = max(1, _CHUNK_POINTS // (len(rxs) * 3))
-        for start in range(0, len(b1s), step):
-            b1 = b1s[start:start + step, None, None, None]
-            axs = _circle_angles(fid, q, b1, rxs)
-            x = rxs[None, :, None, None] * np.exp(1j * axs)
-            vals, witness = _y_max(fid, q, b1, x)
-            shape = (len(b1), len(rxs), axs.shape[2], 1)
-            vals = np.broadcast_to(vals, shape)
-            evaluations += vals.size
-            flat = int(np.argmax(vals))
-            v = float(vals.flat[flat])
-            idx = np.unravel_index(flat, shape)
-            ax = np.broadcast_to(axs, shape)[idx]
-            key = (float(b1.flat[idx[0]]), float(rxs[idx[1]]), float(ax)) + witness(idx)
-            if v > best_val or (v == best_val and (best_key is None or key < best_key)):
-                best_val = v
-                best_key = key
-        windows = [_shrink(c, lo, hi, clamp)
-                   for c, (lo, hi), clamp in zip(best_key, windows, clamps)]
+    for _level in range(levels + 1):
+        b1s = np.linspace(*window, points)
+        radii, args = _x_step(*_read_off(fid, params, b1s))
+        x = (radii[..., None] * np.exp(1j * args))[..., None]
+        vals, witness = _y_max(fid, params, b1s[:, None, None, None], x)
+        vals = np.broadcast_to(vals, x.shape)
+        evaluations += vals.size
+        flat = int(np.argmax(vals))
+        v = float(vals.flat[flat])
+        idx = np.unravel_index(flat, x.shape)
+        key = (float(b1s[idx[0]]), float(radii[idx[:2]]), float(args[idx[:3]])) + witness(idx)
+        if v > best_val or (v == best_val and key < best_key):
+            best_val = v
+            best_key = key
+        # a window a fifth as wide around the incumbent, inside [0, 1]
+        width = (window[1] - window[0]) / 5.0
+        window = max(0.0, best_key[0] - width / 2.0), min(1.0, best_key[0] + width / 2.0)
 
-    bound = bound_value(BoundQuery(fid, ClassParams(q), case_flag=case))
+    bound = bound_value(BoundQuery(fid, params, case_flag=case))
     b1c, rxc, axc, ryc, ayc = best_key
     argmax = (
         b1c,
@@ -399,11 +429,6 @@ def maximize_functional(spec: SearchSpec) -> SearchResult:
         gap=bound - best_val,
         evaluations=evaluations,
     )
-
-
-def _shrink(center, lo, hi, clamp):
-    width = (hi - lo) / 5.0
-    return max(clamp[0], center - width / 2.0), min(clamp[1], center + width / 2.0)
 
 
 def _case_for(spec: SearchSpec) -> CaseFlag | None:

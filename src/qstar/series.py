@@ -22,12 +22,12 @@ The q-calculus pieces used everywhere else:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDivisor, InnerNotVanishing, OutOfRange, integer, real
+from .errors import (DegenerateDivisor, InnerNotVanishing, OutOfRange, complex_number, integer,
+                     real)
 
 #: |[n] - 1| at or below this counts as a degenerate divisor [n] - 1.
 DEGENERATE_TOL = 1e-12
@@ -50,8 +50,7 @@ class Coefficients:
             raw = np.asarray(raw, dtype=object)
             # one entry of each type is tested: construction is on hot paths
             for v in {type(v): v for v in raw.flat}.values():
-                if isinstance(v, bool) or not isinstance(v, numbers.Complex):
-                    raise OutOfRange(f"coefficient {v!r} is not a complex number")
+                complex_number("coefficient", v)
         c = np.array(raw, dtype=complex)
         if c.ndim != 1 or not len(c):
             raise OutOfRange("coefficients must be a non-empty 1-D sequence")
@@ -80,10 +79,8 @@ class ClassParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.zeta, bool) or not isinstance(self.zeta, numbers.Complex):
-            raise OutOfRange(f"zeta = {self.zeta!r} is not a complex number")
+        zeta = complex_number("zeta", self.zeta)
         object.__setattr__(self, "alpha", real("alpha", self.alpha))
-        zeta = complex(self.zeta)
         object.__setattr__(self, "zeta", zeta)
         if not abs(zeta) <= 1.0 + 1e-12:  # also false for NaN
             raise OutOfRange(f"|zeta| = {abs(zeta)} is not at most 1")

@@ -2,11 +2,13 @@
 
 Everything here is deliberately primitive: exact-rational series arithmetic
 on coefficient lists, permutation-expansion determinants, direct
-substitution formulas, a disk maximum over every point of its grid, and
-the (b1, x) lattice search of the sharpness engine before it took arg x at
-three candidate angles per circle.  None of it shares code paths with the
-package; the lattice search takes the package's pointwise evaluator as an
-argument, so that both searches compare the same arithmetic.
+substitution formulas, a disk maximum over every point of its grid, the
+closed disk maximum of Choi, Kim and Sugawa in all its branches, and the
+(b1, |x|) lattice search of the sharpness engine before it took arg x at
+three candidate angles per circle and |x| at four candidate radii.  None of
+it shares code paths with the package; the lattice search takes the
+package's pointwise evaluator as an argument, so that both searches compare
+the same arithmetic.
 """
 
 import math
@@ -228,17 +230,71 @@ def an_product_per_n(zeta, alpha, n):
     return acc
 
 
-def lattice_search_max(y_max, grid, b1_range, angles, ring):
+def disk_quadratic_max_cks(a, b, c):
+    """(Y, branch): Y = max of |a + b z + c z^2| + 1 - |z|^2 over the closed
+    disk for real a, b, c, in the closed form of Choi, Kim and Sugawa
+    (J. Math. Soc. Japan 59 (2007)) transcribed branch by branch, and the
+    name of the branch taken.  With a c >= 0:
+
+        |a| + |b| + |c|                if |b| >= 2 (1 - |c|)     "ac>=0 edge"
+        1 + |a| + b^2 / (4 (1 - |c|))  otherwise                 "ac>=0 r1"
+
+    and with a c < 0:
+
+        1 - |a| + b^2 / (4 (1 - |c|))  if -4 a c (c^-2 - 1) <= b^2
+                                       and |b| < 2 (1 - |c|)     "ac<0 r1"
+        1 + |a| + b^2 / (4 (1 + |c|))  if b^2 < min(4 (1 + |c|)^2,
+                                           -4 a c (c^-2 - 1))    "ac<0 r2"
+        R(a, b, c)                     otherwise,
+
+    R = |a| + |b| - |c|                if |c| (|b| + 4 |a|) <= |a b|   "R1"
+        -|a| + |b| + |c|               if |a b| <= |c| (|b| - 4 |a|)   "R2"
+        (|c| + |a|) sqrt(1 - b^2 / (4 a c))  otherwise                 "R3"
+    """
+    a, b, c = float(a), float(b), float(c)
+    if a * c >= 0.0:
+        if abs(b) >= 2.0 * (1.0 - abs(c)):
+            return abs(a) + abs(b) + abs(c), "ac>=0 edge"
+        return 1.0 + abs(a) + b * b / (4.0 * (1.0 - abs(c))), "ac>=0 r1"
+    lift = -4.0 * a * c * (1.0 / (c * c) - 1.0)
+    if lift <= b * b and abs(b) < 2.0 * (1.0 - abs(c)):
+        return 1.0 - abs(a) + b * b / (4.0 * (1.0 - abs(c))), "ac<0 r1"
+    if b * b < min(4.0 * (1.0 + abs(c)) ** 2, lift):
+        return 1.0 + abs(a) + b * b / (4.0 * (1.0 + abs(c))), "ac<0 r2"
+    if abs(c) * (abs(b) + 4.0 * abs(a)) <= abs(a * b):
+        return abs(a) + abs(b) - abs(c), "R1"
+    if abs(a * b) <= abs(c) * (abs(b) - 4.0 * abs(a)):
+        return -abs(a) + abs(b) + abs(c), "R2"
+    return (abs(c) + abs(a)) * math.sqrt(1.0 - b * b / (4.0 * a * c)), "R3"
+
+
+def circle_max(a, b, c):
+    """max of |a + b z + c z^2| over |z| = 1 for real a, b, c: the largest of
+    the values at t = cos(arg z) = 1, -1 and the vertex of
+
+        |a + b z + c z^2|^2 = (a - c)^2 + b^2 + 2 b (a + c) t + 4 a c t^2
+
+    when it lies in (-1, 1)."""
+    a, b, c = float(a), float(b), float(c)
+    ts = [1.0, -1.0]
+    if a * c < 0.0 and abs(b * (a + c)) < abs(4.0 * a * c):
+        ts.append(-b * (a + c) / (4.0 * a * c))
+    return max(math.sqrt(max(0.0, (a - c) ** 2 + b * b + 2.0 * b * (a + c) * t
+                             + 4.0 * a * c * t * t)) for t in ts)
+
+
+def lattice_search_max(y_max, grid, radii, b1_range, angles, ring):
     """max |functional| of the refined (b1, |x|, arg x, arg y) lattice search.
 
     ``y_max(b1, x, ays)`` is the functional maximized over |y| <= 1 at each
     (b1, x), swept on |y| = 1 at the angles ``ays`` when ``ring`` (else
     ``ays`` is None), as an array that broadcasts to
     (1, |x| points, arg x points, arg y points).  Both angle axes take
-    ``angles`` points per turn; the b1 and |x| sizes and the number of
-    refinement levels are ``grid``'s.  Each of ``grid.levels`` refinements
-    shrinks every gridded range by a factor of 5 around the incumbent,
-    whose ties break toward the smallest (b1, |x|, arg x, arg y).
+    ``angles`` points per turn, and |x| takes ``radii`` points in [0, 1];
+    the b1 size and the number of refinement levels are ``grid``'s.  Each of
+    ``grid.levels`` refinements shrinks every gridded range by a factor of 5
+    around the incumbent, whose ties break toward the smallest
+    (b1, |x|, arg x, arg y).
     """
 
     def axis(lo, hi, n):
@@ -251,7 +307,7 @@ def lattice_search_max(y_max, grid, b1_range, angles, ring):
 
     turn = (0.0, 2.0 * math.pi * (angles - 1) / angles)
     ranges = [tuple(b1_range), (0.0, 1.0), turn, turn]
-    sizes = [grid.b1_points, grid.x_radii, angles, angles if ring else 1]
+    sizes = [grid.b1_points, radii, angles, angles if ring else 1]
     clamps = [tuple(b1_range), (0.0, 1.0), None, None]
     best_val, best_key = -1.0, None
     for _ in range(grid.levels + 1):

@@ -48,9 +48,8 @@ Q_HALF = ClassParams(0.5)
 #: every argument that takes the integer rule: a call of one value, and the
 #: least value the argument takes (None where its range has its own message)
 INTEGER_SITES = {
-    "GridSpec.b1_points": (lambda v: GridSpec(v, 2, 0), 2),
-    "GridSpec.x_radii": (lambda v: GridSpec(2, v, 0), 2),
-    "GridSpec.levels": (lambda v: GridSpec(2, 2, v), 0),
+    "GridSpec.b1_points": (lambda v: GridSpec(v, 0), 2),
+    "GridSpec.levels": (lambda v: GridSpec(2, v), 0),
     "check_suite_inputs.count": (lambda v: check_suite_inputs(v, 0, 2), 0),
     "check_suite_inputs.seed": (lambda v: check_suite_inputs(0, v, 2), None),
     "check_suite_inputs.order": (lambda v: check_suite_inputs(0, 0, v), None),

@@ -31,7 +31,8 @@ from qstar.search import Q_MIN
 from qstar.series import q_numbers
 from qstar.starlike import recursion_coeffs
 
-from _oracles import an_product_per_n, disk_quadratic_max_full_grid, parseval_rhs_per_n
+from _oracles import (an_product_per_n, disk_quadratic_max_cks, disk_quadratic_max_full_grid,
+                      parseval_rhs_per_n)
 
 Q_HALF = ClassParams(0.5)
 
@@ -345,6 +346,25 @@ def test_disk_quadratic_closed_examples():
     assert got == pytest.approx(7.035880, abs=1e-6)
     with pytest.raises(PreconditionViolated):
         disk_quadratic_max_closed(1.0, 0.5, -0.5)
+
+
+def test_cks_disk_maximum_brackets_the_grid_and_extends_the_closed_form():
+    # the oracle's Choi-Kim-Sugawa form in every branch, a c < 0 included:
+    # never below the grid's lower bound, above it by no more than the grid's
+    # resolution, and the closed form itself wherever a c >= 0
+    rng = np.random.default_rng(31)
+    branches = set()
+    for i in range(800):
+        a, b, c = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-1.0, 1.0, 3)
+        if i % 2:
+            c = -math.copysign(c, a)  # a c < 0
+        y, branch = disk_quadratic_max_cks(a, b, c)
+        branches.add(branch)
+        grid = disk_quadratic_max_grid(a, b, c)
+        assert -1e-12 * max(1.0, y) <= y - grid <= 5e-3, (a, b, c, branch)
+        if a * c >= 0.0:
+            assert y == disk_quadratic_max_closed(a, b, c)
+    assert branches == {"ac>=0 edge", "ac>=0 r1", "ac<0 r1", "ac<0 r2", "R1", "R2", "R3"}
 
 
 @pytest.mark.parametrize(

@@ -661,9 +661,9 @@ def test_cli_identity_harness_reports_each_differing_call(tmp_path, monkeypatch,
     assert tool.main(trees) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFF qstar json",
-        "  fields: gap (2 items)",
+        "  fields: gap (2 items); items: chain[n=2], parseval[n=2]",
         "DIFF qstar csv",
-        "  fields: gap (2 items)",
+        "  fields: gap (2 items); items: chain[n=2], parseval[n=2]",
         "DIFF qstar text",
         "  stdout: '(0.0, 0.0)\\n'",
         "    -> '(1e-19, -2e-16)\\n'",

@@ -26,9 +26,11 @@ from qstar.bounds import an_product, parseval_weights, product_bound_applies
 from qstar.errors import OutOfRange
 from qstar.functionals import RAW_FORMULAS
 from qstar.schwarz import schur_rows
-from qstar.search import GRIDS, _circle_angles, _sample_gammas, _verdict, _worst, _y_max
+from qstar.search import (GRIDS, _circle_args, _read_off, _sample_gammas, _verdict, _worst,
+                          _x_step, _y_max)
 
-from _oracles import exact_parseval_terms, initial_coeffs_closed, lattice_search_max
+from _oracles import (circle_max, disk_quadratic_max_cks, exact_parseval_terms,
+                      initial_coeffs_closed, lattice_search_max)
 
 COARSE = GRIDS["coarse"]
 
@@ -146,25 +148,11 @@ def test_y_elimination_dominates_a_y_lattice(fid):
               for x in (0.0, 0.5, -0.8 + 0.3j, 0.6j, cmath.exp(2j))]
     for q in (0.4, 0.5, 0.8):
         for b1, x in points:
-            vals, _ = _y_max(fid, q, np.full((1, 1, 1, 1), b1), np.full((1, 1, 1, 1), x))
+            vals, _ = _y_max(fid, ClassParams(q), np.full((1, 1, 1, 1), b1),
+                             np.full((1, 1, 1, 1), x))
             b2, b3 = schwarz_b2b3(b1, x, lattice)
             brute = np.max(np.abs(RAW_FORMULAS[fid](*initial_coeffs_closed(b1, b2, b3, q))))
             assert np.max(vals) >= brute - 1e-12 * max(1.0, brute)
-
-
-@pytest.mark.parametrize("fid, a2_zero", [
-    (FunctionalId.H2_2, False),  # affine in a4: |A| + |B|
-    (FunctionalId.T2_3, True),  # affine in a4 where a2 = 0
-    (FunctionalId.ABS_A2, False),  # ignores x and y
-])
-def test_search_is_independent_of_the_chunk_size(monkeypatch, fid, a2_zero):
-    # the determinism contract: grid cells are independent work items, so any
-    # split of the lattice into chunks gives the same result, bit for bit
-    results = []
-    for chunk in (1, 4096, search._CHUNK_POINTS):
-        monkeypatch.setattr(search, "_CHUNK_POINTS", chunk)
-        results.append(maximize_functional(coarse_spec(fid, 0.5, a2_zero=a2_zero)))
-    assert results[0] == results[1] == results[2]
 
 
 @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9, 0.99])
@@ -177,7 +165,7 @@ def test_grid_map_matches_the_closed_forms(monkeypatch, q):
          * np.exp(2j * np.pi * rng.uniform(size=30))).reshape(1, 5, 6, 1)
     y = rng.uniform(0.0, 1.0, 7) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=7))
     monkeypatch.setattr(search, "RAW_FORMULAS", {"probe": lambda *a: a})
-    got = search._functional_values("probe", q, b1, x, y)
+    got = search._functional_values("probe", ClassParams(q), b1, x, y)
     b2, b3 = schwarz_b2b3(b1, x, y)
     for a, closed in zip(got, initial_coeffs_closed(b1, b2, b3, q)):
         a, closed = np.broadcast_arrays(a, closed)
@@ -185,14 +173,46 @@ def test_grid_map_matches_the_closed_forms(monkeypatch, q):
 
 
 def test_search_evaluation_counts():
-    # (b1, |x|) points times the three candidate angles of the circle step:
-    # 51 * 21 * 3 and 1 * 21 * 3 per level, 4 levels; a y-free functional
-    # takes |x| = 1 only, 51 * 1 * 3 per level
-    assert maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5)).evaluations == 12852
-    res = maximize_functional(SearchSpec(FunctionalId.T2_3, 0.5, a2_zero=True))
-    assert res.evaluations == 252
+    # b1 points times the candidate radii times the three candidate angles of
+    # the circle step: 51 * 4 * 3 per level, 4 levels; a y-free functional
+    # takes |x| = 1 only, 51 * 1 * 3 per level; the a2 = 0 slice is one
+    # level of 1 * 4 * 3
+    for fid in (FunctionalId.ABS_A4, FunctionalId.FEKETE_A2A3_A4, FunctionalId.H2_2):
+        assert maximize_functional(SearchSpec(fid, 0.5)).evaluations == 2448
+    for fid in (FunctionalId.H2_2, FunctionalId.T2_3):
+        assert maximize_functional(SearchSpec(fid, 0.5, a2_zero=True)).evaluations == 12
     for fid in (FunctionalId.H1_2, FunctionalId.ABS_A3, FunctionalId.ABS_A2):
         assert maximize_functional(SearchSpec(fid, 0.5)).evaluations == 612
+
+
+def test_search_builds_its_class_once(monkeypatch):
+    # one ClassParams per search, which every evaluation and the bound share
+    built, queried = [], []
+
+    def build(q):
+        built.append(ClassParams(q))
+        return built[-1]
+
+    def bound(query):
+        queried.append(query.params)
+        return bound_value(query)
+
+    monkeypatch.setattr(search, "ClassParams", build)
+    monkeypatch.setattr(search, "bound_value", bound)
+    maximize_functional(coarse_spec(FunctionalId.H2_2, 0.5))
+    assert len(built) == 1 and queried[0] is built[0]
+
+
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9, 0.99])
+def test_t2_3_zero_slice_reaches_its_closed_maximum(q):
+    # where a2 = 0, T2(3) = 2 a3^2 a4 = c x^2 (1 - |x|^2) y, whose modulus
+    # peaks at |x|^2 = 1/2, |y| = 1 at 4 / (q^3 (1 + q)^2 (1 + q + q^2))
+    res = maximize_functional(coarse_spec(FunctionalId.T2_3, q, a2_zero=True))
+    assert res.max_value == pytest.approx(4.0 / (q**3 * (1 + q) ** 2 * (1 + q + q * q)),
+                                          rel=1e-13)
+    _, x, y = res.argmax
+    assert abs(x) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert abs(y) == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("fid, a2_zero", [
@@ -224,38 +244,79 @@ def test_circle_candidates_dominate_a_fine_arg_x_sweep(fid, a2_zero, q):
     # at random (b1, |x|), the three candidate angles of each circle reach
     # the maximum of a 3601-angle sweep of the same circle
     rng = np.random.default_rng(5)
-    nb = 1 if a2_zero else 12
-    b1 = rng.uniform(*b1_range(a2_zero), (nb, 1, 1, 1))
-    radii = rng.uniform(0.0, 1.0, 8)
-    x = radii[None, :, None, None] * np.exp(1j * _circle_angles(fid, q, b1, radii))
-    best = np.max(_y_max(fid, q, b1, x)[0], axis=2)
+    params = ClassParams(q)
+    b1s = rng.uniform(*b1_range(a2_zero), 1 if a2_zero else 12)
+    b1 = b1s[:, None, None, None]
+    radii = np.broadcast_to(rng.uniform(0.0, 1.0, 8), (len(b1s), 8))
+    args = _circle_args(*_read_off(fid, params, b1s)[:3], radii)
+    x = (radii[..., None] * np.exp(1j * args))[..., None]
+    best = np.max(_y_max(fid, params, b1, x)[0], axis=2)
     theta = np.linspace(0.0, 2.0 * np.pi, 3601)
-    x = radii[None, :, None, None] * np.exp(1j * theta)[None, None, :, None]
-    sweep = np.max(_y_max(fid, q, b1, x)[0], axis=2)
+    x = radii[:, :, None, None] * np.exp(1j * theta)[None, None, :, None]
+    sweep = np.max(_y_max(fid, params, b1, x)[0], axis=2)
     assert np.all(best >= sweep * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("fid, a2_zero", CIRCLE_STEPS)
 def test_circle_step_is_never_below_the_lattice_search(fid, a2_zero):
-    # the lattice of 18 arg x per circle that the search ran before (with an
-    # 18-angle sweep of |y| = 1 for t2_3 on the a2 = 0 slice too): the circle
-    # step reaches at least its maximum on the coarse grid
+    # the lattice of 11 |x| and 18 arg x per circle that the search ran
+    # before (with an 18-angle sweep of |y| = 1 for t2_3 on the a2 = 0 slice
+    # too): the candidate x reach at least its maximum on the coarse grid
     ring = fid in QUADRATIC_IN_A4
     for q in (0.01, 0.5, 0.8, 0.99):
+        params = ClassParams(q)
+
         def y_max(b1, x, ays):
             if ays is None:
-                return _y_max(fid, q, b1, x)[0]
-            return np.abs(search._functional_values(fid, q, b1, x, np.exp(1j * ays)))
+                return _y_max(fid, params, b1, x)[0]
+            return np.abs(search._functional_values(fid, params, b1, x, np.exp(1j * ays)))
 
-        lattice = lattice_search_max(y_max, COARSE, b1_range(a2_zero), 18, ring)
+        lattice = lattice_search_max(y_max, COARSE, 11, b1_range(a2_zero), 18, ring)
         res = maximize_functional(coarse_spec(fid, q, a2_zero=a2_zero))
         assert res.max_value >= lattice * (1.0 - 1e-15), (q, res.max_value, lattice)
 
 
+# ----------------------------------------------------------------- |x|
+
+#: the branches of the Choi-Kim-Sugawa disk maximum, and |Q| = 0
+CKS_BRANCHES = {"ac>=0 edge", "ac>=0 r1", "ac<0 r1", "ac<0 r2", "R1", "R2", "R3", "|Q| = 0"}
+
+
+def test_x_step_reaches_the_disk_maximum_in_every_branch():
+    # on raw rows (p0, p1, p2, |Q|), the best candidate x reaches |Q| Y(p / |Q|),
+    # Y the Choi-Kim-Sugawa disk maximum, or the circle maximum of |P| where
+    # |Q| = 0; the grid items did not reach the branch at +-r2 at 99 q from
+    # 0.01 to 0.99 and 501 b1 each, so only this test guards that radius
+    rng = np.random.default_rng(16)
+    rows = rng.uniform(-2.0, 2.0, (2400, 4))
+    rows[:, 3] = np.abs(rows[:, 3])
+    rows[0::4, 2] = -np.sign(rows[0::4, 0]) * np.abs(rows[0::4, 2])  # p0 p2 < 0
+    rows[1::4, 2] *= rng.uniform(1.0, 3.0, 600) * rows[1::4, 3] / np.abs(rows[1::4, 2])
+    rows[2::4] *= 10.0 ** rng.uniform(-3.0, 3.0, (600, 4))  # unequal scales
+    rows[3::8, 3] = 0.0
+    rows[np.arange(7, 2400, 8), rng.integers(0, 3, 300)] = 0.0  # a zero coefficient
+    p0, p1, p2, absq = rows.T
+    radii, args = _x_step(p0, p1, p2, absq)
+    assert radii.shape == (2400, 4) and np.all(np.diff(radii, axis=1) >= 0.0)
+    x = radii[..., None] * np.exp(1j * args)
+    col = rows[:, :, None, None]
+    got = np.max(np.abs(col[:, 0] + col[:, 1] * x + col[:, 2] * x * x)
+                 + col[:, 3] * (1.0 - np.abs(x) ** 2), axis=(1, 2))
+    branches = set()
+    for (a, b, c, q), value in zip(rows, got):
+        if q == 0.0:
+            want, branch = circle_max(a, b, c), "|Q| = 0"
+        else:
+            y, branch = disk_quadratic_max_cks(a / q, b / q, c / q)
+            want = q * y
+        branches.add(branch)
+        assert abs(value - want) <= 1e-12 * want, (a, b, c, q, branch)
+    assert branches == CKS_BRANCHES
+
+
 @pytest.mark.parametrize("field, value", [
-    ("b1_points", 2.0), ("x_radii", "21"), ("levels", True), ("levels", None),
-    ("b1_points", 1), ("b1_points", 0), ("x_radii", 1), ("x_radii", -3),
-    ("levels", -1),
+    ("b1_points", 2.0), ("b1_points", "51"), ("levels", True), ("levels", None),
+    ("b1_points", 1), ("b1_points", 0), ("levels", -1),
 ])
 def test_grid_spec_rejects_a_size_that_breaks_the_search(field, value):
     with pytest.raises(OutOfRange):
@@ -265,14 +326,14 @@ def test_grid_spec_rejects_a_size_that_breaks_the_search(field, value):
 def test_grid_presets_pin_their_sizes():
     # --grid lists the presets in this order; --help and perfbench read them
     assert [(name, dataclasses.astuple(g)) for name, g in GRIDS.items()] == [
-        ("coarse", (26, 11, 2)), ("default", (51, 21, 3)), ("fine", (101, 31, 3))]
+        ("coarse", (26, 2)), ("default", (51, 3)), ("fine", (101, 3))]
 
 
 def test_grid_spec_accepts_its_minimum_sizes():
-    grid = GridSpec(np.int64(2), 2, 0)
+    grid = GridSpec(np.int64(2), 0)
     assert type(grid.b1_points) is int
     res = maximize_functional(SearchSpec(FunctionalId.ABS_A4, 0.5, grid))
-    assert res.argmax[0] == 1.0 and res.evaluations == 2 * 2 * 3
+    assert res.argmax[0] == 1.0 and res.evaluations == 2 * 4 * 3
 
 
 @pytest.mark.parametrize("fid, a2_zero", [
@@ -311,7 +372,7 @@ def test_search_spec_validation():
         SearchSpec(FunctionalId.H2_2, 0.005)  # below Q_MIN, rounding swamps H2(2)
     with pytest.raises(qstar.UnknownId):
         SearchSpec("nope", 0.5)
-    for grid in (None, (26, 11, 2)):  # the search reads the GridSpec fields
+    for grid in (None, (26, 2)):  # the search reads the GridSpec fields
         with pytest.raises(qstar.OutOfRange):
             SearchSpec(FunctionalId.H2_2, 0.5, grid=grid)
 

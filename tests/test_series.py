@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qstar import (
     InnerNotVanishing,
     OutOfRange,
 )
+from qstar.errors import complex_number
 from qstar.series import Coefficients, class_weights, exp_series, q_numbers
 
 from _oracles import kernel_coefficient
@@ -165,6 +168,19 @@ def test_class_params_validation():
 def test_class_params_rejects_a_parameter_that_is_not_a_number(zeta, alpha):
     with pytest.raises(OutOfRange, match="is not a (complex|real) number"):
         ClassParams(zeta, alpha)
+
+
+@pytest.mark.parametrize("value, ok", [
+    (2, True), (1j, True), (np.complex64(1 + 2j), True), (Fraction(1, 3), True),
+    (True, False), (np.True_, False), ("1", False), (None, False),
+])
+def test_complex_number_is_the_one_complex_rule(value, ok):
+    if ok:
+        got = complex_number("zeta", value)
+        assert type(got) is complex and got == complex(value)
+        return
+    with pytest.raises(OutOfRange, match=re.escape(f"zeta = {value!r} is not a complex number")):
+        complex_number("zeta", value)
 
 
 @pytest.mark.parametrize("coeffs", [[], [[0.0, 1.0], [0.0, 1.0]]])

@@ -10,9 +10,9 @@ process, capturing its stdout, its stderr and its exit code.  The script
 prints each call on which the two trees differ and exits 1 if any does;
 otherwise it prints the number of calls and exits 0.  Where both stdouts
 are reports (JSON or CSV) with the same item names, it names the item
-fields that differ and on how many items, as in
-``fields: gap (14 items), bound (2 items)``; any other difference is shown
-as the first 200 characters of each side.
+fields that differ and on how many items, and then the differing items, as
+in ``fields: gap (14 items), bound (2 items); items: chain[n=2], ...``; any
+other difference is shown as the first 200 characters of each side.
 
 The calls cover the grid suites on every ``--grid`` preset, five q and both
 formats, ``verify --suite all``, the Parseval suite on several classes
@@ -228,9 +228,10 @@ def _report(text):
 
 
 def field_summary(before: str, after: str):
-    """``fields: gap (14 items), bound (2 items)``: the item fields in which
-    two reports with the same item names and nothing else apart differ,
-    most items first; None for any other pair of outputs."""
+    """``fields: gap (14 items), bound (2 items); items: chain[n=2], ...``:
+    the item fields in which two reports with the same item names and
+    nothing else apart differ, most items first, and the names of the
+    differing items in report order; None for any other pair of outputs."""
     old, new = _report(before), _report(after)
     if old is None or new is None or old[0] != new[0] or old[2] != new[2]:
         return None
@@ -238,8 +239,10 @@ def field_summary(before: str, after: str):
                      for field in dict.fromkeys([*b, *a]) if b.get(field) != a.get(field))
     if not counts:
         return None
-    return "fields: " + ", ".join(f"{f} ({n} item{'s' * (n != 1)})"
-                                  for f, n in counts.most_common())
+    names = dict.fromkeys(name for name, b, a in zip(old[0], old[1], new[1]) if b != a)
+    return ("fields: " + ", ".join(f"{f} ({n} item{'s' * (n != 1)})"
+                                   for f, n in counts.most_common())
+            + "; items: " + ", ".join(names))
 
 
 def main(argv=None) -> int:
