@@ -2,8 +2,9 @@
 brute-force verification that every bound is tight.
 
 Layering, bottom up: :mod:`~qstar.series` (coefficient arrays, the series
-exponential and the q-numbers), :mod:`~qstar.schwarz` (Schur parameters and
-the Schwarz class), :mod:`~qstar.starlike` (coefficient recursion, extremal
+exponential and the q-numbers), :mod:`~qstar.exact` (exact binary-fraction
+arithmetic and the division-free recursion), :mod:`~qstar.schwarz` (Schur
+parameters and the Schwarz class), :mod:`~qstar.starlike` (coefficient recursion, extremal
 functions, membership), :mod:`~qstar.functionals` (Hankel/Toeplitz
 determinants), :mod:`~qstar.bounds` (the closed-form catalog),
 :mod:`~qstar.search` (grid and randomized verification), :mod:`~qstar.cli`.

@@ -5,11 +5,15 @@ whole family at once (the CLI does exactly that).  :func:`integer` is the
 one check of an integer argument: grid sizes, orders, the random suite's
 count and seed, and the order of ``an_product``.  :func:`real` is the one
 check of a real argument: q, alpha and the lemma kit's inputs.
-:func:`complex_number` is the one check of a complex argument: zeta and
-the entries of a coefficient sequence.
+:func:`complex_number` is the one check of a complex argument: zeta, the
+Schur parameters of a ``SchurParams`` and the disk parameters b1, x and y of
+the Schwarz triples; :func:`complex_array` applies it to the entries of a
+coefficient sequence and of the Schur-parameter rows of ``schur_rows``.
 """
 
 import numbers
+
+import numpy as np
 
 
 class QStarError(Exception):
@@ -90,3 +94,15 @@ def complex_number(name: str, value) -> complex:
     if isinstance(value, bool) or not isinstance(value, numbers.Complex):
         raise OutOfRange(f"{name} = {value!r} is not a complex number")
     return complex(value)
+
+
+def complex_array(name: str, values) -> np.ndarray:
+    """``values`` as a complex ndarray, each entry by the rule of
+    :func:`complex_number`.  A numeric ndarray passes unchecked, and a
+    complex one is returned as it is, not copied."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iufc"):
+        values = np.asarray(values, dtype=object)
+        # one entry of each type is tested: construction is on hot paths
+        for v in {type(v): v for v in values.flat}.values():
+            complex_number(name, v)
+    return np.asarray(values, dtype=complex)

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidSchwarz, OutOfRange, integer
+from .errors import (InvalidParams, InvalidSchwarz, OutOfRange, complex_array, complex_number,
+                     integer)
 from .series import Coefficients
 
 #: |gamma| within this of 1 terminates the Schur chain.
@@ -54,7 +55,7 @@ class SchurParams:
     gammas: tuple
 
     def __post_init__(self):
-        gammas = tuple(complex(g) for g in self.gammas)
+        gammas = tuple(complex_number("Schur parameter", g) for g in self.gammas)
         if not gammas:
             raise InvalidParams("at least one Schur parameter is required")
         for k, g in enumerate(gammas):
@@ -101,7 +102,7 @@ def schur_rows(gammas, order: int) -> np.ndarray:
     ignored.
     """
     order = integer("order", order, 1)
-    g = np.asarray(gammas, dtype=complex)
+    g = complex_array("Schur parameter", gammas)
     if g.ndim != 2 or g.shape[1] == 0:
         raise InvalidParams("at least one Schur parameter per row is required")
     r = np.abs(g)
@@ -221,8 +222,8 @@ def canonical_schwarz(kind: str, order: int, *, x=None, b1=None) -> SchwarzSerie
     return SchwarzSeries(c)
 
 
-def _as_complex(value):
-    return np.asarray(value, dtype=complex) if np.ndim(value) else complex(value)
+def _as_complex(value, name):
+    return complex_array(name, value) if np.ndim(value) else complex_number(name, value)
 
 
 def _check(ok, value, message) -> None:
@@ -233,7 +234,7 @@ def _check(ok, value, message) -> None:
 
 def _real_in(value, lo, hi, name):
     """A real scalar or array in [lo, hi] (to within DISK_TOL), clamped there."""
-    value = _as_complex(value)
+    value = _as_complex(value, name)
     _check(np.abs(value.imag) <= DISK_TOL, value, name + " = {} must be real")
     v = value.real
     _check((lo - DISK_TOL <= v) & (v <= hi + DISK_TOL), v,
@@ -243,7 +244,7 @@ def _real_in(value, lo, hi, name):
 
 def _disk(value, name):
     """A complex scalar or array in the closed unit disk (to within DISK_TOL)."""
-    value = _as_complex(value)
+    value = _as_complex(value, name)
     r = np.abs(value)
     _check(r <= 1.0 + DISK_TOL, r, f"|{name}| = {{}} exceeds 1")
     return value

@@ -49,7 +49,8 @@ and the product bound on every sample.  It works on batches of samples as
 numpy arrays with one row per sample: the Schur chains
 (:func:`qstar.schwarz.schur_rows`), the recursion and the inequality sides
 run over all rows of a batch at once, in double precision.  The sample each
-check reports is then decided in exact integer arithmetic.
+check reports is then decided in exact arithmetic: the binary fractions of
+:mod:`qstar.exact` and its division-free recursion (:func:`_exact_sides`).
 
 Both engines, and the rotated-extremal items of ``sharpness_report``, judge
 a gap (bound minus value reached) by one rule, :func:`_verdict`: both of its
@@ -105,6 +106,7 @@ from .bounds import (
     _peak_cos,
 )
 from .errors import DegenerateDivisor, OutOfRange, integer, real
+from .exact import Dyadic, recursion
 from .functionals import (
     A4_AFFINE,
     A4_DEPENDENT,
@@ -584,49 +586,15 @@ def _suite_sides(b, params, order, weights, prod):
     return np.stack(gap, axis=1), np.stack(side, axis=1)
 
 
-def _dyadic(z):
-    """A complex double as exact integers (re, im, e): z = (re + i im) 2^e."""
-    z = complex(z)
-    (mr, dr), (mi, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    scale = max(dr, di)  # both are powers of two
-    return mr * (scale // dr), mi * (scale // di), 1 - scale.bit_length()
-
-
-def _dmul(x, y):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0], x[2] + y[2]
-
-
-def _dadd(x, y):
-    if x[2] > y[2]:
-        x, y = y, x
-    s = y[2] - x[2]
-    return x[0] + (y[0] << s), x[1] + (y[1] << s), x[2]
-
-
-def _dsub(x, y):
-    return _dadd(x, (-y[0], -y[1], y[2]))
-
-
-def _dnorm(x):
-    """|x|^2, a real dyadic."""
-    return x[0] * x[0] + x[1] * x[1], 0, 2 * x[2]
-
-
-def _dquot(x, y) -> float:
-    """x / y of real dyadics, y > 0, correctly rounded to a float."""
-    e = x[2] - y[2]
-    return (x[0] << e) / y[0] if e >= 0 else x[0] / (y[0] << -e)
-
-
 def _exact_sides(b, params, order, prod):
     """(gap, bound side, other side) of every check on one row ``b`` of
     Schwarz coefficients, each of shape (checks, order - 1) over the checks
     and n of :func:`_suite_sides`, with each gap's sign decided exactly.
 
     The member is rebuilt from the double zeta, alpha and b_1 .. b_(order-1)
-    taken as exact binary fractions: A_n = a_n D_2 ... D_n satisfies the
-    recursion with its divisions multiplied out, so every A_n, every weight
-    and every divisor is an integer times a power of two.  Each check
+    taken as exact binary fractions (:class:`qstar.exact.Dyadic`):
+    :func:`qstar.exact.recursion` gives A_n = a_n D_2 ... D_n, the weights
+    and the divisors, each an integer times a power of two.  Each check
     compares non-negative sides, so it compares their squares exactly: for
     chain, the two sums; for parseval, c_n |a_n|^2 with the partial sum
     under the root; for product, |a_n|^2 with the square of the double
@@ -636,45 +604,29 @@ def _exact_sides(b, params, order, prod):
     range: the order is at most SUITE_MAX_ORDER and every divisor is above
     DEGENERATE_TOL.
     """
-    one = (1, 0, 0)
-    zeta = _dyadic(params.zeta)
-    s = _dsub(one, _dmul((2, 0, 0), _dyadic(params.alpha)))  # 1 - 2 alpha
-    qn = [one]  # [1] .. [order]
-    for _ in range(order - 1):
-        qn.append(_dadd(one, _dmul(zeta, qn[-1])))
-    w = [_dadd(s, v) for v in qn]
-    div = [None, None] + [_dmul(zeta, v) for v in qn[:-1]]  # D_k at index k
-    bd = [_dyadic(v) for v in b[:order]]
-    a = [None, one]  # A_1 .. A_order, by Horner over k
-    for n in range(2, order + 1):
-        acc = _dmul(bd[n - 1], w[0])
-        for k in range(2, n):
-            acc = _dadd(_dmul(acc, div[k]), _dmul(_dmul(bd[n - k], w[k - 1]), a[k]))
-        a.append(acc)
+    a, w, d = recursion([Dyadic.of(v) for v in b[:order]], Dyadic.of(params.zeta),
+                        Dyadic(1) - 2 * Dyadic.of(params.alpha), order)
     # at n, scale = Q_n = c_2 ... c_n, x = Q_n sum_{k<=n} c_k |a_k|^2, and
     # before its update g = Q_(n-1) sum_{k<n} d_k |a_k|^2
-    scale, x, g = one, (0, 0, 0), _dnorm(w[0])
-    gap, side, other = [], [], []
+    scale, x, g = Dyadic(1), Dyadic(0), w[0].norm()
+    rows = []  # (gap, bound side, other side) of each check, at each n
     for n in range(2, order + 1):
-        c, t = _dnorm(div[n]), _dnorm(a[n])  # c_n and Q_n |a_n|^2
-        scale = _dmul(scale, c)
-        rhs = _dmul(g, c)  # Q_n sum_{k<n} d_k |a_k|^2
-        root = _dsub(g, x)  # Q_(n-1) sum_{k<n} (d_k - c_k) |a_k|^2
-        x = _dmul(_dadd(x, t), c)
-        margin = _dsub(rhs, x)
-        an = math.sqrt(_dquot(t, scale))
-        prhs = math.sqrt(_dquot(root, scale))
-        row = [(_dquot(margin, scale), _dquot(rhs, scale), _dquot(x, scale)),
-               (_dquot(margin, _dmul(scale, c)) / (prhs + an) if margin[0] else 0.0,
-                prhs, an)]
+        c, t = d[n - 1].norm(), a[n].norm()  # c_n and Q_n |a_n|^2
+        scale = scale * c
+        rhs = g * c  # Q_n sum_{k<n} d_k |a_k|^2
+        root = g - x  # Q_(n-1) sum_{k<n} (d_k - c_k) |a_k|^2
+        x = (x + t) * c
+        margin = rhs - x
+        an = math.sqrt(t.ratio(scale))
+        prhs = math.sqrt(root.ratio(scale))
+        rows.append([(margin.ratio(scale), rhs.ratio(scale), x.ratio(scale)),
+                     (margin.ratio(scale * c) / (prhs + an) if margin.re else 0.0, prhs, an)])
         if prod is not None:
             p = prod[n - 2]
-            e = _dsub(_dmul(_dnorm(_dyadic(p)), scale), t)  # Q_n (p^2 - |a_n|^2)
-            row.append((_dquot(e, scale) / (p + an) if e[0] else 0.0, p, an))
-        for out, r in zip((gap, side, other), zip(*row)):
-            out.append(r)
-        g = _dadd(_dmul(g, c), _dmul(_dnorm(w[n - 1]), t))
-    return tuple(np.array(v).T for v in (gap, side, other))
+            e = Dyadic.of(p).norm() * scale - t  # Q_n (p^2 - |a_n|^2)
+            rows[-1].append((e.ratio(scale) / (p + an) if e.re else 0.0, p, an))
+        g = rhs + w[n - 1].norm() * t
+    return tuple(np.array(rows).transpose(2, 1, 0))
 
 
 def _worst(gap, bound):

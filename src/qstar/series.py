@@ -10,13 +10,18 @@ The q-calculus pieces used everywhere else:
 
 * ``q_numbers(zeta, order)`` -- the generalized integers ``[1] .. [order]``,
   ``[n] = 1 + zeta + ... + zeta**(n-1)``, summed directly so that ``zeta = 1``
-  gives exactly ``n``.  The q-difference operator D_zeta of the class scales
-  the n-th coefficient by ``[n]``; it is the Jackson q-derivative for real
-  ``zeta`` in (0, 1) and ``f'`` as ``zeta -> 1``;
-* ``class_weights(params, n)`` -- the two sequences every coefficient result
-  of the class reads, the weights ``(1 - 2 alpha) + [k]`` and the divisors
-  ``[k] - 1``; it forms the divisors as ``zeta * [k-1]`` (the subtraction
-  cancels for small |zeta|) and is the one test that they are away from 0.
+  gives exactly ``n``.  The values are in zeta's arithmetic: ``[1]`` is the
+  int 1, a float zeta gives floats, a complex one complex values and a
+  :class:`qstar.exact.Dyadic` one exact values; every caller in the package
+  passes ``ClassParams.zeta``, a complex.  The q-difference operator D_zeta
+  of the class scales the n-th coefficient by ``[n]``; it is the Jackson
+  q-derivative for real ``zeta`` in (0, 1) and ``f'`` as ``zeta -> 1``;
+* ``class_sequences(zeta, s, n)`` -- the two sequences every coefficient
+  result of the class reads, the weights ``s + [k]`` (s = 1 - 2 alpha) and
+  the divisors ``[k] - 1``, in zeta's arithmetic; it forms the divisors as
+  ``[k-1] * zeta`` (the subtraction cancels for small |zeta|);
+* ``class_weights(params, n)`` -- those sequences in complex double, as
+  arrays, and the one test that the divisors are away from 0.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDivisor, InnerNotVanishing, OutOfRange, complex_number, integer,
-                     real)
+from .errors import (DegenerateDivisor, InnerNotVanishing, OutOfRange, complex_array,
+                     complex_number, integer, real)
 
 #: |[n] - 1| at or below this counts as a degenerate divisor [n] - 1.
 DEGENERATE_TOL = 1e-12
@@ -45,13 +50,7 @@ class Coefficients:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        raw = self.coeffs
-        if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iufc"):
-            raw = np.asarray(raw, dtype=object)
-            # one entry of each type is tested: construction is on hot paths
-            for v in {type(v): v for v in raw.flat}.values():
-                complex_number("coefficient", v)
-        c = np.array(raw, dtype=complex)
+        c = np.array(complex_array("coefficient", self.coeffs))
         if c.ndim != 1 or not len(c):
             raise OutOfRange("coefficients must be a non-empty 1-D sequence")
         c.flags.writeable = False
@@ -101,36 +100,44 @@ class ClassParams:
 
 
 def q_numbers(zeta, order: int) -> list:
-    """``[1], ..., [order]`` with ``[n] = 1 + zeta + ... + zeta**(n-1)``.
+    """``[1], ..., [order]`` with ``[n] = 1 + zeta + ... + zeta**(n-1)``, in
+    zeta's arithmetic (any ring that takes the int 1: ``[1]`` is 1).
 
     One running sum (rather than the geometric closed form) keeps the values
     exact at ``zeta = 1``, where ``[n] == n`` for any n.
     """
     order = integer("order", order, 1)
-    zeta = complex(zeta)
-    out = [1.0 + 0j]
-    term = 1.0 + 0j
+    out = [1]
+    term = 1
     for _ in range(order - 1):
         term *= zeta
         out.append(out[-1] + term)
     return out
 
 
+def class_sequences(zeta, s, n: int) -> tuple:
+    """The weights ``w_k = s + [k]`` and the divisors ``D_k = [k] - 1`` of the
+    class for k = 1..n, s = 1 - 2 alpha, as two lists in zeta's arithmetic;
+    ``D_k`` is formed as ``[k-1] * zeta``, and ``D_1`` is the int 0."""
+    qn = q_numbers(zeta, n)
+    return [v + s for v in qn], [0] + [v * zeta for v in qn[:-1]]
+
+
 def class_weights(params: ClassParams, n: int) -> tuple:
     """The weights ``w_k = (1 - 2 alpha) + [k]`` and the divisors
-    ``D_k = [k] - 1`` of the class for k = 1..n, as two complex arrays.
+    ``D_k = [k] - 1`` of :func:`class_sequences` for k = 1..n, as two complex
+    arrays.
 
     The recursion reads ``D_n a_n = sum_k b_(n-k) w_k a_k``, the product
     bound ``prod |w_(k-1) / D_k|`` and the Parseval chain ``|w_k|^2`` and
-    ``|D_k|^2``.  ``D_k`` is formed as ``zeta * [k-1]``; the first k in 2..n
-    with ``|D_k| <= DEGENERATE_TOL`` raises ``DegenerateDivisor(k)``.
+    ``|D_k|^2``.  The first k in 2..n with ``|D_k| <= DEGENERATE_TOL`` raises
+    ``DegenerateDivisor(k)``.
     """
-    qn = q_numbers(params.zeta, n)
-    d = [0j] + [params.zeta * v for v in qn[:-1]]
+    w, d = class_sequences(params.zeta, 1.0 - 2.0 * params.alpha, n)
     for k in range(2, n + 1):
         if abs(d[k - 1]) <= DEGENERATE_TOL:
             raise DegenerateDivisor(k)
-    return (1.0 - 2.0 * params.alpha) + np.asarray(qn), np.asarray(d)
+    return np.asarray(w, dtype=complex), np.asarray(d, dtype=complex)
 
 
 def one_minus_power(zeta, n: int) -> complex:
@@ -159,6 +166,7 @@ __all__ = [
     "ClassParams",
     "Coefficients",
     "q_numbers",
+    "class_sequences",
     "class_weights",
     "one_minus_power",
     "exp_series",

@@ -22,7 +22,9 @@ map from Schwarz to starlike coefficients, at any order and alpha:
 :mod:`qstar.search` on arrays of members (the grid's (b1, b2, b3), the
 random suite's rows and the rotated extremal).  Each route returns a
 :class:`StarlikeFunction`, which holds a_0 .. a_N as a read-only complex
-numpy array.
+numpy array.  :func:`qstar.exact.recursion` runs the same recursion with
+its divisions multiplied out, A_n = a_n ([2] - 1) ... ([n] - 1), in exact
+arithmetic, for the random suite's reported rows.
 
 For w(z) = z the function satisfies f(zeta z) = f(z) (zeta - s z)/(1 - z)
 with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product

@@ -145,18 +145,22 @@ class GaussFraction:
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
+    def __eq__(self, other):
+        other = _gauss(other)
+        return (self.re, self.im) == (other.re, other.im)
+
 
 def _gauss(value):
     return value if isinstance(value, GaussFraction) else GaussFraction(value)
 
 
-def exact_parseval_terms(b, zeta, alpha, order):
-    """(t, d, c), lists of Fractions indexed k = 1..order (index 0 unused):
-    t_k = |a_k|^2 of the member with Schwarz coefficients b_0, b_1, ..., and
-    the Parseval weights d_k = |(1 - 2 alpha) + [k]|^2 and c_k = |[k] - 1|^2,
-    all exact for the double inputs.  The recursion
+def exact_coefficients(b, zeta, alpha, order):
+    """(a, w, div), lists of GaussFractions indexed k = 1..order (index 0
+    unused): the coefficients a_k of the member with Schwarz coefficients
+    b_0, b_1, ..., the weights w_k = (1 - 2 alpha) + [k] and the divisors
+    [k] - 1, all exact for the double inputs.  The recursion
     a_n = sum_{k<n} b_(n-k) w_k a_k / ([n] - 1) runs over Gaussian
-    rationals, with its divisions."""
+    rationals, with its divisions, and [k] by Horner, [k] = 1 + zeta [k-1]."""
     zeta = GaussFraction(complex(zeta))
     qn = [GaussFraction(1)]
     for _ in range(order - 1):
@@ -168,12 +172,19 @@ def exact_parseval_terms(b, zeta, alpha, order):
     for n in range(2, order + 1):
         a.append(sum((b[n - k] * w[k] * a[k] for k in range(1, n)), GaussFraction(0))
                  / div[n])
+    return a, w, div
 
+
+def exact_parseval_terms(b, zeta, alpha, order):
+    """(t, d, c), lists of Fractions indexed k = 1..order (index 0 unused):
+    t_k = |a_k|^2, d_k = |w_k|^2 and c_k = |[k] - 1|^2 of
+    :func:`exact_coefficients`, the squared coefficients of the member and
+    its Parseval weights."""
     def norm(v):
         return v.re * v.re + v.im * v.im
 
-    return ([None] + [norm(v) for v in a[1:]], [None] + [norm(v) for v in w[1:]],
-            [None] + [norm(v) for v in div[1:]])
+    return tuple([None] + [norm(v) for v in seq[1:]]
+                 for seq in exact_coefficients(b, zeta, alpha, order))
 
 
 def disk_quadratic_max_full_grid(a, b, c, radial=256, angular=720):

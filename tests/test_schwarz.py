@@ -126,6 +126,34 @@ def test_schur_rows_rejects_bad_parameters():
         schur_rows(np.zeros((3, 2)), 0)
 
 
+def test_schur_parameters_follow_the_complex_number_rule():
+    # a string is not parsed, and True is not the unit parameter that ends
+    # the chain: the rule of Coefficients, shared
+    with pytest.raises(OutOfRange, match="'0.5' is not a complex number"):
+        SchurParams(("0.5", True))
+    with pytest.raises(OutOfRange, match="True is not a complex number"):
+        SchurParams((0.5, True))
+    with pytest.raises(OutOfRange, match="'0.5' is not a complex number"):
+        schur_rows([["0.5", True]], 3)
+    with pytest.raises(OutOfRange, match="True is not a complex number"):
+        schur_rows([[0.5, True]], 3)
+    with pytest.raises(OutOfRange, match=r"\[0.2\] is not a complex number"):
+        schur_rows([[0.5, 0.1], [0.2]], 3)  # ragged
+    with pytest.raises(OutOfRange, match="x = '0.3' is not a complex number"):
+        schwarz_b2b3(0.5, "0.3")
+    with pytest.raises(OutOfRange, match="b1 = True is not a complex number"):
+        canonical_schwarz("blaschke_remark", 3, b1=True)
+    # numeric input of any type is unchanged
+    mixed = (0.5, 0, np.float32(0.25), -0.5j, np.complex64(0.1 + 0.2j), np.int64(0))
+    exact = tuple(complex(g) for g in mixed)
+    assert SchurParams(mixed).gammas == exact
+    want = schur_rows(np.array([exact]), 6)
+    assert np.array_equal(schur_rows([list(mixed)], 6), want)
+    assert np.array_equal(schur_rows(np.array([exact]).real, 6),
+                          schur_rows([[0.5, 0, 0.25, 0, np.float32(0.1), 0]], 6))
+    assert schwarz_b2b3(np.float32(0.5), np.int64(1), 0.5j) == schwarz_b2b3(0.5, 1.0, 0.5j)
+
+
 # ----------------------------------------------------------------- triples
 
 

@@ -17,7 +17,8 @@ other difference is shown as the first 200 characters of each side.
 The calls cover the grid suites on every ``--grid`` preset, five q and both
 formats, ``verify --suite all``, the Parseval suite on several classes
 (with seeds past 2^64, a count that spans several sample batches, the
-collapsing and classical classes, and the six criterion-8 classes at count
+collapsing and classical classes, |zeta| just above ``DEGENERATE_TOL``,
+where the bounds reach 1e146, and the six criterion-8 classes at count
 1500), every ``extremal`` route with and without ``--self-check``,
 ``membership`` on a few coefficient files, ``y``, ``bounds``, ``--help``,
 and calls that must exit 2.  The coefficient files live in a temporary
@@ -99,6 +100,12 @@ def _calls() -> list:
     for cls in (["--zeta=-0.4,0", "--alpha", "0.86"], ["--zeta=-0.3,0", "--alpha", "0.88"],
                 ["--zeta", "1,0", "--alpha", "0.25"], ["--zeta", "1e-6,0", "--alpha", "0.25"]):
         calls.append(["verify", "--suite", "parseval", *cls, "--count", "300"])
+    # |zeta| just above DEGENERATE_TOL: bounds of 1e130 to 1e146, the exact
+    # re-derivation's largest integers
+    for zeta in ("2e-12,0", "0,1.5e-12"):
+        for alpha in ("0", "0.9"):
+            calls.append(["verify", "--suite", "parseval", "--zeta", zeta, "--alpha", alpha,
+                          "--order", "8", "--count", "50"])
     # the six criterion-8 classes at the random-suite workload's count
     for i, zeta in enumerate((0.6 * cmath.exp(1j * math.pi / 4), 0.9j, -0.5 + 0j)):
         for alpha in (0.0, 0.25):
