@@ -18,8 +18,8 @@ and combines with neither.  The grid suites take --q only (repeatable);
 every other verb and suite takes one class.
 
 Exit codes: 0 success, 1 any verification verdict VIOLATION (or a failed
---self-check), 2 usage or domain errors.  Output is byte-stable for fixed
-inputs and seed.
+--self-check), 2 usage or domain errors and running out of memory.  Output
+is byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -400,6 +400,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     except (QStarError, OSError) as exc:
         sys.stderr.write(f"qstar: {exc}\n")
+        return 2
+    except MemoryError as exc:  # a grid or an order too large for this machine
+        sys.stderr.write(f"qstar: out of memory{': ' if str(exc) else ''}{exc}\n")
         return 2
 
 

@@ -106,3 +106,9 @@ def complex_array(name: str, values) -> np.ndarray:
         for v in {type(v): v for v in values.flat}.values():
             complex_number(name, v)
     return np.asarray(values, dtype=complex)
+
+
+# the exception classes only: the argument rules are reached as qstar.errors.*
+__all__ = ["QStarError", "InnerNotVanishing", "InvalidParams", "OutOfRange", "IndexOutOfRange",
+           "DegenerateDivisor", "InvalidSchwarz", "DenominatorVanished", "UnknownId",
+           "MissingCaseFlag", "PreconditionViolated"]

@@ -670,6 +670,10 @@ def random_schwarz_suite(
       product[n]   |a_n| <= an_product(params, order)[n - 2]  (skipped unless
                    Re [k] > alpha holds up to order)
 
+    ``parseval[n]`` is ``chain[n]`` solved for |a_n| (its |[n]-1|^2 > 0), so
+    the two rows always share a sign: one inequality on two scales, not two
+    pieces of evidence.
+
     Samples go through in batches of at most ``_CHUNK_SAMPLES`` rows.  Each
     check reports the sample whose gap (bound side, the right-hand side
     above, minus the other side) is lowest on the scale max(1, |bound side|)

@@ -26,7 +26,6 @@ The q-calculus pieces used everywhere else:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,14 +139,6 @@ def class_weights(params: ClassParams, n: int) -> tuple:
     return np.asarray(w, dtype=complex), np.asarray(d, dtype=complex)
 
 
-def one_minus_power(zeta, n: int) -> complex:
-    """``1 - zeta**n`` computed without cancellation for real zeta near 1."""
-    zeta = complex(zeta)
-    if zeta.imag == 0.0 and zeta.real > 0.0:
-        return complex(-math.expm1(n * math.log(zeta.real)))
-    return 1.0 - zeta**n
-
-
 def exp_series(g) -> np.ndarray:
     """Truncated ``exp(g)`` for coefficients ``g[0] .. g[N]`` with ``g(0) = 0``."""
     g = [complex(v) for v in g]  # scalar complex arithmetic, in a fixed order
@@ -168,7 +159,6 @@ __all__ = [
     "q_numbers",
     "class_sequences",
     "class_weights",
-    "one_minus_power",
     "exp_series",
     "DEGENERATE_TOL",
     "INNER_TOL",

@@ -32,7 +32,8 @@ with s = 1 + (1 - zeta)(1 - 2 alpha), solved by the convergent product
     f(z) = z * prod_{k>=0} (zeta - zeta^(k+1) z) / (zeta - zeta^k s z),
 
 whose logarithm sums over k in closed form (:func:`extremal_product` takes
-the exponential of that series, and reads no q-number or divisor) and whose
+the exponential of that series, from running sums of its own, and borrows
+neither the q-numbers nor the class weights) and whose
 n-th coefficient also equals the telescoped product
 (:func:`extremal_by_formula`)
 
@@ -47,8 +48,7 @@ import numpy as np
 
 from .errors import DenominatorVanished, InvalidSchwarz, OutOfRange, integer
 from .schwarz import MARGIN_TOL, SchwarzSeries, schur_test
-from .series import ClassParams, Coefficients, class_weights, exp_series
-from .series import one_minus_power, q_numbers
+from .series import ClassParams, Coefficients, class_weights, exp_series, q_numbers
 
 @dataclass(frozen=True, eq=False)
 class StarlikeFunction(Coefficients):
@@ -134,10 +134,15 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
     over every k >= 0, the logarithm of that product is a geometric series in
     zeta^k with the z^m coefficient
 
-        zeta^(-m) (s^m - zeta^m) / (m (1 - zeta^m)),
+        zeta^(-m) (s^m - zeta^m) / (m (1 - zeta^m))
+            = zeta^(-m) (2 - 2 alpha) h_(m-1) / (m [m]),
 
-    so f/z is one :func:`qstar.series.exp_series` of it, with no truncation
-    of the factor count.  Requires 0 < |zeta| < 1.
+    with h_m = s^m + s^(m-1) zeta + ... + zeta^m = zeta h_(m-1) + s^m and
+    [m] = 1 + zeta + ... + zeta^(m-1), both kept as running sums here: the
+    factor 1 - zeta of both differences is divided out exactly, as
+    s - zeta = (1 - zeta)(2 - 2 alpha), so nothing cancels as zeta -> 1.
+    f/z is one :func:`qstar.series.exp_series` of the series, with no
+    truncation of the factor count.  Requires 0 < |zeta| < 1.
     """
     order = integer("order", order, 1)
     zeta = params.zeta
@@ -145,14 +150,17 @@ def extremal_product(params: ClassParams, order: int) -> StarlikeFunction:
     if r == 0.0 or r >= 1.0:
         raise OutOfRange(f"extremal product needs 0 < |zeta| < 1, got {zeta}")
     s = 1.0 + (1.0 - zeta) * (1.0 - 2.0 * params.alpha)
+    lead = 2.0 - 2.0 * params.alpha
     inv = 1.0 / zeta
     log_f = [0j]  # log(f/z); f/z has constant term 1
-    sm = zm = inv_m = 1.0 + 0j
+    sm = zm = h = qm = inv_m = 1.0 + 0j  # s^(m-1), zeta^(m-1), h_(m-1), [m], zeta^(-m+1)
     for m in range(1, order):
+        inv_m *= inv
+        log_f.append(inv_m * lead * h / (m * qm))
         sm *= s
         zm *= zeta
-        inv_m *= inv
-        log_f.append(inv_m * (sm - zm) / (m * one_minus_power(zeta, m)))
+        h = zeta * h + sm
+        qm += zm
     return StarlikeFunction(np.append(0j, exp_series(log_f)), params)
 
 

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -41,6 +42,38 @@ def test_exported_names_resolve_and_the_readme_sketch_runs():
     sketch = re.search(r"## Library sketch\s+```python\n(.*?)```", README.read_text(), re.S)
     assert sketch is not None
     exec(compile(sketch.group(1), str(README), "exec"), {})
+
+
+#: the package's names before it was built from the modules' own lists
+FORMER_EXPORTS = """
+    __version__ ClassParams SchurParams SchwarzSeries schur_expand schur_rows schur_test
+    schwarz_b2b3 canonical_schwarz StarlikeFunction coeffs_from_schwarz extremal_product
+    extremal_by_formula membership_margin FunctionalId named_functional hankel_matrix
+    toeplitz_matrix hankel_det toeplitz_det CaseFlag BoundQuery bound_value an_product
+    parseval_rhs cubic_bound_region schwarz_cubic_functional disk_quadratic_max_closed
+    disk_quadratic_max_grid h2_quadratic_triple product_bound_applies GridSpec SearchSpec
+    SearchResult ReportItem VerificationReport maximize_functional rotated_extremal_values
+    random_schwarz_suite sharpness_report QStarError InnerNotVanishing InvalidParams
+    OutOfRange IndexOutOfRange DegenerateDivisor InvalidSchwarz DenominatorVanished UnknownId
+    MissingCaseFlag PreconditionViolated
+""".split()
+
+
+def test_the_package_exports_each_layer_module_list():
+    # the package's list is __version__ and the layer modules' lists, in
+    # order; exact and cli stay out
+    layers = [importlib.import_module(f"qstar.{name}") for name in
+              ("errors", "series", "schwarz", "starlike", "functionals", "bounds", "search")]
+    assert qstar.__all__ == ["__version__", *(n for m in layers for n in m.__all__)]
+    assert len(set(qstar.__all__)) == len(qstar.__all__)
+    for module in layers:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(qstar, name) is obj, name
+            if inspect.isclass(obj) or inspect.isfunction(obj):  # listed where defined
+                assert obj.__module__ == module.__name__, name
+    assert qstar.__version__ is importlib.import_module("qstar._version").__version__
+    assert set(FORMER_EXPORTS) <= set(qstar.__all__)
 
 
 Q_HALF = ClassParams(0.5)

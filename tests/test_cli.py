@@ -537,6 +537,32 @@ def test_failed_self_check_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "callee, argv",
+    [
+        ("bound_value", ("bounds", "--q", "0.5")),
+        ("extremal_by_formula", ("extremal", "--q", "0.5", "--method", "formula")),
+        ("sharpness_report", ("verify", "--suite", "hankel", "--q", "0.5")),
+        ("random_schwarz_suite", ("verify", "--suite", "parseval", "--q", "0.5")),
+        ("membership_margin", ("membership", "--q", "0.5", "--input", "coeffs.json")),
+        ("disk_quadratic_max_grid", ("y", "--a", "1", "--b", "1", "--c", "1")),
+    ],
+)
+def test_out_of_memory_exits_2_with_no_output(capsys, monkeypatch, tmp_path, callee, argv):
+    # the callee raises as numpy does when an allocation fails; nothing is allocated
+    from qstar import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, callee, exhausted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coeffs.json").write_text("[1, 0.1]")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "qstar: out of memory: Unable to allocate 7.45 GiB for an array\n"
+
+
 def test_module_entry_point():
     # the child imports qstar from where this process did, installed or not
     src = str(Path(qstar.__file__).resolve().parents[1])

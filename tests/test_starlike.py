@@ -155,12 +155,19 @@ def test_extremal_product_koebe_limit():
         assert abs(abs(f.coeff(n)) - n) <= 1e-4 * n
 
 
-@pytest.mark.parametrize("radius", [0.3, 0.9, 0.995, 0.999, 0.9999])
-@pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi - 0.03, math.pi - 0.01, math.pi])
+@pytest.mark.parametrize(
+    "theta, radius",
+    [(t, r) for r in (0.3, 0.9, 0.995, 0.999, 0.9999)
+     for t in (0.0, math.pi / 2, math.pi - 0.03, math.pi - 0.01, math.pi)]
+    # q -> 1, up to the largest double below 1; at theta = pi/2 and pi these
+    # radii make the formula route degenerate
+    + [(0.0, r) for r in (1.0 - 1e-7, 1.0 - 1e-12, 1.0 - 2.0**-53)],
+)
 @pytest.mark.parametrize("alpha", [0.0, 0.6])
-def test_extremal_product_matches_formula_near_minus_one(radius, theta, alpha):
+def test_extremal_product_matches_formula_near_minus_one(theta, radius, alpha):
     # arg zeta just short of pi at |zeta| near 1 is the hardest case for the
-    # product at order 64; the scale is extremal --self-check's max(|a_n|, 1)
+    # product at order 64, and q -> 1 cancels in any log coefficient that
+    # subtracts s^m - zeta^m; the scale is extremal --self-check's max(|a_n|, 1)
     params = ClassParams(cmath.rect(radius, theta), alpha)
     prod = extremal_product(params, 64)
     form = extremal_by_formula(params, 64)

@@ -19,7 +19,8 @@ formats, ``verify --suite all``, the Parseval suite on several classes
 (with seeds past 2^64, a count that spans several sample batches, the
 collapsing and classical classes, |zeta| just above ``DEGENERATE_TOL``,
 where the bounds reach 1e146, and the six criterion-8 classes at count
-1500), every ``extremal`` route with and without ``--self-check``,
+1500), every ``extremal`` route with and without ``--self-check``, the
+product route and the self-check at q = 1 - 1e-7 and 1 - 1e-12,
 ``membership`` on a few coefficient files, ``y``, ``bounds``, ``--help``,
 and calls that must exit 2.  The coefficient files live in a temporary
 directory that is the working directory of both subprocesses, so the two
@@ -123,6 +124,11 @@ def _calls() -> list:
                 calls.append(["extremal", *cls, "--method", method, "--n", n])
         calls.append(["extremal", *cls, "--n", "64", "--self-check"])
         calls.append(["extremal", *cls, "--n", "12", "--self-check", "--format", "json"])
+    # q -> 1, where the product's log coefficients once cancelled
+    calls += [
+        ["extremal", "--q", "0.9999999", "--n", "64", "--self-check"],
+        ["extremal", "--q", "0.999999999999", "--method", "product", "--n", "64"],
+    ]
 
     # membership on each file
     for name in FILES:
