@@ -1,37 +1,35 @@
 """Closed-form evaluators for every sharp bound and lemma quantity.
 
 All real-parameter bounds below are stated for real zeta = q in (0, 1) and
-alpha = 0; queries outside that range are rejected.  With the shorthand
-polynomials
+alpha = 0; queries outside that range are rejected.  The paper proves seven
+of them directly, in closed form:
 
-    A(q) = 4 + 4q + 3q^2 + 2q^3 + q^4
-    B(q) = 4 + 4q + 4q^2 + 3q^3 + 2q^4 + q^5
-    C(q) = 4 + 8q + 12q^2 + 9q^3 + 5q^4 + 3q^5 + q^6
-
-the catalog is:
-
-    abs_a2          2/q
-    abs_a3          (4 + 2q) / (q^2 (1+q))
-    abs_a4          2 (4 + 4q + 3q^2 + q^3) / (q^3 (1 + q + q^2)(1+q))
+    abs_a2          M2 = 2/q
+    abs_a3          M3 = (4 + 2q) / (q^2 (1+q))
+    abs_a4          M4 = 2 (4 + 4q + 3q^2 + q^3) / (q^3 (1 + q + q^2)(1+q))
     fekete_a2a3_a4  2 (q + 2) / (q^2 (1 + q + q^2))
     h1_2            2 / (q (q + 1))
-    h2_2            4 / (q^2 (1+q)^2)                         [a2 = 0]
-                    4 (2+q) / (q^2 (1+q)^2 (1 + q + q^2))      [a2 != 0]
-    t1_2            1 + 4/q^2
-    t2_2            4/q^2 + 4 (2+q)^2 / (q^4 (1+q)^2)
-    t3_2            4 (2+q)^2/(q^4 (1+q)^2)
-                      + 4 (4+4q+3q^2+q^3)^2/(q^6 (1+q+q^2)^2 (1+q)^2)
-    t1_3            1 + 8/q^2 + 4 (3q^2 + 8q + 4)/(q^4 (1+q)^2)
-    t2_3            8 A B / (q^7 (1+q)^3 (1+q+q^2))            [a2 = 0]
-                    8 B C / (q^7 (1+q)^3 (1+q+q^2)^2)          [a2 != 0]
+    h2_2            H = 4 / (q^2 (1+q)^2)                      [a2 = 0]
+                    H = 4 (2+q) / (q^2 (1+q)^2 (1 + q + q^2))  [a2 != 0]
 
-The t2_2 entry is the sum |a2|^2 + |a3|^2 of the squared coefficient bounds;
-its first term is 4/q^2 = (2/q)^2.  (Writing 4/q^4 there contradicts the
-derivation and breaks attainment by the pi/2-rotated extremal; the tests pin
-the 4/q^2 form.)  The two t2_3 entries are the products
-(M2 + M4)(M2^2 + M3^2 + H_case) expanded, where M_i are the coefficient
-bounds and H_case is the matching h2_2 case value -- an identity the test
-suite checks literally.
+and bounds the Toeplitz determinants by the triangle inequality in those:
+
+    t1_2            1 + M2^2
+    t2_2            M2^2 + M3^2
+    t3_2            M3^2 + M4^2
+    t1_3            1 + 2 M2^2 + M3 (2 M2^2 - M3)
+    t2_3            (M2 + M4)(M2^2 + M3^2 + H)   [H of the same case]
+
+The paper states the Toeplitz bounds expanded into rational functions of q
+(t2_3 as 8AB / (q^7 (1+q)^3 (1+q+q^2)) and 8BC / (q^7 (1+q)^3 (1+q+q^2)^2)
+with polynomials A, B, C of degrees 4, 5, 6); the tests check the
+M-expressions against those expanded forms in exact arithmetic.  The t2_2
+bound reads |a2|^2 <= M2^2 = 4/q^2; writing 4/q^4 for that term contradicts
+the derivation and breaks attainment by the pi/2-rotated extremal, and the
+tests pin the 4/q^2 value.  The Hankel rows stay closed forms: as
+M-expressions they would be differences such as M2 M3 - M4 or
+M3^2 - M2 M4, whose terms cancel in double precision (the latter loses
+7.5e-5 relative at q = 1e-6).
 
 :func:`an_product` extends the coefficient bound to complex zeta and order
 alpha: |a_n| <= prod_{k=2}^n |((1 - 2 alpha) + [k-1]) / ([k] - 1)|, valid
@@ -97,28 +95,9 @@ class BoundQuery:
             object.__setattr__(self, "case_flag", CaseFlag(self.case_flag))
 
 
-def _t2_3_A(q):
-    return 4.0 + 4.0 * q + 3.0 * q**2 + 2.0 * q**3 + q**4
-
-
-def _t2_3_B(q):
-    return 4.0 + 4.0 * q + 4.0 * q**2 + 3.0 * q**3 + 2.0 * q**4 + q**5
-
-
-def _t2_3_C(q):
-    return 4.0 + 8.0 * q + 12.0 * q**2 + 9.0 * q**3 + 5.0 * q**4 + 3.0 * q**5 + q**6
-
-
 def _real_bound(fid: FunctionalId, q: float, case: CaseFlag | None) -> float:
     one_q = 1.0 + q
     one_qq = 1.0 + q + q * q
-    a4_poly = 4.0 + 4.0 * q + 3.0 * q**2 + q**3
-    if fid is FunctionalId.ABS_A2:
-        return 2.0 / q
-    if fid is FunctionalId.ABS_A3:
-        return (4.0 + 2.0 * q) / (q * q * one_q)
-    if fid is FunctionalId.ABS_A4:
-        return 2.0 * a4_poly / (q**3 * one_qq * one_q)
     if fid is FunctionalId.FEKETE_A2A3_A4:
         return 2.0 * (q + 2.0) / (q * q * one_qq)
     if fid is FunctionalId.H1_2:
@@ -127,24 +106,27 @@ def _real_bound(fid: FunctionalId, q: float, case: CaseFlag | None) -> float:
         if case is CaseFlag.A2_ZERO:
             return 4.0 / (q * q * one_q * one_q)
         return 4.0 * (2.0 + q) / (q * q * one_q * one_q * one_qq)
+    # each M_n is formed only once an id needs it, so that a power of q that
+    # underflows fails just the ids that read it
+    m2 = 2.0 / q
+    if fid is FunctionalId.ABS_A2:
+        return m2
     if fid is FunctionalId.T1_2:
-        return 1.0 + 4.0 / (q * q)
+        return 1.0 + m2 * m2
+    m3 = (4.0 + 2.0 * q) / (q * q * one_q)
+    if fid is FunctionalId.ABS_A3:
+        return m3
     if fid is FunctionalId.T2_2:
-        return 4.0 / (q * q) + 4.0 * (2.0 + q) ** 2 / (q**4 * one_q * one_q)
-    if fid is FunctionalId.T3_2:
-        return 4.0 * (2.0 + q) ** 2 / (q**4 * one_q * one_q) + 4.0 * a4_poly**2 / (
-            q**6 * one_qq * one_qq * one_q * one_q
-        )
+        return m2 * m2 + m3 * m3
     if fid is FunctionalId.T1_3:
-        return 1.0 + 8.0 / (q * q) + 4.0 * (3.0 * q * q + 8.0 * q + 4.0) / (
-            q**4 * one_q * one_q
-        )
+        return 1.0 + 2.0 * m2 * m2 + m3 * (2.0 * m2 * m2 - m3)
+    m4 = 2.0 * (4.0 + 4.0 * q + 3.0 * q**2 + q**3) / (q**3 * one_qq * one_q)
+    if fid is FunctionalId.ABS_A4:
+        return m4
+    if fid is FunctionalId.T3_2:
+        return m3 * m3 + m4 * m4
     if fid is FunctionalId.T2_3:
-        if case is CaseFlag.A2_ZERO:
-            return (
-                8.0 * _t2_3_A(q) * _t2_3_B(q) / (q**7 * one_q**3 * one_qq)
-            )
-        return 8.0 * _t2_3_B(q) * _t2_3_C(q) / (q**7 * one_q**3 * one_qq**2)
+        return (m2 + m4) * (m2 * m2 + m3 * m3 + _real_bound(FunctionalId.H2_2, q, case))
     raise UnknownId(f"no closed-form bound for {fid}")
 
 

@@ -241,6 +241,57 @@ def an_product_per_n(zeta, alpha, n):
     return acc
 
 
+def coefficient_bounds_exact(q):
+    """(M2, M3, M4, H_a2_zero, H_a2_nonzero) at a rational q in (0, 1), as
+    Fractions: the paper's bounds on |a2|, |a3|, |a4| and its two |H_2(2)|
+    cases, each in its own closed form."""
+    q = Fraction(q)
+    one_q, one_qq = 1 + q, 1 + q + q * q
+    return (2 / q, (4 + 2 * q) / (q**2 * one_q),
+            2 * (4 + 4 * q + 3 * q**2 + q**3) / (q**3 * one_qq * one_q),
+            4 / (q**2 * one_q**2), 4 * (2 + q) / (q**2 * one_q**2 * one_qq))
+
+
+def toeplitz_expanded(name, q, case=None):
+    """The paper's expanded bound on the Toeplitz determinant ``name`` at a
+    rational q in (0, 1), as a Fraction; ``case`` ("a2_zero" or
+    "a2_nonzero") picks the t2_3 form.  With
+
+        A(q) = 4 + 4q + 3q^2 + 2q^3 + q^4
+        B(q) = 4 + 4q + 4q^2 + 3q^3 + 2q^4 + q^5
+        C(q) = 4 + 8q + 12q^2 + 9q^3 + 5q^4 + 3q^5 + q^6
+
+    the forms are
+
+        t1_2  1 + 4/q^2
+        t2_2  4/q^2 + 4 (2+q)^2 / (q^4 (1+q)^2)
+        t3_2  4 (2+q)^2 / (q^4 (1+q)^2)
+                + 4 (4+4q+3q^2+q^3)^2 / (q^6 (1+q+q^2)^2 (1+q)^2)
+        t1_3  1 + 8/q^2 + 4 (3q^2 + 8q + 4) / (q^4 (1+q)^2)
+        t2_3  8 A B / (q^7 (1+q)^3 (1+q+q^2))       [a2 = 0]
+              8 B C / (q^7 (1+q)^3 (1+q+q^2)^2)     [a2 != 0]
+    """
+    q = Fraction(q)
+    one_q, one_qq = 1 + q, 1 + q + q * q
+    if name == "t1_2":
+        return 1 + 4 / q**2
+    if name == "t2_2":
+        return 4 / q**2 + 4 * (2 + q) ** 2 / (q**4 * one_q**2)
+    if name == "t3_2":
+        return (4 * (2 + q) ** 2 / (q**4 * one_q**2)
+                + 4 * (4 + 4 * q + 3 * q**2 + q**3) ** 2 / (q**6 * one_qq**2 * one_q**2))
+    if name == "t1_3":
+        return 1 + 8 / q**2 + 4 * (3 * q**2 + 8 * q + 4) / (q**4 * one_q**2)
+    a = 4 + 4 * q + 3 * q**2 + 2 * q**3 + q**4
+    b = 4 + 4 * q + 4 * q**2 + 3 * q**3 + 2 * q**4 + q**5
+    c = 4 + 8 * q + 12 * q**2 + 9 * q**3 + 5 * q**4 + 3 * q**5 + q**6
+    if (name, case) == ("t2_3", "a2_zero"):
+        return 8 * a * b / (q**7 * one_q**3 * one_qq)
+    if (name, case) == ("t2_3", "a2_nonzero"):
+        return 8 * b * c / (q**7 * one_q**3 * one_qq**2)
+    raise KeyError((name, case))
+
+
 def disk_quadratic_max_cks(a, b, c):
     """(Y, branch): Y = max of |a + b z + c z^2| + 1 - |z|^2 over the closed
     disk for real a, b, c, in the closed form of Choi, Kim and Sugawa

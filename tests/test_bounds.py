@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from qstar.search import Q_MIN
 from qstar.series import q_numbers
 from qstar.starlike import recursion_coeffs
 
-from _oracles import (an_product_per_n, disk_quadratic_max_cks, disk_quadratic_max_full_grid,
-                      parseval_rhs_per_n)
+from _oracles import (an_product_per_n, coefficient_bounds_exact, disk_quadratic_max_cks,
+                      disk_quadratic_max_full_grid, parseval_rhs_per_n, toeplitz_expanded)
 
 Q_HALF = ClassParams(0.5)
 
@@ -75,16 +76,37 @@ def test_every_functional_has_a_formula_and_a_finite_bound_per_case(fid):
 
 
 def test_t2_3_components_identity():
-    # the two degree-11 rational forms equal (M2+M4)(M2^2+M3^2+H_case)
-    for q in np.linspace(0.05, 0.95, 19):
-        m2 = bound(FunctionalId.ABS_A2, q)
-        m3 = bound(FunctionalId.ABS_A3, q)
-        m4 = bound(FunctionalId.ABS_A4, q)
-        for case in (CaseFlag.A2_ZERO, CaseFlag.A2_NONZERO):
-            h = bound(FunctionalId.H2_2, q, case)
-            expect = (m2 + m4) * (m2 * m2 + m3 * m3 + h)
-            got = bound(FunctionalId.T2_3, q, case)
-            assert got == pytest.approx(expect, rel=1e-12)
+    # the paper's two degree-11 rational forms, 8AB/... and 8BC/..., equal
+    # (M2+M4)(M2^2+M3^2+H_case) exactly
+    for k in range(1, 64):
+        q = Fraction(k, 64)
+        m2, m3, m4, h_zero, h_nonzero = coefficient_bounds_exact(q)
+        for case, h in (("a2_zero", h_zero), ("a2_nonzero", h_nonzero)):
+            assert toeplitz_expanded("t2_3", q, case) == (m2 + m4) * (m2 * m2 + m3 * m3 + h)
+
+
+_TOEPLITZ = [(FunctionalId.T1_2, None), (FunctionalId.T2_2, None), (FunctionalId.T3_2, None),
+             (FunctionalId.T1_3, None), *((FunctionalId.T2_3, case) for case in CaseFlag)]
+
+
+@pytest.mark.parametrize("fid, case", _TOEPLITZ)
+def test_toeplitz_bounds_equal_the_papers_expanded_forms(fid, case):
+    # every bound is finite from q = 1e-40 (t2_3 is 1.28e282 there) up to 1
+    qs = [*np.geomspace(1e-40, 1.0, 400, endpoint=False), *np.linspace(0.01, 0.9999, 200)]
+    for q in qs:
+        exact = toeplitz_expanded(fid.value, q, case and case.value)
+        got = bound(fid, q, case)
+        assert abs(Fraction(got) - exact) <= Fraction(2, 10**15) * exact, q
+
+
+def test_m4_is_formed_only_for_the_ids_that_read_it():
+    # q^3 underflows to 0 at q = 1e-110, where 1 + |a2|^2 bounds t1_2 finitely
+    q = 1e-110
+    assert bound(FunctionalId.T1_2, q) == pytest.approx(4e220, rel=1e-15)
+    for fid, case in _TOEPLITZ[1:]:
+        with pytest.raises(OutOfRange) as info:
+            bound(fid, q, case)
+        assert str(info.value) == f"the {fid} bound at q = 1e-110 is not finite in double precision"
 
 
 def test_t2_3_limit_values():

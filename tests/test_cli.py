@@ -658,14 +658,21 @@ def test_cli_identity_harness_reports_each_differing_call(tmp_path, monkeypatch,
     assert [line for line in out.splitlines() if line.startswith("DIFF")] == [
         "DIFF qstar " + " ".join(call) for call in calls]
     assert out.endswith("0 of 3 calls identical\n")
-    # two trees whose reports differ only in gap: the fields are named, in
-    # the JSON and in the CSV report, and only there
+    # two trees whose reports differ only in gap, and whose bound tables only
+    # in one bound: the fields are named, with their largest change on the
+    # scale max(1, |bound|), in the JSON and CSV reports and the JSON bound
+    # table, and only there
     report = (
         "import json\n"
         "def run(argv):\n"
         "    rows = [('chain[n=2]', 4.0, GAPS[0]), ('parseval[n=2]', 4.0, GAPS[1]),\n"
         "            ('product[n=2]', 4.0, 0.0)]\n"
-        "    if argv[0] == 'json':\n"
+        "    if argv[0] == 'bounds':\n"
+        "        table = [('t1_2', 0.3, None, 0.5), ('t2_3', 0.3, 'a2_zero', T2_3),\n"
+        "                 ('t2_3', 0.7, 'a2_zero', 8.0)]\n"
+        "        print(json.dumps([{'functional': f, 'q': q, 'case': c, 'bound': b}\n"
+        "                          for f, q, c, b in table], indent=2))\n"
+        "    elif argv[0] == 'json':\n"
         "        print(json.dumps({'items': [{'name': n, 'bound': b, 'gap': g}\n"
         "                                    for n, b, g in rows], 'seed': 0}))\n"
         "    elif argv[0] == 'csv':\n"
@@ -677,23 +684,25 @@ def test_cli_identity_harness_reports_each_differing_call(tmp_path, monkeypatch,
         "    return 0\n"
     )
     trees = []
-    for name, gaps in (("old", (0.0, 0.0)), ("new", (1e-19, -2e-16))):
+    for name, gaps, t2_3 in (("old", (0.0, 0.0), 8.0), ("new", (1e-19, -2e-16), 8.0 + 2**-49)):
         fake = tmp_path / name / "src" / "qstar"
         fake.mkdir(parents=True)
         (fake / "__init__.py").write_text("")
-        (fake / "cli.py").write_text(f"GAPS = {gaps!r}\n" + report)
+        (fake / "cli.py").write_text(f"GAPS = {gaps!r}\nT2_3 = {t2_3!r}\n" + report)
         trees.append(str(tmp_path / name))
-    monkeypatch.setattr(tool, "CALLS", [["json"], ["csv"], ["text"]])
+    monkeypatch.setattr(tool, "CALLS", [["json"], ["csv"], ["bounds"], ["text"]])
     assert tool.main(trees) == 1
     assert capsys.readouterr().out.splitlines() == [
         "DIFF qstar json",
-        "  fields: gap (2 items); items: chain[n=2], parseval[n=2]",
+        "  fields: gap (2 items, max 5e-17); items: chain[n=2], parseval[n=2]",
         "DIFF qstar csv",
-        "  fields: gap (2 items); items: chain[n=2], parseval[n=2]",
+        "  fields: gap (2 items, max 5e-17); items: chain[n=2], parseval[n=2]",
+        "DIFF qstar bounds",
+        "  fields: bound (1 item, max 2.2e-16); items: t2_3[a2_zero] q=0.3",
         "DIFF qstar text",
         "  stdout: '(0.0, 0.0)\\n'",
         "    -> '(1e-19, -2e-16)\\n'",
-        "0 of 3 calls identical",
+        "0 of 4 calls identical",
     ]
 
 

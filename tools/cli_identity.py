@@ -9,10 +9,14 @@ every call of :data:`CALLS` through ``qstar.cli.run``, in order and in one
 process, capturing its stdout, its stderr and its exit code.  The script
 prints each call on which the two trees differ and exits 1 if any does;
 otherwise it prints the number of calls and exits 0.  Where both stdouts
-are reports (JSON or CSV) with the same item names, it names the item
-fields that differ and on how many items, and then the differing items, as
-in ``fields: gap (14 items), bound (2 items); items: chain[n=2], ...``; any
-other difference is shown as the first 200 characters of each side.
+are reports with the same item names -- a JSON or CSV ``verify`` report, or
+a JSON ``bounds`` table, whose rows it names by functional, case and q -- it
+names the item fields that differ and on how many items, then the
+differing items, as in ``fields: gap (14 items, max 2.2e-16), verdict
+(1 item); items: chain[n=2], ...``.  "max" is the largest change of a
+numeric field, as a fraction of max(1, |bound|) of its item, the scale on
+which verdicts are judged.  Any other difference is shown as the first 200
+characters of each side.
 
 The calls cover the grid suites on every ``--grid`` preset, five q and both
 formats, ``verify --suite all``, the Parseval suite on several classes
@@ -21,10 +25,12 @@ collapsing and classical classes, |zeta| just above ``DEGENERATE_TOL``,
 where the bounds reach 1e146, and the six criterion-8 classes at count
 1500), every ``extremal`` route with and without ``--self-check``, the
 product route and the self-check at q = 1 - 1e-7 and 1 - 1e-12,
-``membership`` on a few coefficient files, ``y``, ``bounds``, ``--help``,
-and calls that must exit 2.  The coefficient files live in a temporary
-directory that is the working directory of both subprocesses, so the two
-trees see the same paths.
+``membership`` on a few coefficient files, ``y``, ``bounds`` (also at
+q = 1e-40, where every bound is finite and t2_3 is about 1e282, and at
+q = 1e-44, where t2_3 overflows and the call exits 2), ``--help``, and calls
+that must exit 2.  The coefficient files live in a temporary directory that
+is the working directory of both subprocesses, so the two trees see the
+same paths.
 """
 
 from __future__ import annotations
@@ -150,7 +156,8 @@ def _calls() -> list:
     # the bound table
     for q in ("0.5", "0.01", "0.99", "1e-60", "0", "1", "nan"):
         calls.append(["bounds", "--q", q])
-    calls += [["bounds"], ["bounds", "--q", "0.3", "--q", "0.7", "--format", "json"]]
+    calls += [["bounds"], ["bounds", "--q", "0.3", "--q", "0.7", "--format", "json"],
+              ["bounds", "--q", "1e-40", "--format", "json"], ["bounds", "--q", "1e-44"]]
 
     # calls that must exit 2
     for method in ("recursion", "product", "formula"):
@@ -224,7 +231,8 @@ def compare(parent, change, calls) -> list:
 def _report(text):
     """(item names, items, rest) of a report on stdout, each item a dict of
     its fields and ``rest`` the JSON report without its items; None unless
-    ``text`` is a JSON report (an ``items`` list) or a CSV report."""
+    ``text`` is a JSON report (an ``items`` list), a JSON bound table (a
+    list of rows with functional, q and case) or a CSV report."""
     if text.startswith(CSV_HEADER + "\n"):
         items = list(csv.DictReader(io.StringIO(text)))
         return [it["functional"] for it in items], items, None
@@ -232,6 +240,13 @@ def _report(text):
         doc = json.loads(text)
     except ValueError:
         return None
+    if isinstance(doc, list):
+        if not all(isinstance(row, dict) and {"functional", "q", "case"} <= row.keys()
+                   for row in doc):
+            return None
+        names = [row["functional"] + (f"[{row['case']}]" if row["case"] else "")
+                 + f" q={row['q']}" for row in doc]
+        return names, doc, None
     if not isinstance(doc, dict) or not isinstance(doc.get("items"), list):
         return None
     items = doc.pop("items")
@@ -240,22 +255,44 @@ def _report(text):
     return [it["name"] for it in items], items, doc
 
 
+def _number(value):
+    """``value`` as a finite float if it is a number or a numeric CSV cell,
+    else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        value = float(value)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def field_summary(before: str, after: str):
-    """``fields: gap (14 items), bound (2 items); items: chain[n=2], ...``:
-    the item fields in which two reports with the same item names and
-    nothing else apart differ, most items first, and the names of the
-    differing items in report order; None for any other pair of outputs."""
+    """``fields: gap (14 items, max 2.2e-16), verdict (1 item); items:
+    chain[n=2], ...``: the item fields in which two reports with the same
+    item names and nothing else apart differ, most items first, each numeric
+    one with its largest change as a fraction of max(1, |bound|) of its
+    item, and the names of the differing items in report order; None for
+    any other pair of outputs."""
     old, new = _report(before), _report(after)
     if old is None or new is None or old[0] != new[0] or old[2] != new[2]:
         return None
-    counts = Counter(field for b, a in zip(old[1], new[1])
-                     for field in dict.fromkeys([*b, *a]) if b.get(field) != a.get(field))
+    counts, largest = Counter(), {}
+    for b, a in zip(old[1], new[1]):
+        scale = max(1.0, abs(_number(b.get("bound")) or 0.0))
+        for field in dict.fromkeys([*b, *a]):
+            if b.get(field) == a.get(field):
+                continue
+            counts[field] += 1
+            x, y = _number(b.get(field)), _number(a.get(field))
+            if x is not None and y is not None:
+                largest[field] = max(largest.get(field, 0.0), abs(y - x) / scale)
     if not counts:
         return None
     names = dict.fromkeys(name for name, b, a in zip(old[0], old[1], new[1]) if b != a)
-    return ("fields: " + ", ".join(f"{f} ({n} item{'s' * (n != 1)})"
-                                   for f, n in counts.most_common())
-            + "; items: " + ", ".join(names))
+    return ("fields: " + ", ".join(
+        f"{f} ({n} item{'s' * (n != 1)}" + (f", max {largest[f]:.2g})" if f in largest else ")")
+        for f, n in counts.most_common()) + "; items: " + ", ".join(names))
 
 
 def main(argv=None) -> int:
