@@ -32,13 +32,10 @@ import numpy as np
 
 from .errors import (InvalidParams, InvalidSchwarz, OutOfRange, complex_array, complex_number,
                      integer)
-from .series import Coefficients
+from .series import DISK_TOL, Coefficients
 
 #: |gamma| within this of 1 terminates the Schur chain.
 UNIT_TOL = 1e-12
-
-#: Disk-membership tolerance for parameters and coefficients.
-DISK_TOL = 1e-12
 
 #: schur_test margins above -MARGIN_TOL count as acceptable.
 MARGIN_TOL = 1e-9
@@ -148,7 +145,7 @@ def schur_test(w) -> tuple:
     blows up after a near-unit parameter reads as |g| > 1 or a NaN margin.
     """
     c = (w if isinstance(w, SchwarzSeries) else Coefficients(w)).coeffs
-    if abs(c[0]) > 1e-14:
+    if not abs(c[0]) <= 1e-14:  # also true for NaN
         raise InvalidSchwarz(f"w(0) = {complex(c[0])} must be 0")
     if len(c) == 1:
         return (0j,), 1.0

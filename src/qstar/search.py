@@ -17,20 +17,23 @@ exactly, x and y included, on every functional that is not quadratic in a4
 on the searched range (all but t3_2, and t2_3 off the a2 = 0 slice, where
 t2_3 = 2 a3^2 a4; ``verify`` checks those on the rotated extremal instead).
 
-The functional is P(x) + Q (1 - |x|^2) y with P = p0 + p1 x + p2 x^2 and
-|Q| constant on each circle |x| = r.  Its maximum over |y| <= 1 is
-|P| + |Q| (1 - r^2) exactly (the triangle-inequality step of the paper's
-proofs), which the search reads as |A| + |B| off y = 0 and y = 1.  |x|
-leaves through the disk maximum of Choi, Kim and Sugawa (J. Math. Soc.
-Japan 59 (2007)): with |Q| free of x, as for abs_a4, fekete and h2_2, the
-maximum over |x| <= 1 lies on one of two circles whose radii p0, p1, p2 and
-|Q| give, or on |x| = 1; for t2_3 on the a2 = 0 slice, P = 0 and
-|Q| (1 - r^2) is c r^2 (1 - r^2), largest at r^2 = 1/2.  So each b1 takes
-four radii (:func:`_x_step`), from p0, p1, p2 and |Q| read off x = 0, 1, -1
-and y = 0, 1 in one evaluation (:func:`_read_off`).  A functional that does not read a4 (the grid items abs_a2,
-abs_a3, h1_2) never sees y, stops its map at a3 and is P(x) alone, a
-polynomial in x at fixed b1; by the maximum modulus principle its maximum
-over |x| <= 1 lies on |x| = 1, the one circle the search takes for it.
+The functional is A + B y with A = P(x) = p0 + p1 x + p2 x^2 and
+B = Q (1 - |x|^2), |Q| constant on each circle |x| = r.  One evaluator,
+:func:`_affine_parts`, gives A and B, off y = 0 and y = 1, and every value
+the search reads comes from it.  The maximum over |y| <= 1 is
+|A| + |B| = |P| + |Q| (1 - r^2) exactly (the triangle-inequality step of
+the paper's proofs).  |x| leaves through the disk maximum of Choi, Kim and
+Sugawa (J. Math. Soc. Japan 59 (2007)): with |Q| free of x, as for abs_a4,
+fekete and h2_2, the maximum over |x| <= 1 lies on one of two circles whose
+radii p0, p1, p2 and |Q| give, or on |x| = 1; for t2_3 on the a2 = 0 slice,
+P = 0 and |Q| (1 - r^2) is c r^2 (1 - r^2), largest at r^2 = 1/2.  So each
+b1 takes four radii (:func:`_x_step`), from p0, p1, p2, read off A at
+x = 0, 1, -1, and |Q| = |B| at x = 0, all from one evaluation
+(:func:`_read_off`).  A functional that does not read a4 (the grid items
+abs_a2, abs_a3, h1_2) never sees y: its B is None, its map stops at a3, and
+it is P(x) alone, a polynomial in x at fixed b1; by the maximum modulus
+principle its maximum over |x| <= 1 lies on |x| = 1, the one circle the
+search takes for it.
 |P|^2 is a quadratic in cos(arg x) on each circle, so its maximum over
 arg x lies at arg x = 0, pi, or the vertex
 (:func:`qstar.bounds._peak_cos`, the vertex formula that
@@ -272,18 +275,26 @@ def _checked_item(name, zeta, alpha, case, bound, achieved, gap, witness) -> Rep
 # grid maximization
 
 
-def _functional_values(fid, params, b1, x, y=None):
-    """The raw functional at every (b1, x, y) of the broadcast arrays, for
-    the class ``params``.
+#: y = 0 and y = 1, where a functional affine in a4 shows A and A + B
+_Y_ENDS = np.array([0.0, 1.0])
 
-    Without y, for a functional that does not read a4, the recursion stops
-    at a3: neither b3 nor a4 is formed, and the functional gets a4 = None.
+
+def _affine_parts(fid, params, b1, x):
+    """(A, B) with the functional A + B y at every (b1, x) of the broadcast
+    arrays, for the class ``params``: the one evaluator of the grid.
+
+    ``b1`` and ``x`` end in an axis of length 1, the y axis, and so do A and
+    B.  A functional that reads a4 is evaluated at y = 0 and y = 1, where
+    it shows A and A + B.  For one that does not, B is None: the recursion
+    stops at a3, neither b3 nor a4 is formed, and the functional gets
+    a4 = None.
     """
-    b2, b3 = schwarz_b2b3(b1, x, y)
-    if y is None:
-        a2, a3 = recursion_coeffs((0.0, b1, b2), params, 3)[2:]
-        return RAW_FORMULAS[fid](a2, a3, None)
-    return RAW_FORMULAS[fid](*recursion_coeffs((0.0, b1, b2, b3), params, 4)[2:])
+    if fid not in A4_DEPENDENT:
+        b2, _ = schwarz_b2b3(b1, x)
+        return RAW_FORMULAS[fid](*recursion_coeffs((0.0, b1, b2), params, 3)[2:], None), None
+    b2, b3 = schwarz_b2b3(b1, x, _Y_ENDS)
+    v = RAW_FORMULAS[fid](*recursion_coeffs((0.0, b1, b2, b3), params, 4)[2:])
+    return v[..., :1], v[..., 1:] - v[..., :1]
 
 
 def _affine_witness(a, b) -> tuple:
@@ -293,23 +304,19 @@ def _affine_witness(a, b) -> tuple:
     return 1.0, cmath.phase(a) - cmath.phase(b)
 
 
-#: y = 0 and y = 1, where a functional affine in a4 shows A and A + B
-_Y_ENDS = np.array([0.0, 1.0])
-
-
 def _y_max(fid, params, b1, x):
-    """|functional| maximized over |y| <= 1 at each (b1, x) pair.
+    """|functional| maximized over |y| <= 1 at each (b1, x) pair: |A| + |B|
+    of :func:`_affine_parts` (the triangle-inequality step), or |A| where B
+    is None.
 
-    ``b1`` and ``x`` broadcast to (nb, rx, ax, 1), and so do the values.  A
-    functional that reads a4 is taken as affine in it (the |A| + |B| step).
+    ``b1`` and ``x`` broadcast to (nb, rx, ax, 1), and so do the values.
     Returns ``(vals, witness)``; ``witness(index)`` is the (|y|, arg y)
-    behind vals[index].
+    behind vals[index], y = 0 where B is None.
     """
-    if fid in A4_DEPENDENT:
-        p = _functional_values(fid, params, b1, x, _Y_ENDS)
-        a, b = p[..., :1], p[..., 1:] - p[..., :1]
-        return np.abs(a) + np.abs(b), lambda i: _affine_witness(a[i], b[i])
-    return np.abs(_functional_values(fid, params, b1, x)), lambda i: (0.0, 0.0)
+    a, b = _affine_parts(fid, params, b1, x)
+    if b is None:
+        return np.abs(a), lambda i: (0.0, 0.0)
+    return np.abs(a) + np.abs(b), lambda i: _affine_witness(a[i], b[i])
 
 
 #: x = 0, 1 and -1, where the search reads P(x) = p0 + p1 x + p2 x^2
@@ -318,14 +325,12 @@ _X_ENDS = np.array([[0.0], [1.0], [-1.0]])
 
 def _read_off(fid, params, b1s):
     """(p0, p1, p2, |Q|) at each b1 of the 1-D array ``b1s``, arrays of its
-    shape, from one evaluation: P's coefficients, read off x = 0, 1, -1 at
-    y = 0, and |Q|, read off y = 0 and y = 1 at x = 0.  |Q| is None for a
-    functional that does not read a4."""
-    y = _Y_ENDS if fid in A4_DEPENDENT else None
-    v = _functional_values(fid, params, b1s[:, None, None], _X_ENDS, y)
-    v = np.broadcast_to(v, (len(b1s), 3, v.shape[2]))  # abs_a2 ignores x
-    p0, p_plus, p_minus = v[:, :, 0].real.T
-    absq = None if y is None else np.abs(v[:, 0, 1] - v[:, 0, 0])
+    shape, from one :func:`_affine_parts` evaluation at x = 0, 1, -1: P's
+    coefficients, read off A = P(x) there, and |Q| = |B| at x = 0, None
+    where B is."""
+    a, b = _affine_parts(fid, params, b1s[:, None, None], _X_ENDS)
+    p0, p_plus, p_minus = np.broadcast_to(a, (len(b1s), 3, 1))[:, :, 0].real.T  # abs_a2 ignores x
+    absq = None if b is None else np.abs(b[:, 0, 0])
     return p0, (p_plus - p_minus) / 2.0, (p_plus + p_minus) / 2.0 - p0, absq
 
 
@@ -564,10 +569,11 @@ def _sample_gammas(seed: int, indices, depth: int) -> np.ndarray:
     return gammas
 
 
-def _suite_sides(b, params, order, weights, prod):
-    """(gap, bound side) of every check on rows of Schwarz coefficients
-    ``b``, each of shape (rows, checks, order - 1) over n = 2..order: what
-    the ranking reads.  ``weights`` is the pair (d, c) of
+def _suite_keys(b, params, order, weights, prod):
+    """The ranking key of every check on rows of Schwarz coefficients ``b``,
+    shape (rows, checks, order - 1) over n = 2..order: the gap (bound side
+    minus other side) on the verdict's scale, gap / max(1, |bound side|),
+    NaN where the gap is.  ``weights`` is the pair (d, c) of
     :func:`qstar.bounds.parseval_weights` at ``order``; the product check is
     present when ``prod`` (its bounds) is.
     """
@@ -578,18 +584,16 @@ def _suite_sides(b, params, order, weights, prod):
     lhs = np.cumsum(c * t, axis=1)[:, 1:]  # sum_{k<=n} c_k |a_k|^2
     rhs = np.cumsum(d * t, axis=1)[:, :-1]  # sum_{k<=n-1} d_k |a_k|^2
     an = abs_a[:, 1:]
-    prhs = parseval_rhs(params, abs_a[:, :-1])
-    gap, side = [rhs - lhs, prhs - an], [rhs, prhs]
+    sides = [(rhs, lhs), (parseval_rhs(params, abs_a[:, :-1]), an)]  # (bound, other)
     if prod is not None:
-        gap.append(prod - an)
-        side.append(np.broadcast_to(prod, an.shape))
-    return np.stack(gap, axis=1), np.stack(side, axis=1)
+        sides.append((prod, an))
+    return np.stack([(s - o) / np.fmax(np.abs(s), 1.0) for s, o in sides], axis=1)
 
 
 def _exact_sides(b, params, order, prod):
     """(gap, bound side, other side) of every check on one row ``b`` of
     Schwarz coefficients, each of shape (checks, order - 1) over the checks
-    and n of :func:`_suite_sides`, with each gap's sign decided exactly.
+    and n of :func:`_suite_keys`, with each gap's sign decided exactly.
 
     The member is rebuilt from the double zeta, alpha and b_1 .. b_(order-1)
     taken as exact binary fractions (:class:`qstar.exact.Dyadic`):
@@ -627,13 +631,6 @@ def _exact_sides(b, params, order, prod):
             rows[-1].append((e.ratio(scale) / (p + an) if e.re else 0.0, p, an))
         g = rhs + w[n - 1].norm() * t
     return tuple(np.array(rows).transpose(2, 1, 0))
-
-
-def _worst(gap, bound):
-    """Index along axis 0 of the sample each check reports: the first lowest
-    gap on the verdict's scale max(1, |bound|), or the first NaN gap, which
-    np.argmin puts below any number."""
-    return np.argmin(gap / np.fmax(np.abs(bound), 1.0), axis=0)
 
 
 def check_suite_inputs(count: int, seed: int, order: int) -> tuple:
@@ -686,12 +683,13 @@ def random_schwarz_suite(
     that cancels down to c_n |a_n|^2, is off by up to about
     sqrt(eps S / c_n), S the size of the sum's terms (1e-8 at alpha near 1
     and zeta near the negative real axis).  So the double pass computes only
-    what the ranking reads, the gap and the bound side, and every reported
-    number (gap, bound and achieved) comes from the reported row re-derived
-    in exact arithmetic (:func:`_exact_sides`): its gap has the exact sign
-    of bound side minus other side, for the class of the double zeta and
-    alpha and the row's double Schwarz coefficients.  The class's Parseval
-    weights and product bounds are built once per call.
+    what the ranking reads, each check's key (:func:`_suite_keys`, the gap
+    on the verdict's scale), and every reported number (gap, bound and
+    achieved) comes from the reported row re-derived in exact arithmetic
+    (:func:`_exact_sides`): its gap has the exact sign of bound side minus
+    other side, for the class of the double zeta and alpha and the row's
+    double Schwarz coefficients.  The class's Parseval weights and product
+    bounds are built once per call.
 
     A degenerate [n] - 1 divisor marks the sample (here: every sample, since
     degeneracy depends only on zeta) as skipped.  A non-finite gap is a
@@ -706,7 +704,7 @@ def random_schwarz_suite(
         live = ()
     prod = an_product(params, order) if "product" in live else None
 
-    worst = None  # [gap, bound side, row] of each (check, n)
+    worst = None  # [key, row] of each (check, n)
     kept = {}  # the Schwarz coefficients of each row in worst
     for start in range(0, count + 2 if live else 0, _CHUNK_SAMPLES):
         # row 0 is w = 0, row 1 is w = z, row r >= 2 draws sample r - 2
@@ -715,13 +713,14 @@ def random_schwarz_suite(
         gammas[rows == 1, 0] = 1.0
         gammas[rows >= 2] = _sample_gammas(seed, rows[rows >= 2] - 2, SUITE_DEPTH)
         b = schur_rows(gammas, order)
-        gap, side = _suite_sides(b, params, order, weights, prod)
-        batch = [gap, side, np.broadcast_to(rows[:, None, None], gap.shape)]
+        key = _suite_keys(b, params, order, weights, prod)
+        batch = [key, np.broadcast_to(rows[:, None, None], key.shape)]
         if worst is not None:  # the incumbent goes first, as the earlier sample
             batch = [np.concatenate([w[None], x]) for w, x in zip(worst, batch)]
-        pick = _worst(batch[0], batch[1])[None]
+        # the first lowest key, or the first NaN, which np.argmin puts below any number
+        pick = np.argmin(batch[0], axis=0)[None]
         worst = [np.take_along_axis(x, pick, axis=0)[0] for x in batch]
-        kept = {r: kept[r] if r < start else b[r - start] for r in worst[2].ravel().tolist()}
+        kept = {r: kept[r] if r < start else b[r - start] for r in worst[1].ravel().tolist()}
     # every reported number comes from the exact sides of its row
     exact = {r: _exact_sides(br, params, order, prod) for r, br in kept.items()}
 
@@ -736,7 +735,7 @@ def random_schwarz_suite(
                 )
                 continue
             at = live.index(check), n - 2
-            row = worst[2][at]
+            row = worst[1][at]
             gap, bnd, ach = (x[at] for x in exact[row])
             witness = labels[row] if row < 2 else f"sample{row - 2}"
             items.append(_checked_item(name, zeta, alpha, None, float(bnd), float(ach),

@@ -39,6 +39,9 @@ DEGENERATE_TOL = 1e-12
 #: exp_series() demands |g(0)| below this.
 INNER_TOL = 1e-14
 
+#: Closed-disk slack: |v| <= 1 + DISK_TOL counts as inside the unit disk.
+DISK_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Coefficients:
@@ -80,7 +83,7 @@ class ClassParams:
         zeta = complex_number("zeta", self.zeta)
         object.__setattr__(self, "alpha", real("alpha", self.alpha))
         object.__setattr__(self, "zeta", zeta)
-        if not abs(zeta) <= 1.0 + 1e-12:  # also false for NaN
+        if not abs(zeta) <= 1.0 + DISK_TOL:  # also false for NaN
             raise OutOfRange(f"|zeta| = {abs(zeta)} is not at most 1")
         if not 0.0 <= self.alpha < 1.0:
             raise OutOfRange(f"alpha = {self.alpha} outside [0, 1)")
@@ -142,7 +145,7 @@ def class_weights(params: ClassParams, n: int) -> tuple:
 def exp_series(g) -> np.ndarray:
     """Truncated ``exp(g)`` for coefficients ``g[0] .. g[N]`` with ``g(0) = 0``."""
     g = [complex(v) for v in g]  # scalar complex arithmetic, in a fixed order
-    if abs(g[0]) > INNER_TOL:
+    if not abs(g[0]) <= INNER_TOL:  # also true for NaN
         raise InnerNotVanishing(f"exp_series needs g(0) = 0, got {g[0]}")
     out = [1.0 + 0j]
     for m in range(1, len(g)):

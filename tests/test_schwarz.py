@@ -293,6 +293,14 @@ def test_schur_test_blow_up_after_a_near_unit_parameter_is_rejected():
     assert margin < -1.0
 
 
+@pytest.mark.parametrize("w0", [1e-3, math.nan, complex(math.nan, 0.0), math.inf])
+def test_schur_test_needs_w_of_0_to_vanish(w0):
+    # a NaN w(0) is refused like any other non-zero one, never read as 0
+    with pytest.raises(InvalidSchwarz, match="must be 0"):
+        schur_test([w0, 0.5, 0.1])
+    assert schur_test([1e-15, 0.5, 0.1])[1] == pytest.approx(0.5)
+
+
 def test_schur_test_flags_unbounded_series():
     w = [0, 2.0] + [0] * 5
     g, margin = schur_test(w)

@@ -26,8 +26,8 @@ from qstar.bounds import an_product, parseval_weights, product_bound_applies
 from qstar.errors import OutOfRange
 from qstar.functionals import RAW_FORMULAS
 from qstar.schwarz import schur_rows
-from qstar.search import (GRIDS, _circle_args, _read_off, _sample_gammas, _verdict, _worst,
-                          _x_step, _y_max)
+from qstar.search import (GRIDS, _circle_args, _read_off, _sample_gammas, _verdict, _x_step,
+                          _y_max)
 
 from _oracles import (circle_max, disk_quadratic_max_cks, exact_parseval_terms,
                       initial_coeffs_closed, lattice_search_max)
@@ -158,18 +158,34 @@ def test_y_elimination_dominates_a_y_lattice(fid):
 @pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9, 0.99])
 def test_grid_map_matches_the_closed_forms(monkeypatch, q):
     # the (a2, a3, a4) the grid's functionals read, against the hand-expanded
-    # recursion of the test oracle, on a random (b1, x, y) lattice
+    # recursion of the test oracle, on a random (b1, x, y) lattice: A + B y
+    # of the affine evaluator is each coefficient at y
     rng = np.random.default_rng(11)
     b1 = rng.uniform(0.0, 1.0, (40, 1, 1, 1))
     x = (rng.uniform(0.0, 1.0, 30) ** 0.5
          * np.exp(2j * np.pi * rng.uniform(size=30))).reshape(1, 5, 6, 1)
     y = rng.uniform(0.0, 1.0, 7) ** 0.5 * np.exp(2j * np.pi * rng.uniform(size=7))
-    monkeypatch.setattr(search, "RAW_FORMULAS", {"probe": lambda *a: a})
-    got = search._functional_values("probe", ClassParams(q), b1, x, y)
     b2, b3 = schwarz_b2b3(b1, x, y)
-    for a, closed in zip(got, initial_coeffs_closed(b1, b2, b3, q)):
-        a, closed = np.broadcast_arrays(a, closed)
-        assert np.all(np.abs(a - closed) <= 1e-13 * np.maximum(1.0, np.abs(closed)))
+    closed = initial_coeffs_closed(b1, b2, b3, q)
+
+    def close(a, want):
+        a, want = np.broadcast_arrays(a, want)
+        return np.all(np.abs(a - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    monkeypatch.setattr(search, "A4_DEPENDENT", {"probe"})
+    for k in range(3):
+        # each probe carries the y axis, as every functional that reads a4 does
+        monkeypatch.setattr(search, "RAW_FORMULAS", {"probe": lambda *a: a[k] + 0.0 * a[2]})
+        a, b = search._affine_parts("probe", ClassParams(q), b1, x)
+        assert a.shape[-1] == b.shape[-1] == 1
+        assert close(a + b * y, closed[k])
+    # a functional that does not read a4 stops the map at a3: it gets
+    # a4 = None, and B is None
+    monkeypatch.setattr(search, "A4_DEPENDENT", set())
+    monkeypatch.setattr(search, "RAW_FORMULAS", {"probe": lambda *a: a})
+    (a2, a3, a4), b = search._affine_parts("probe", ClassParams(q), b1, x)
+    assert a4 is None and b is None
+    assert close(a2, closed[0]) and close(a3, closed[1])
 
 
 def test_search_evaluation_counts():
@@ -269,7 +285,8 @@ def test_circle_step_is_never_below_the_lattice_search(fid, a2_zero):
         def y_max(b1, x, ays):
             if ays is None:
                 return _y_max(fid, params, b1, x)[0]
-            return np.abs(search._functional_values(fid, params, b1, x, np.exp(1j * ays)))
+            a, b = search._affine_parts(fid, params, b1, x)
+            return np.abs(a + b * np.exp(1j * ays))
 
         lattice = lattice_search_max(y_max, COARSE, 11, b1_range(a2_zero), 18, ring)
         res = maximize_functional(coarse_spec(fid, q, a2_zero=a2_zero))
@@ -519,8 +536,8 @@ def test_random_suite_decides_a_collapsing_extremal_exactly(zeta, alpha):
     # c_n |a_n|^2, and in double precision parseval[n=8] reads a VIOLATION
     params = ClassParams(zeta, alpha)
     b = schur_rows(np.array([[1.0, 0, 0, 0, 0]], dtype=complex), 8)
-    gap, side = search._suite_sides(b, params, 8, parseval_weights(params, 8), None)
-    assert gap[0, 1, -1] < search.VIOLATION_TOL * max(1.0, side[0, 1, -1])
+    key = search._suite_keys(b, params, 8, parseval_weights(params, 8), None)
+    assert key[0, 1, -1] < search.VIOLATION_TOL
     # the reported rows are decided exactly: w = z attains chain and
     # parseval with equality, so their gaps are exactly 0
     rep = random_schwarz_suite(params, seed=0, count=300, order=8)
@@ -622,13 +639,22 @@ def test_nonfinite_gap_is_a_violation(gap):
     assert _verdict(0.0, gap) == "VIOLATION"  # nor does a non-finite bound pass
 
 
-def test_suite_worst_keeps_a_nan_gap():
-    gaps = np.array([1.0, math.nan, -3.0, math.nan])
-    labels = ["a", "b", "c", "d"]
-    pick = _worst(gaps, np.zeros(4))
-    gap, label = gaps[pick], labels[pick]
-    assert math.isnan(gap) and label == "b"
-    assert _verdict(gap, 0.0) == "VIOLATION"
+def test_suite_worst_keeps_a_nan_gap(monkeypatch):
+    # a NaN gap keys as NaN, also where its bound side is NaN, and each
+    # check reports the first NaN key over any number
+    params = ClassParams(-0.5)
+    b = schur_rows(np.array([[0.5, 0.2j, -0.3, 0.1, 0.4]] * 2, dtype=complex), 8)
+    rhs = search.parseval_rhs
+    monkeypatch.setattr(search, "parseval_rhs", lambda p, m: rhs(p, m) * [[1.0], [math.nan]])
+    key = search._suite_keys(b, params, 8, parseval_weights(params, 8), an_product(params, 8))
+    assert not np.isnan(key[0]).any()
+    assert np.isnan(key[1, 1]).all() and not np.isnan(key[1, [0, 2]]).any()
+    # rows 0 .. 3 (forced_zero, forced_z, sample0, sample1) key 1, -3, NaN, NaN
+    keys = np.array([1.0, -3.0, math.nan, math.nan])
+    monkeypatch.setattr(search, "_suite_keys",
+                        lambda b, *args: np.broadcast_to(keys[:, None, None], (4, 3, 7)))
+    rep = random_schwarz_suite(params, seed=0, count=2, order=8)
+    assert {it.witness for it in rep.items} == {"sample0"}
 
 
 def test_verdict_thresholds():
@@ -653,11 +679,22 @@ def test_suite_slack_is_relative_to_the_bound_side(monkeypatch):
         rep = random_schwarz_suite(params, seed=0, count=0, order=8)
         product = [it for it in rep.items if it.name.startswith("product")]
         assert {it.verdict == "VIOLATION" for it in product} == {violated}
-    # the worst sample is the lowest gap on that scale, reported unscaled
-    gaps, bounds, labels = np.array([-1e-7, -5e-8]), np.array([1e3, 1.0]), ["big", "small"]
-    pick = _worst(gaps, bounds)
-    assert (gaps[pick], labels[pick]) == (-5e-8, "small")
-    assert _verdict(gaps[pick], bounds[pick]) == "VIOLATION"
+        # the reported gap is unscaled: the shrink times the bound
+        for it in product:
+            assert it.gap == pytest.approx(-shrink * it.bound, rel=1e-2)
+    # the ranking key is the gap on that scale, where the bound sides lie
+    # below 1 (zeta = -0.5, alpha = 0.9, at w = 0) and far above it
+    gammas = np.array([[0, 0, 0, 0, 0], [0.3 - 0.2j, 0.5, 0.1j, -0.4, 0.2]], dtype=complex)
+    scales = []
+    for params in (ClassParams(-0.5, 0.9), params):
+        prod = exact(params, 8) if product_bound_applies(params, 8) else None
+        b = schur_rows(gammas, 8)
+        key = search._suite_keys(b, params, 8, parseval_weights(params, 8), prod)
+        for row, k in zip(b, key):
+            gap, side, _ = search._exact_sides(row, params, 8, prod)
+            assert k == pytest.approx(gap / np.fmax(np.abs(side), 1.0), rel=1e-9)
+            scales += list(np.abs(side).ravel())
+    assert min(scales) < 0.5 and max(scales) > 1e10
 
 
 def _disk_point_reference(rng) -> complex:
@@ -712,23 +749,25 @@ def test_block_draw_rejects_an_index_outside_the_counter_range(indices):
 
 
 @pytest.mark.parametrize("perturb", [False, True])
-@pytest.mark.parametrize("params", [ClassParams(-0.5), ClassParams(0.9j, 0.25)])
+@pytest.mark.parametrize("params", [ClassParams(-0.5), ClassParams(0.9j, 0.25),
+                                    ClassParams(-0.4, 0.86)])
 def test_random_suite_is_independent_of_the_chunk_size(monkeypatch, params, perturb):
     # the determinism contract: any schedule of sample batches gives the
     # serial report, bit for bit.  The forced w = z sample is every check's
-    # worst, so a perturbed run replaces the gaps by -|b_(n-1)| rounded to
-    # 0.1 (ties) and the n = 2 gaps by NaN where Re b_1 > 0.8, to make random
-    # samples, first-on-tie and first-NaN picks cross the batch boundaries
-    sides = search._suite_sides
+    # worst, so a perturbed run replaces the keys by -|b_(n-1)| rounded to
+    # 0.1 (ties) and the n = 2 keys by NaN where Re b_1 > 0.8, to make random
+    # samples, first-on-tie and first-NaN picks cross the batch boundaries.
+    # At zeta = -0.4, alpha = 0.86 the double and exact gaps differ most
+    keys = search._suite_keys
 
     def perturbed(b, *args):
-        gap, side = sides(b, *args)
-        gap = np.broadcast_to(-np.round(np.abs(b[:, None, 1:-1]), 1), gap.shape).copy()
-        gap[b[:, 1].real > 0.8, :, 0] = np.nan
-        return gap, side
+        key = keys(b, *args)
+        key = np.broadcast_to(-np.round(np.abs(b[:, None, 1:-1]), 1), key.shape).copy()
+        key[b[:, 1].real > 0.8, :, 0] = np.nan
+        return key
 
     if perturb:
-        monkeypatch.setattr(search, "_suite_sides", perturbed)
+        monkeypatch.setattr(search, "_suite_keys", perturbed)
     reports = []
     # 128, the batch size before 2048, spans three batches here
     for chunk in (1, 7, 128, search._CHUNK_SAMPLES):
@@ -743,21 +782,20 @@ def test_random_suite_reports_only_the_exact_sides(monkeypatch):
     # the double pass only ranks: every live item's gap, bound and achieved
     # is its reported row's entry of _exact_sides, replaced here by
     # sentinels that tag the row (by |b_1|), the check and n.  The ranking
-    # gap is -|b_(n-1)|, so the forced w = z row and random samples are both
+    # key is -|b_(n-1)|, so the forced w = z row and random samples are both
     # reported
     params, seed, count, order = ClassParams(-0.5), 5, 300, 8
-    sides = search._suite_sides
+    keys = search._suite_keys
 
     def ranking(b, *args):
-        gap, side = sides(b, *args)
-        return np.broadcast_to(-np.abs(b[:, None, 1:-1]), gap.shape), side
+        return np.broadcast_to(-np.abs(b[:, None, 1:-1]), keys(b, *args).shape)
 
     def sentinel(b, params, order, prod):
         checks = 2 + (prod is not None)
         tag = np.add.outer(100.0 * np.arange(checks), np.arange(2, order + 1)) + abs(b[1])
         return tag + 0.25, tag + 0.5, tag + 0.75
 
-    monkeypatch.setattr(search, "_suite_sides", ranking)
+    monkeypatch.setattr(search, "_suite_keys", ranking)
     monkeypatch.setattr(search, "_exact_sides", sentinel)
     rep = random_schwarz_suite(params, seed=seed, count=count, order=order)
     forced = [[0.0] * search.SUITE_DEPTH, [1.0] + [0.0] * (search.SUITE_DEPTH - 1)]

@@ -35,8 +35,10 @@ def test_exp_series_of_minus_log_one_minus_z_is_geometric():
 
 
 def test_exp_series_needs_a_vanishing_constant_term():
-    with pytest.raises(InnerNotVanishing):
-        exp_series([1e-13, 1.0, 0.5])
+    # a NaN constant term is not within INNER_TOL of 0 either
+    for g0 in (1e-13, math.nan, complex(0.0, math.nan)):
+        with pytest.raises(InnerNotVanishing):
+            exp_series([g0, 1.0, 0.5])
     exp_series([1e-15, 1.0, 0.5])  # within INNER_TOL
 
 
